@@ -10,9 +10,10 @@ Subcommands:
 * ``basis`` -- emit a generalized Gell-Mann basis as JSON.
 
 Exit codes: 0 success, 1 failed demo golden check, 2 input or guard error,
-3 finder did not converge.  Every output artifact is accompanied by a run
-manifest (embedded in JSON output, sidecar file for CSV).  The environment
-variable UNCERTAINTY_LAB_SEED provides the default seed.
+3 finder did not converge, 4 an internal cross-check failed.  Every output
+artifact is accompanied by a run manifest (embedded in JSON output, sidecar
+file for CSV).  The environment variable UNCERTAINTY_LAB_SEED provides the
+default seed.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .correlations import correlation, correlation_record
 from .finder import FinderConfig, find
 from .gellmann import gell_mann, su3_lambda, two_level_state, uniform_superposition
 from .relations import REPORT_CSV_HEADER, evaluate, report_csv_row
-from .state_sets import ScanConfig, classify, membership_scan
+from .state_sets import ScanConfig, _classified_rows, classify
 
 _GUARD_ERRORS = (
     ValidationError,
@@ -212,8 +213,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         raise CliError(f"--samples must be at least 1, got {args.samples}")
     config = ScanConfig(samples=args.samples, seed=args.seed, tolerances=tol)
     lines = [_scan_header(a.dim)]
-    for index, (phi, cls) in enumerate(membership_scan(a, b, config)):
-        c = correlation(a, b, phi)
+    for index, (phi, moments, cls) in enumerate(_classified_rows(a, b, config)):
+        c = moments.c
         fields = [str(index)]
         for amp in phi.amps:
             fields.append(repr(float(amp.real)))
@@ -402,6 +403,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _GUARD_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: internal cross-check failed: {exc}", file=sys.stderr)
+        return 4
 
 
 def entry_point() -> None:

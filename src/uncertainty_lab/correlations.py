@@ -15,19 +15,14 @@ import logging
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
 from .core import (
     DEFAULT_TOLERANCES,
     DegenerateSpread,
     Observable,
     StateVector,
     Tolerances,
-    ValidationError,
-    _check_same_dim,
-    inner,
 )
-from .moments import deviation_vector, std_dev
+from .moments import _IDENTITY_TOL, _PairContext, _StateMoments
 
 __all__ = [
     "CorrelationRecord",
@@ -39,12 +34,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-_IDENTITY_TOL = 1e-10
-_DECOMP_TOL = 1e-9
-# Pearson values in (1, 1 + _PEARSON_EXCESS] are clamped to 1; anything larger
-# signals broken inputs.
-_PEARSON_EXCESS = 1e-10
 
 
 @dataclass(frozen=True)
@@ -77,19 +66,17 @@ def correlation(a: Observable, b: Observable, phi: StateVector) -> complex:
     The same number is the inner product of the two deviation vectors, so both
     routes are evaluated and compared before the moment form is returned.
     """
-    _check_same_dim(a.dim, b.dim)
-    _check_same_dim(a.dim, phi.dim)
-    amps = phi.amps
-    b_phi = b.matrix @ amps
-    mean_a = complex(np.vdot(amps, a.matrix @ amps)).real
-    mean_b = complex(np.vdot(amps, b_phi)).real
-    c_moment = complex(np.vdot(amps, a.matrix @ b_phi)) - mean_a * mean_b
-    c_dev = inner(deviation_vector(a, phi).vec, deviation_vector(b, phi).vec)
-    if abs(c_moment - c_dev) > _IDENTITY_TOL * max(1.0, abs(c_moment)):
-        raise ArithmeticError(
-            f"moment form {c_moment!r} and deviation form {c_dev!r} of the correlation disagree"
+    return _StateMoments(_PairContext(a, b), phi).c
+
+
+def _nondegenerate(m: _StateMoments, what: str) -> float:
+    r = m.pearson
+    if r is None:
+        raise DegenerateSpread(
+            f"{what} undefined: spreads ({m.a.spread:.3e}, {m.b.spread:.3e}) "
+            f"must both exceed eps_spread = {m.tol.eps_spread:.3e}"
         )
-    return c_moment
+    return r
 
 
 def pearson(
@@ -102,25 +89,7 @@ def pearson(
     eps_spread: the coefficient is only defined for states where both
     observables actually spread out.
     """
-    da = std_dev(a, phi, tol)
-    db = std_dev(b, phi, tol)
-    if da <= tol.eps_spread or db <= tol.eps_spread:
-        raise DegenerateSpread(
-            f"pearson coefficient undefined: spreads ({da:.3e}, {db:.3e}) "
-            f"must both exceed eps_spread = {tol.eps_spread:.3e}"
-        )
-    r = abs(correlation(a, b, phi)) / (da * db)
-    # Independent route: overlap of the normalized deviation directions.
-    ua = deviation_vector(a, phi).vec / da
-    ub = deviation_vector(b, phi).vec / db
-    overlap = abs(inner(ua, ub))
-    if abs(r - overlap) > _IDENTITY_TOL:
-        raise ArithmeticError(
-            f"pearson value {r!r} disagrees with the deviation-direction overlap {overlap!r}"
-        )
-    if r > 1.0 + _PEARSON_EXCESS:
-        raise ValidationError(f"pearson coefficient {r!r} exceeds 1 beyond tolerance")
-    return min(r, 1.0)
+    return _nondegenerate(_StateMoments(_PairContext(a, b), phi, tol), "pearson coefficient")
 
 
 def decomposition(
@@ -132,23 +101,9 @@ def decomposition(
     The two terms sum to pearson^2; dropping the second one is exactly the
     information lost by using only the real part of C.
     """
-    da = std_dev(a, phi, tol)
-    db = std_dev(b, phi, tol)
-    if da <= tol.eps_spread or db <= tol.eps_spread:
-        raise DegenerateSpread(
-            f"decomposition undefined: spreads ({da:.3e}, {db:.3e}) "
-            f"must both exceed eps_spread = {tol.eps_spread:.3e}"
-        )
-    c = correlation(a, b, phi)
-    denom = da * db
-    cov_term = (c.real / denom) ** 2
-    imag_term = (c.imag / denom) ** 2
-    r = pearson(a, b, phi, tol)
-    if abs(cov_term + imag_term - r * r) > _DECOMP_TOL:
-        raise ArithmeticError(
-            f"decomposition terms sum to {cov_term + imag_term!r}, pearson^2 is {r * r!r}"
-        )
-    return cov_term, imag_term
+    m = _StateMoments(_PairContext(a, b), phi, tol)
+    _nondegenerate(m, "decomposition")
+    return m.decomposition()
 
 
 def correlation_properties_check(
@@ -162,21 +117,15 @@ def correlation_properties_check(
     returns False.
     """
     violations = []
-    c_ab = correlation(a, b1, phi)
-    c_ba = correlation(b1, a, phi)
-    if abs(c_ab - c_ba.conjugate()) > _IDENTITY_TOL:
+    m_ab = _StateMoments(_PairContext(a, b1), phi)
+    m_ba = _StateMoments(_PairContext(b1, a), phi)
+    if abs(m_ab.c - m_ba.c.conjugate()) > _IDENTITY_TOL:
         violations.append("conjugate symmetry C(A,B) = conj(C(B,A))")
-    c_sum = correlation(a, b1 + b2, phi)
-    if abs(c_sum - (c_ab + correlation(a, b2, phi))) > _IDENTITY_TOL:
+    c_sum = _StateMoments(_PairContext(a, b1 + b2), phi).c
+    if abs(c_sum - (m_ab.c + _StateMoments(_PairContext(a, b2), phi).c)) > _IDENTITY_TOL:
         violations.append("additivity C(A, B1+B2) = C(A,B1) + C(A,B2)")
-    try:
-        r_ab = pearson(a, b1, phi)
-        r_ba = pearson(b1, a, phi)
-    except DegenerateSpread:
-        pass
-    else:
-        if abs(r_ab - r_ba) > _IDENTITY_TOL:
-            violations.append("pearson symmetry r(A,B) = r(B,A)")
+    if m_ab.pearson is not None and abs(m_ab.pearson - m_ba.pearson) > _IDENTITY_TOL:
+        violations.append("pearson symmetry r(A,B) = r(B,A)")
     for name in violations:
         logger.warning("correlation identity violated: %s", name)
     return not violations
@@ -186,15 +135,12 @@ def correlation_record(
     a: Observable, b: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> CorrelationRecord:
     """Full correlation record; pearson/transition_prob absent on degenerate spreads."""
-    c = correlation(a, b, phi)
-    da = std_dev(a, phi, tol)
-    db = std_dev(b, phi, tol)
-    if da > tol.eps_spread and db > tol.eps_spread:
-        r = pearson(a, b, phi, tol)
-        trans = r * r
-    else:
-        r = None
-        trans = None
+    m = _StateMoments(_PairContext(a, b), phi, tol)
+    c, r = m.c, m.pearson
     return CorrelationRecord(
-        c=c, cov_real=c.real, imag_part=c.imag, pearson=r, transition_prob=trans
+        c=c,
+        cov_real=c.real,
+        imag_part=c.imag,
+        pearson=r,
+        transition_prob=None if r is None else r * r,
     )

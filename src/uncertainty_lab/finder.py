@@ -30,7 +30,6 @@ from typing import Any
 import numpy as np
 
 from .core import (
-    CommutingPair,
     DEFAULT_TOLERANCES,
     DimensionTooSmall,
     Observable,
@@ -38,13 +37,10 @@ from .core import (
     Tolerances,
     ValidationError,
     _check_same_dim,
-    commutator,
     haar_state,
-    inner,
     state_to_json_dict,
 )
-from .correlations import correlation
-from .moments import orthogonal_unit, std_dev
+from .moments import _PairContext, _StateMoments
 
 __all__ = ["FinderConfig", "FinderResult", "find", "gradient", "objective", "verify_candidate"]
 
@@ -194,15 +190,11 @@ class _Pair:
         return np.concatenate([2.0 * g.real, 2.0 * g.imag])
 
 
-def _check_pair(a: Observable, b: Observable) -> None:
-    _check_same_dim(a.dim, b.dim)
-
-
 def objective(
     a: Observable, b: Observable, x: Any, cfg: FinderConfig | None = None
 ) -> float:
     """Penalized squared-correlation objective at the normalization of x."""
-    _check_pair(a, b)
+    _check_same_dim(a.dim, b.dim)
     vec = np.asarray(x, dtype=np.complex128)
     return _Pair(a, b, cfg or FinderConfig()).value(vec)
 
@@ -216,7 +208,7 @@ def gradient(
     with respect to the real parts of x, the last d with respect to the
     imaginary parts.
     """
-    _check_pair(a, b)
+    _check_same_dim(a.dim, b.dim)
     vec = np.asarray(x, dtype=np.complex128)
     if np.vdot(vec, vec).real == 0.0:
         raise ValidationError("gradient undefined at the zero vector")
@@ -293,28 +285,28 @@ def find(
     """Search for a zero-correlation state of a non-commuting pair.
 
     Restarts draw Haar-random initial states from RNG substreams keyed by
-    (seed, restart_index), are tried in order, and the search stops at the
-    first converged restart; otherwise the best final objective wins, ties
+    (seed, restart_index), are tried in order, and the search stops at and
+    returns the first converged restart, even when an earlier stalled restart
+    reached a lower objective; otherwise the best final objective wins, ties
     broken by lower restart index.  The whole procedure is deterministic for
     a fixed config.  A failed search still returns the best candidate, with
     ``converged`` False.
     """
     cfg = cfg or FinderConfig()
-    _check_pair(a, b)
+    context = _PairContext(a, b)
     if a.dim < 3:
         raise DimensionTooSmall(
             "zero-correlation states with nonzero spreads need dimension >= 3; "
             f"got dimension {a.dim}"
         )
-    if float(np.linalg.norm(commutator(a, b))) <= tol.tol_zero:
-        raise CommutingPair("the pair commutes within tol_zero; the search is trivial")
+    context.require_noncommuting(tol)
     pair = _Pair(a, b, cfg)
     best: tuple[float, int, np.ndarray, int, bool] | None = None
     for restart in range(cfg.restarts):
         rng = np.random.default_rng((cfg.seed, restart))
         x0 = haar_state(a.dim, rng).amps
         x, f, iters, ok = _descend(pair, x0, cfg, tol)
-        if best is None or f < best[0]:
+        if ok or best is None or f < best[0]:
             best = (f, restart, x, iters, ok)
         if ok:
             break
@@ -350,21 +342,16 @@ def verify_candidate(
 ) -> bool:
     """Independent acceptance check for a candidate zero-correlation state.
 
-    Recomputes the correlation through both of its defining forms (the
-    ``correlation`` op already cross-checks them), requires |C| <= tol_zero
-    and both spreads at or above the floor, and checks that the state and its
-    two normalized deviation directions form an orthonormal triple.
+    Recomputes the correlation through both of its defining forms and
+    cross-checks them, requires |C| <= tol_zero and both spreads at or above
+    the floor, and checks that the state and its two normalized deviation
+    directions form an orthonormal triple.
     """
-    _check_pair(a, b)
-    _check_same_dim(a.dim, state.dim)
-    if abs(correlation(a, b, state)) > tol.tol_zero:
+    m = _StateMoments(_PairContext(a, b), state, tol)
+    if abs(m.c) > tol.tol_zero:
         return False
-    if std_dev(a, state, tol) < spread_floor or std_dev(b, state, tol) < spread_floor:
+    if m.a.spread < spread_floor or m.b.spread < spread_floor or not m.spreads_ok:
         return False
-    u_a = orthogonal_unit(a, state, tol)
-    u_b = orthogonal_unit(b, state, tol)
-    if u_a is None or u_b is None:
-        return False
-    triple = (state.amps, u_a, u_b)
-    gram = np.array([[inner(u, v) for v in triple] for u in triple])
+    triple = (state.amps, m.a.vec / m.a.norm, m.b.vec / m.b.norm)
+    gram = np.array([[np.vdot(u, v) for v in triple] for u in triple])
     return bool(np.max(np.abs(gram - np.eye(3))) <= _GRAM_TOL)

@@ -21,19 +21,8 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-import numpy as np
-
-from .core import (
-    DEFAULT_TOLERANCES,
-    Observable,
-    StateVector,
-    Tolerances,
-    _check_same_dim,
-    commutator,
-    inner,
-)
-from .correlations import correlation
-from .moments import deviation_vector, std_dev
+from .core import DEFAULT_TOLERANCES, Observable, StateVector, Tolerances
+from .moments import _INEQ_SLACK, _check, _PairContext, _StateMoments, std_dev
 
 __all__ = [
     "Degeneracy",
@@ -48,14 +37,9 @@ __all__ = [
     "sum_relations",
 ]
 
-# Slack below which an inequality is considered violated (broken arithmetic).
-_INEQ_SLACK = 1e-10
-# Identity agreement between independently computed bounds.
-_BOUND_IDENT_TOL = 1e-10
 # Equality detection for the product-of-spreads bound, looser than the
 # arithmetic tolerance to absorb the flop count of the evaluation.
 _TIGHT_SLACK = 1e-8
-_PYTHAGORAS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -114,9 +98,7 @@ class SumRelationReport:
 
 def hr_bound(a: Observable, b: Observable, phi: StateVector) -> float:
     """Commutator lower bound |<phi|[A,B]|phi>| / 2."""
-    _check_same_dim(a.dim, b.dim)
-    _check_same_dim(a.dim, phi.dim)
-    return 0.5 * abs(complex(np.vdot(phi.amps, commutator(a, b) @ phi.amps)))
+    return _StateMoments(_PairContext(a, b), phi).hr
 
 
 def schrodinger_bound(a: Observable, b: Observable, phi: StateVector) -> float:
@@ -125,57 +107,28 @@ def schrodinger_bound(a: Observable, b: Observable, phi: StateVector) -> float:
     Computed from the anticommutator and commutator matrix elements, then
     cross-checked against |C(A,B)|, to which it is identically equal.
     """
-    _check_same_dim(a.dim, b.dim)
-    _check_same_dim(a.dim, phi.dim)
-    amps = phi.amps
-    anti = a.matrix @ b.matrix + b.matrix @ a.matrix
-    sym_part = 0.5 * complex(np.vdot(amps, anti @ amps)).real - (
-        complex(np.vdot(amps, a.matrix @ amps)).real * complex(np.vdot(amps, b.matrix @ amps)).real
-    )
-    bound = float(np.hypot(sym_part, hr_bound(a, b, phi)))
-    c_mod = abs(correlation(a, b, phi))
-    if abs(bound - c_mod) > _BOUND_IDENT_TOL * max(1.0, c_mod):
-        raise ArithmeticError(
-            f"anticommutator-form bound {bound!r} disagrees with |C| = {c_mod!r}"
-        )
-    return bound
+    return _StateMoments(_PairContext(a, b), phi).schrodinger
 
 
 def evaluate(
     a: Observable, b: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> UncertaintyReport:
     """Evaluate every bound for (A, B, phi) and assert the chain between them."""
-    delta_a = std_dev(a, phi, tol)
-    delta_b = std_dev(b, phi, tol)
-    product = delta_a * delta_b
-    hr = hr_bound(a, b, phi)
-    sch = schrodinger_bound(a, b, phi)
-    gen = abs(correlation(a, b, phi))
-    report = UncertaintyReport(
-        delta_a=delta_a,
-        delta_b=delta_b,
+    m = _StateMoments(_PairContext(a, b), phi, tol)
+    m.check_bound_chain()
+    product = m.a.spread * m.b.spread
+    general = abs(m.c)
+    return UncertaintyReport(
+        delta_a=m.a.spread,
+        delta_b=m.b.spread,
         product=product,
-        hr_bound=hr,
-        schrodinger_bound=sch,
-        general_bound=gen,
-        slack_hr=product - hr,
-        slack_general=product - gen,
-        tight=(product - gen) <= _TIGHT_SLACK,
+        hr_bound=m.hr,
+        schrodinger_bound=m.schrodinger,
+        general_bound=general,
+        slack_hr=product - m.hr,
+        slack_general=product - general,
+        tight=(product - general) <= _TIGHT_SLACK,
     )
-    _check_report(report)
-    return report
-
-
-def _check_report(r: UncertaintyReport) -> None:
-    problems = []
-    if r.hr_bound > r.schrodinger_bound + _BOUND_IDENT_TOL:
-        problems.append("commutator bound exceeds the anticommutator-form bound")
-    if abs(r.schrodinger_bound - r.general_bound) > _BOUND_IDENT_TOL:
-        problems.append("anticommutator-form bound and |C| disagree")
-    if r.slack_hr < -_INEQ_SLACK or r.slack_general < -_INEQ_SLACK:
-        problems.append("product of spreads falls below a lower bound")
-    if problems:
-        raise ArithmeticError("; ".join(problems) + f" in {r!r}")
 
 
 def sum_relations(
@@ -188,44 +141,16 @@ def sum_relations(
     spread), ``pythagoras`` when the deviation vectors are orthogonal, in
     which case d(A+B)^2 = dA^2 + dB^2 is additionally asserted.
     """
-    delta_a = std_dev(a, phi, tol)
-    delta_b = std_dev(b, phi, tol)
-    spread_of_sum = std_dev(a + b, phi, tol)
-    report = SumRelationReport(
+    m = _StateMoments(_PairContext(a, b), phi, tol)
+    spread_of_sum, degenerate = m.sum_relations()
+    delta_a, delta_b = m.a.spread, m.b.spread
+    return SumRelationReport(
         sum_of_spreads=delta_a + delta_b,
         spread_of_sum=spread_of_sum,
         quad_lhs=delta_a**2 + delta_b**2,
         quad_rhs=0.5 * spread_of_sum**2,
-        degenerate=_diagnose_degeneracy(a, b, phi, delta_a, delta_b, spread_of_sum, tol),
+        degenerate=Degeneracy(degenerate),
     )
-    if report.sum_of_spreads < report.spread_of_sum - _INEQ_SLACK:
-        raise ArithmeticError(f"triangle inequality violated in {report!r}")
-    if report.quad_lhs < report.quad_rhs - _INEQ_SLACK:
-        raise ArithmeticError(f"squared triangle inequality violated in {report!r}")
-    return report
-
-
-def _diagnose_degeneracy(
-    a: Observable,
-    b: Observable,
-    phi: StateVector,
-    delta_a: float,
-    delta_b: float,
-    spread_of_sum: float,
-    tol: Tolerances,
-) -> Degeneracy:
-    if delta_a <= tol.eps_spread or delta_b <= tol.eps_spread:
-        return Degeneracy.EIGENSTATE_TRIVIAL
-    dev_overlap = inner(deviation_vector(a, phi).vec, deviation_vector(b, phi).vec)
-    if abs(dev_overlap) <= tol.tol_zero:
-        quad_sum = delta_a**2 + delta_b**2
-        if abs(spread_of_sum**2 - quad_sum) > _PYTHAGORAS_TOL:
-            raise ArithmeticError(
-                f"orthogonal deviations but d(A+B)^2 = {spread_of_sum ** 2!r} "
-                f"differs from dA^2 + dB^2 = {quad_sum!r}"
-            )
-        return Degeneracy.PYTHAGORAS
-    return Degeneracy.NONE
 
 
 def sum_relation_n(
@@ -240,8 +165,7 @@ def sum_relation_n(
         total = total + obs
         lhs += std_dev(obs, phi, tol)
     rhs = std_dev(total, phi, tol)
-    if lhs < rhs - _INEQ_SLACK:
-        raise ArithmeticError(f"n-term triangle inequality violated: {lhs!r} < {rhs!r}")
+    _check("n-term triangle inequality", rhs - lhs, _INEQ_SLACK)
     return lhs, rhs
 
 

@@ -21,22 +21,10 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .core import (
-    CommutingPair,
-    DEFAULT_TOLERANCES,
-    Observable,
-    StateVector,
-    Tolerances,
-    _check_same_dim,
-    commutator,
-    haar_state,
-)
-from .correlations import correlation, pearson
-from .moments import std_dev
+from .core import DEFAULT_TOLERANCES, Observable, StateVector, Tolerances, haar_state
+from .moments import _PairContext, _StateMoments
 
 __all__ = ["ClassificationResult", "ScanConfig", "classify", "membership_scan"]
-
-_EQUIV_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -76,16 +64,6 @@ class ScanConfig:
             raise ValueError(f"samples must be nonnegative, got {self.samples}")
 
 
-def _noncommuting_commutator(a: Observable, b: Observable, tol: Tolerances) -> np.ndarray:
-    comm = commutator(a, b)
-    if float(np.linalg.norm(comm)) <= tol.tol_zero:
-        raise CommutingPair(
-            "the set definitions presuppose a non-commuting pair, but ||[A,B]|| "
-            f"is below tol_zero = {tol.tol_zero:.3e}"
-        )
-    return comm
-
-
 def classify(
     a: Observable, b: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> ClassificationResult:
@@ -96,31 +74,44 @@ def classify(
     cross-checked against each other.  Deciding on Im C makes the inclusion
     s_ab => s_comm and s_anti hold structurally even at tolerance boundaries.
     """
-    _check_same_dim(a.dim, b.dim)
-    _check_same_dim(a.dim, phi.dim)
-    comm = _noncommuting_commutator(a, b, tol)
-    delta_a = std_dev(a, phi, tol)
-    delta_b = std_dev(b, phi, tol)
-    eigen_a = delta_a <= tol.eps_spread
-    eigen_b = delta_b <= tol.eps_spread
+    m = _StateMoments(_PairContext(a, b), phi, tol)
+    m.pair.require_noncommuting(tol)
+    return _classification(m)
+
+
+def _classification(m: _StateMoments) -> ClassificationResult:
+    tol = m.tol
+    eigen_a = m.a.spread <= tol.eps_spread
+    eigen_b = m.b.spread <= tol.eps_spread
     spreads_ok = not eigen_a and not eigen_b
-
-    c = correlation(a, b, phi)
-    comm_expect = abs(complex(np.vdot(phi.amps, comm @ phi.amps)))
-    if abs(comm_expect - 2.0 * abs(c.imag)) > _EQUIV_TOL:
-        raise ArithmeticError(
-            f"|<[A,B]>| = {comm_expect!r} disagrees with 2|Im C| = {2.0 * abs(c.imag)!r}"
-        )
-
+    m.check_commutator()
+    c = m.c
     return ClassificationResult(
         eigen_a=eigen_a,
         eigen_b=eigen_b,
         in_s_ab=spreads_ok and abs(c) <= tol.tol_zero,
         in_s_comm=spreads_ok and abs(c.imag) <= tol.tol_zero,
         in_s_anti=spreads_ok and abs(c.real) <= tol.tol_zero,
-        pearson=pearson(a, b, phi, tol) if spreads_ok else None,
+        pearson=m.pearson,
         tolerances_used=tol,
     )
+
+
+def _classified_rows(
+    a: Observable, b: Observable, config: ScanConfig
+) -> Iterator[tuple[StateVector, _StateMoments, ClassificationResult]]:
+    """Scan rows with the record each classification was read from; the guard
+    runs, and [A,B] is built, once per scan."""
+    pair = _PairContext(a, b)
+    pair.require_noncommuting(config.tolerances)
+
+    def rows() -> Iterator[tuple[StateVector, _StateMoments, ClassificationResult]]:
+        for index in range(config.samples):
+            phi = haar_state(a.dim, np.random.default_rng((config.seed, index)))
+            m = _StateMoments(pair, phi, config.tolerances)
+            yield phi, m, _classification(m)
+
+    return rows()
 
 
 def membership_scan(
@@ -133,13 +124,4 @@ def membership_scan(
     deterministic, independent of how the index range might be partitioned
     across workers, and ordered by sample index.
     """
-    _check_same_dim(a.dim, b.dim)
-    _noncommuting_commutator(a, b, config.tolerances)
-
-    def rows() -> Iterator[tuple[StateVector, ClassificationResult]]:
-        for index in range(config.samples):
-            rng = np.random.default_rng((config.seed, index))
-            phi = haar_state(a.dim, rng)
-            yield phi, classify(a, b, phi, config.tolerances)
-
-    return rows()
+    return ((phi, cls) for phi, _, cls in _classified_rows(a, b, config))

@@ -77,6 +77,16 @@ class TestEval:
         }))
         assert main(["eval", str(bad), str(bad), files["qubit"]]) == 2
 
+    def test_internal_check_failure_exits_4(self, files, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ArithmeticError("correlation: moment form = deviation form fails")
+
+        monkeypatch.setattr("uncertainty_lab.cli.evaluate", broken)
+        assert main(["eval", files["l3"], files["l4"], files["phi2"]]) == 4
+        err = capsys.readouterr().err
+        assert "moment form = deviation form" in err
+        assert "Traceback" not in err
+
     def test_csv_format(self, files, capsys):
         assert main(["eval", files["l3"], files["l4"], files["phi2"], "--format", "csv"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
@@ -163,6 +173,16 @@ class TestScan:
             assert main(["scan", files["l3"], files["l4"],
                          "--samples", "200", "--seed", "9", "--out", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_body_prefix_independent_of_sample_count(self, files, tmp_path):
+        bodies = {}
+        for samples in (30, 70):
+            out = tmp_path / f"scan{samples}.csv"
+            assert main(["scan", files["l3"], files["l4"],
+                         "--samples", str(samples), "--seed", "4", "--out", str(out)]) == 0
+            bodies[samples] = out.read_text().splitlines()
+        assert len(bodies[70]) == 71
+        assert bodies[30] == bodies[70][:31]
 
     def test_manifest_sidecar(self, files, tmp_path):
         out = tmp_path / "scan.csv"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import uncertainty_lab as ul
+from uncertainty_lab import finder
 from helpers import pauli_pair, rand_hermitian
 
 
@@ -147,6 +148,25 @@ class TestFind:
         assert not result.converged
         assert result.objective > 0.0
         assert result.restart_index == 0
+
+    def test_converged_restart_beats_lower_stalled_objective(self, l3, l4, monkeypatch):
+        # restart 0 stalls just short of convergence with a tiny objective;
+        # restart 1 converges on a true zero-correlation state
+        target = ul.two_level_state(1, 1).amps
+        starts = []
+
+        def fake_descend(pair, x0, cfg, tol):
+            starts.append(x0)
+            if len(starts) == 1:
+                return x0, 8e-26, 7, False
+            return target.copy(), 1e-20, 3, True
+
+        monkeypatch.setattr(finder, "_descend", fake_descend)
+        result = ul.find(l3, l4, ul.FinderConfig(restarts=4))
+        assert result.converged
+        assert result.restart_index == 1
+        assert len(starts) == 2
+        assert np.allclose(result.state.amps, target)
 
     def test_json_round_trip(self, l3, l4):
         result = ul.find(l3, l4, ul.FinderConfig(seed=7))

@@ -74,6 +74,15 @@ class TestMembershipScan:
         second = [(phi.amps.tobytes(), cls) for phi, cls in ul.membership_scan(l3, l4, cfg)]
         assert first == second
 
+    def test_prefix_independent_of_sample_count(self, l3, l4):
+        def rows(samples):
+            scan = ul.membership_scan(l3, l4, ul.ScanConfig(samples=samples, seed=5))
+            return [(phi.amps.tobytes(), cls) for phi, cls in scan]
+
+        short, long = rows(40), rows(75)
+        assert len(long) == 75
+        assert short == long[:40]
+
     def test_zero_samples_empty_stream(self, l3, l4):
         assert list(ul.membership_scan(l3, l4, ul.ScanConfig(samples=0, seed=0))) == []
 

@@ -23,17 +23,13 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import __version__
 from .core import (
     CommutingPair,
-    DimensionMismatch,
-    DimensionTooSmall,
-    Observable,
-    StateVector,
     Tolerances,
     ValidationError,
     observable_from_json_dict,
@@ -45,14 +41,6 @@ from .finder import FinderConfig, find
 from .gellmann import gell_mann, su3_lambda, two_level_state, uniform_superposition
 from .relations import REPORT_CSV_HEADER, evaluate, report_csv_row
 from .state_sets import ScanConfig, _classified_rows, classify
-
-_GUARD_ERRORS = (
-    ValidationError,
-    DimensionMismatch,
-    DimensionTooSmall,
-    CommutingPair,
-    ValueError,
-)
 
 SEED_ENV_VAR = "UNCERTAINTY_LAB_SEED"
 
@@ -85,16 +73,10 @@ def _load_json(path: str) -> Any:
         raise CliError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _load_observable(path: str, tol: Tolerances) -> Observable:
+def _load(path: str, parse: Callable[[Any, Tolerances], Any], tol: Tolerances) -> Any:
+    """Read ``path`` as JSON and build an object from it with ``parse``."""
     try:
-        return observable_from_json_dict(_load_json(path), tol)
-    except ValidationError as exc:
-        raise CliError(f"schema violation in {path}: {exc}") from exc
-
-
-def _load_state(path: str, tol: Tolerances) -> StateVector:
-    try:
-        return state_from_json_dict(_load_json(path), tol)
+        return parse(_load_json(path), tol)
     except ValidationError as exc:
         raise CliError(f"schema violation in {path}: {exc}") from exc
 
@@ -134,9 +116,9 @@ def _fmt(x: float) -> str:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
-    a = _load_observable(args.observable_a, tol)
-    b = _load_observable(args.observable_b, tol)
-    phi = _load_state(args.state, tol)
+    a = _load(args.observable_a, observable_from_json_dict, tol)
+    b = _load(args.observable_b, observable_from_json_dict, tol)
+    phi = _load(args.state, state_from_json_dict, tol)
     report = evaluate(a, b, phi, tol)
     record = correlation_record(a, b, phi, tol)
     try:
@@ -175,8 +157,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_find(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
-    a = _load_observable(args.observable_a, tol)
-    b = _load_observable(args.observable_b, tol)
+    a = _load(args.observable_a, observable_from_json_dict, tol)
+    b = _load(args.observable_b, observable_from_json_dict, tol)
     cfg = FinderConfig(
         restarts=args.restarts,
         max_iters=args.max_iters,
@@ -207,8 +189,8 @@ def _scan_header(dim: int) -> str:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
-    a = _load_observable(args.observable_a, tol)
-    b = _load_observable(args.observable_b, tol)
+    a = _load(args.observable_a, observable_from_json_dict, tol)
+    b = _load(args.observable_b, observable_from_json_dict, tol)
     if args.samples < 1:
         raise CliError(f"--samples must be at least 1, got {args.samples}")
     config = ScanConfig(samples=args.samples, seed=args.seed, tolerances=tol)
@@ -397,10 +379,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "scan" and args.out is None:
             raise CliError("scan requires --out for the CSV body")
         return _DISPATCH[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _GUARD_ERRORS as exc:
+    except (CliError, ValueError) as exc:
+        # every library input or guard error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
@@ -410,3 +390,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -218,6 +221,19 @@ class TestDemo:
         assert "HR bound(phi2) = 0" in out
         assert "product(phi2) = 0.38490017946" in out
         assert "FAIL" not in out
+
+    def test_runs_as_module(self):
+        # `python -m uncertainty_lab.cli` must run the CLI, not just import it
+        src = os.path.dirname(os.path.dirname(ul.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "uncertainty_lab.cli", "demo"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("[PASS]") == 6
+        assert "FAIL" not in proc.stdout
 
 
 class TestBasis:

@@ -8,7 +8,7 @@ from uncertainty_lab import finder
 from helpers import pauli_pair, rand_hermitian
 
 
-def fd_gradient(a, b, x, h=1e-6):
+def fd_gradient(a, b, x, h=1e-6, cfg=None):
     d = len(x)
     out = np.zeros(2 * d)
     for i in range(2 * d):
@@ -17,7 +17,7 @@ def fd_gradient(a, b, x, h=1e-6):
             dx[i] = h
         else:
             dx[i - d] = 1j * h
-        out[i] = (ul.objective(a, b, x + dx) - ul.objective(a, b, x - dx)) / (2 * h)
+        out[i] = (ul.objective(a, b, x + dx, cfg) - ul.objective(a, b, x - dx, cfg)) / (2 * h)
     return out
 
 
@@ -59,6 +59,26 @@ class TestGradient:
                 if mask.any():
                     rel = np.abs(ga - gf)[mask] / np.maximum(np.abs(ga), np.abs(gf))[mask]
                     worst = max(worst, float(rel.max()))
+        assert worst <= 1e-5
+
+    def test_matches_finite_differences_with_both_hinges_active(self, rng):
+        # the floor lies above every spread these pairs reach (a few pass 3 at
+        # d = 5), so both penalty terms are on
+        cfg = ul.FinderConfig(spread_floor=5.0)
+        worst = 0.0
+        for d in (3, 4, 5):
+            for _ in range(10):
+                a, b = rand_hermitian(rng, d), rand_hermitian(rng, d)
+                x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                phi = ul.StateVector.normalized(x)
+                assert ul.std_dev(a, phi) < cfg.spread_floor
+                assert ul.std_dev(b, phi) < cfg.spread_floor
+                ga = ul.gradient(a, b, x, cfg)
+                gf = fd_gradient(a, b, x, cfg=cfg)
+                worst = max(worst, float(np.linalg.norm(ga - gf) / np.linalg.norm(gf)))
+                # f is scale invariant, so the radial derivative vanishes
+                radial = np.concatenate([x.real, x.imag])
+                assert abs(ga @ radial) <= 1e-9 * np.linalg.norm(ga) * np.linalg.norm(radial)
         assert worst <= 1e-5
 
     def test_phase_direction_derivative_vanishes(self, rng, l3, l4):
@@ -167,6 +187,26 @@ class TestFind:
         assert result.restart_index == 1
         assert len(starts) == 2
         assert np.allclose(result.state.amps, target)
+
+    def test_restart_failing_at_reported_state_does_not_end_search(self, l3, l4, monkeypatch):
+        # restart 0 claims convergence, but its normalized state fails the
+        # test (as when a spread slips below the floor in renormalization);
+        # the search must go on to restart 1
+        target = ul.two_level_state(1, 1).amps
+        calls = []
+
+        def fake_descend(pair, x0, cfg, tol):
+            calls.append(x0)
+            if len(calls) == 1:
+                return 2.0 * ul.uniform_superposition(3).amps, 1e-20, 5, True
+            return target.copy(), 1e-20, 3, True
+
+        monkeypatch.setattr(finder, "_descend", fake_descend)
+        result = ul.find(l3, l4, ul.FinderConfig(restarts=4))
+        assert result.converged
+        assert result.restart_index == 1
+        assert len(calls) == 2
+        assert ul.verify_candidate(l3, l4, result.state)
 
     def test_json_round_trip(self, l3, l4):
         result = ul.find(l3, l4, ul.FinderConfig(seed=7))

@@ -10,10 +10,10 @@ Subcommands:
 * ``basis`` -- emit a generalized Gell-Mann basis as JSON.
 
 Exit codes: 0 success, 1 failed demo golden check, 2 input or guard error,
-3 finder did not converge, 4 an internal cross-check failed.  Every output
-artifact is accompanied by a run manifest (embedded in JSON output, sidecar
-file for CSV).  The environment variable UNCERTAINTY_LAB_SEED provides the
-default seed.
+3 finder did not converge, 4 an internal cross-check failed, 5 stdout was
+closed before all output was written.  Every output artifact is accompanied
+by a run manifest (embedded in JSON output, sidecar file for CSV).  The
+environment variable UNCERTAINTY_LAB_SEED provides the default seed.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .correlations import correlation, correlation_record
 from .finder import FinderConfig, find
 from .gellmann import gell_mann, su3_lambda, two_level_state, uniform_superposition
 from .relations import REPORT_CSV_HEADER, evaluate, report_csv_row
-from .state_sets import ScanConfig, _classified_rows, classify
+from .state_sets import ClassificationResult, ScanConfig, _classified_rows, classify
 
 SEED_ENV_VAR = "UNCERTAINTY_LAB_SEED"
 
@@ -105,6 +105,11 @@ def _emit(text: str, out_path: str | None) -> None:
             raise CliError(f"cannot write output path {out_path}: {exc}") from exc
 
 
+def _flags(cls: ClassificationResult) -> tuple[bool, ...]:
+    """The five class flags in CSV column order."""
+    return (cls.eigen_a, cls.eigen_b, cls.in_s_ab, cls.in_s_comm, cls.in_s_anti)
+
+
 def _fmt(x: float) -> str:
     """12 significant digits, with sub-tolerance noise snapped to zero."""
     return "0" if abs(x) < 1e-12 else f"{x:.12g}"
@@ -125,21 +130,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         classification = classify(a, b, phi, tol)
     except CommutingPair:
         classification = None
-    manifest = _manifest(
-        "eval", [args.observable_a, args.observable_b, args.state], args.seed, tol
-    )
+    manifest = _manifest("eval", [args.observable_a, args.observable_b, args.state], args.seed, tol)
     if args.format == "csv":
-        flags = (
-            (
-                classification.eigen_a,
-                classification.eigen_b,
-                classification.in_s_ab,
-                classification.in_s_comm,
-                classification.in_s_anti,
-            )
-            if classification is not None
-            else (False, False, False, False, False)
-        )
+        flags = (False,) * 5 if classification is None else _flags(classification)
         row = report_csv_row(a.dim, args.seed, report, record.pearson, flags)
         _emit(REPORT_CSV_HEADER + "\n" + row, args.out)
         if args.out is not None:
@@ -204,15 +197,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         fields.append(repr(c.real))
         fields.append(repr(c.imag))
         fields.append("" if cls.pearson is None else repr(cls.pearson))
-        fields.extend(
-            str(int(flag))
-            for flag in (cls.eigen_a, cls.eigen_b, cls.in_s_ab, cls.in_s_comm, cls.in_s_anti)
-        )
+        fields.extend(str(int(flag)) for flag in _flags(cls))
         lines.append(",".join(fields))
     _emit("\n".join(lines), args.out)
-    manifest = _manifest(
-        "scan", [args.observable_a, args.observable_b], args.seed, tol
-    )
+    manifest = _manifest("scan", [args.observable_a, args.observable_b], args.seed, tol)
     manifest["samples"] = args.samples
     manifest["output"] = args.out
     _emit(json.dumps(manifest, indent=2), args.out + ".manifest.json")
@@ -378,7 +366,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.seed = _default_seed()
         if args.command == "scan" and args.out is None:
             raise CliError("scan requires --out for the CSV body")
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early; stdout goes to devnull so the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 5
     except (CliError, ValueError) as exc:
         # every library input or guard error is a ValueError
         print(f"error: {exc}", file=sys.stderr)

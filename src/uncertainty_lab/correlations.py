@@ -22,7 +22,7 @@ from .core import (
     StateVector,
     Tolerances,
 )
-from .moments import _IDENTITY_TOL, _PairContext, _StateMoments
+from .moments import _check, _PairContext, _StateMoments
 
 __all__ = [
     "CorrelationRecord",
@@ -112,23 +112,29 @@ def correlation_properties_check(
     """Diagnostic: verify the algebraic identities of the correlation function.
 
     Checks C(A,B1) = conj(C(B1,A)), additivity C(A, B1+B2) = C(A,B1) + C(A,B2),
-    and symmetry of the pearson coefficient where it is defined, each at 1e-10.
-    Returns True when all hold; otherwise logs the violated identity and
-    returns False.
+    and symmetry of the pearson coefficient where it is defined, each by the
+    rule of the internal cross-checks.  Returns True when all hold; otherwise
+    logs each violation and returns False.
     """
-    violations = []
     m_ab = _StateMoments(_PairContext(a, b1), phi)
     m_ba = _StateMoments(_PairContext(b1, a), phi)
-    if abs(m_ab.c - m_ba.c.conjugate()) > _IDENTITY_TOL:
-        violations.append("conjugate symmetry C(A,B) = conj(C(B,A))")
-    c_sum = _StateMoments(_PairContext(a, b1 + b2), phi).c
-    if abs(c_sum - (m_ab.c + _StateMoments(_PairContext(a, b2), phi).c)) > _IDENTITY_TOL:
-        violations.append("additivity C(A, B1+B2) = C(A,B1) + C(A,B2)")
-    if m_ab.pearson is not None and abs(m_ab.pearson - m_ba.pearson) > _IDENTITY_TOL:
-        violations.append("pearson symmetry r(A,B) = r(B,A)")
-    for name in violations:
-        logger.warning("correlation identity violated: %s", name)
-    return not violations
+    m_ab2 = _StateMoments(_PairContext(a, b2), phi)
+    m_sum = _StateMoments(_PairContext(a, b1 + b2), phi)
+    additivity = abs(m_sum.c - (m_ab.c + m_ab2.c))
+    checks = [
+        ("conjugate symmetry C(A,B) = conj(C(B,A))", abs(m_ab.c - m_ba.c.conjugate()), m_ab.scale),
+        ("additivity C(A, B1+B2) = C(A,B1) + C(A,B2)", additivity, m_ab.scale + m_ab2.scale),
+    ]
+    if m_ab.pearson is not None:
+        checks.append(("pearson symmetry r(A,B) = r(B,A)", abs(m_ab.pearson - m_ba.pearson), 1.0))
+    holds = True
+    for identity, residual, scale in checks:
+        try:
+            _check(identity, residual, scale)
+        except ArithmeticError as exc:
+            logger.warning("correlation identity violated: %s", exc)
+            holds = False
+    return holds
 
 
 def correlation_record(

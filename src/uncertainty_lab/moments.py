@@ -8,10 +8,20 @@ either one is caught immediately.
 Every per-state function of a pair reads from one ``_StateMoments`` record
 per call, which computes each value at most once and asserts each identity
 between two routes when the value is first read.
+
+Every internal check goes through ``_check``: a residual passes up to
+``tol * max(1, scale)``, ``scale`` being the size of the compared terms
+(Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3): ``<F^2>``
+for the variance, ``||A phi|| ||B phi||`` (which bounds ``|<AB>|``, ``|C|``,
+``dA dB`` and every bound) for correlation forms and bounds, the spreads for
+the triangle relations, 1 for dimensionless ratios.  No check thus depends
+on the units of the observables.  ``expectation`` judges its imaginary part
+by the same rule, with the user's ``tol_zero`` as base.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,20 +47,8 @@ __all__ = [
     "std_dev",
 ]
 
-# Agreement gate between the norm-form and moment-form variances, relative to
-# the second moment (the natural scale of the computation).
-_CROSS_CHECK_TOL = 1e-10
-_IDENTITY_TOL = 1e-10
-_DECOMP_TOL = 1e-9
-# Pearson values in (1, 1 + _PEARSON_EXCESS] are clamped to 1; anything larger
-# signals broken inputs.
-_PEARSON_EXCESS = 1e-10
-# Slack below which an inequality is considered violated (broken arithmetic).
-_INEQ_SLACK = 1e-10
-# Identity agreement between independently computed bounds.
-_BOUND_IDENT_TOL = 1e-10
-_PYTHAGORAS_TOL = 1e-9
-_EQUIV_TOL = 1e-10
+_TOL = 1e-10  # base tolerance of the internal checks; see the module docstring
+_SUM_TOL = 1e-9  # for sums of squares (decomposition, Pythagoras)
 
 
 @dataclass(frozen=True)
@@ -61,10 +59,14 @@ class DeviationVector:
     norm: float
 
 
-def _check(identity: str, residual: float, tol: float, error: type = ArithmeticError) -> None:
-    """Raise ``error`` naming the identity when its residual exceeds ``tol``."""
-    if residual > tol:
-        raise error(f"{identity} fails: residual {residual!r} exceeds tolerance {tol!r}")
+def _check(
+    identity: str, residual: float, scale: float, tol: float = _TOL, error: type = ArithmeticError
+) -> None:
+    """Raise ``error`` naming the identity if ``residual > tol * max(1, scale)``."""
+    # residual > tol * max(1, scale), written so the usual residual ~0 costs one comparison
+    if residual > tol and residual > tol * scale:
+        limit = tol * max(1.0, scale)
+        raise error(f"{identity} fails: residual {residual!r} exceeds tolerance {limit!r}")
 
 
 class _Spread:
@@ -81,25 +83,21 @@ class _Spread:
 
     @cached_property
     def spread(self) -> float:
-        """The norm, after comparing its square with the moment form
-        <F^2> - <F>^2.  The comparison is made on the variances (scaled by the
-        second moment) because the square root is ill-conditioned near
-        eigenstates."""
+        """The norm, after comparing its square with <F^2> - <F>^2 (variances,
+        because the square root is ill-conditioned near eigenstates)."""
         m2 = complex(np.vdot(self.amps, self.matrix @ self.f_phi)).real
         residual = abs(self.norm**2 - (m2 - self.mean * self.mean))
-        _check("variance: norm form = moment form", residual, _CROSS_CHECK_TOL * max(1.0, abs(m2)))
+        _check("variance: norm form = moment form", residual, abs(m2))
         return self.norm
 
 
 def expectation(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Expectation value <phi|F|phi>, guaranteed real for a valid observable."""
     _check_same_dim(f.dim, phi.dim)
-    val = complex(np.vdot(phi.amps, f.matrix @ phi.amps))
-    if abs(val.imag) > tol.tol_zero:
-        raise ValidationError(
-            f"expectation has imaginary part {val.imag:.3e} beyond tol_zero; "
-            "the observable is effectively non-Hermitian"
-        )
+    f_phi = f.matrix @ phi.amps
+    val = complex(np.vdot(phi.amps, f_phi))
+    size = float(np.linalg.norm(f_phi))  # bounds |<F>|, so its roundoff scales with it
+    _check("expectation is real", abs(val.imag), size, tol.tol_zero, ValidationError)
     return val.real
 
 
@@ -110,10 +108,8 @@ def deviation_vector(f: Observable, phi: StateVector) -> DeviationVector:
 
 
 def std_dev(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """Standard deviation of F in phi, computed as the deviation-vector norm.
-
-    The moment form sqrt(<F^2> - <F>^2) is evaluated as a cross-check.
-    """
+    """Standard deviation of F in phi, computed as the deviation-vector norm
+    and cross-checked against the moment form sqrt(<F^2> - <F>^2)."""
     return _Spread(f.matrix, phi.amps).spread
 
 
@@ -171,11 +167,12 @@ class _StateMoments:
         self.tol = tol
         self.a = _Spread(pair.a, phi.amps)
         self.b = _Spread(pair.b, phi.amps)
+        # ||A phi|| ||B phi||, as ||F phi||^2 = <F>^2 + dF^2 (see the module docstring)
+        self.scale = math.hypot(self.a.mean, self.a.norm) * math.hypot(self.b.mean, self.b.norm)
 
     @property
     def spreads_ok(self) -> bool:
-        delta_a, delta_b = self.a.spread, self.b.spread
-        return not (delta_a <= self.tol.eps_spread or delta_b <= self.tol.eps_spread)
+        return min(self.a.spread, self.b.spread) > self.tol.eps_spread
 
     @cached_property
     def overlap(self) -> complex:
@@ -186,8 +183,7 @@ class _StateMoments:
     def c(self) -> complex:
         """C = <AB> - <A><B> in moment form, checked against the deviation form."""
         c = complex(np.vdot(self.amps, self.pair.a @ self.b.f_phi)) - self.a.mean * self.b.mean
-        tol = _IDENTITY_TOL * max(1.0, abs(c))
-        _check("correlation: moment form = deviation form", abs(c - self.overlap), tol)
+        _check("correlation: moment form = deviation form", abs(c - self.overlap), self.scale)
         return c
 
     @cached_property
@@ -199,8 +195,8 @@ class _StateMoments:
         delta_a, delta_b = self.a.spread, self.b.spread
         r = abs(self.c) / (delta_a * delta_b)
         overlap = abs(complex(np.vdot(self.a.vec / delta_a, self.b.vec / delta_b)))
-        _check("pearson: |C| / (dA dB) = direction overlap", abs(r - overlap), _IDENTITY_TOL)
-        _check("pearson <= 1", r - 1.0, _PEARSON_EXCESS, ValidationError)
+        _check("pearson: |C| / (dA dB) = direction overlap", abs(r - overlap), 1.0)
+        _check("pearson <= 1", r - 1.0, 1.0, _TOL, ValidationError)
         return min(r, 1.0)
 
     @cached_property
@@ -213,21 +209,20 @@ class _StateMoments:
         """Bound from the anticommutator and commutator, checked against |C|."""
         anti_mean = complex(np.vdot(self.amps, self.pair.comm_anti[1] @ self.amps)).real
         bound = float(np.hypot(0.5 * anti_mean - (self.a.mean * self.b.mean), self.hr))
-        c_mod = abs(self.c)
-        _check("Schrodinger bound = |C|", abs(bound - c_mod), _BOUND_IDENT_TOL * max(1.0, c_mod))
+        _check("Schrodinger bound = |C|", abs(bound - abs(self.c)), self.scale)
         return bound
 
     def check_commutator(self) -> None:
         c = self.c
-        _check("|<[A,B]>| = 2|Im C|", abs(2.0 * self.hr - 2.0 * abs(c.imag)), _EQUIV_TOL)
+        _check("|<[A,B]>| = 2|Im C|", abs(2.0 * self.hr - 2.0 * abs(c.imag)), self.scale)
 
     def check_bound_chain(self) -> None:
         product = self.a.spread * self.b.spread
-        hr, sch, gen = self.hr, self.schrodinger, abs(self.c)
-        _check("commutator bound <= Schrodinger bound", hr - sch, _BOUND_IDENT_TOL)
-        _check("Schrodinger bound = |C| in the bound chain", abs(sch - gen), _BOUND_IDENT_TOL)
-        _check("commutator bound <= dA dB", hr - product, _INEQ_SLACK)
-        _check("|C| <= dA dB", gen - product, _INEQ_SLACK)
+        hr, sch, gen, scale = self.hr, self.schrodinger, abs(self.c), self.scale
+        _check("commutator bound <= Schrodinger bound", hr - sch, scale)
+        _check("Schrodinger bound = |C| in the bound chain", abs(sch - gen), scale)
+        _check("commutator bound <= dA dB", hr - product, scale)
+        _check("|C| <= dA dB", gen - product, scale)
 
     def decomposition(self) -> tuple[float, float]:
         """((Re C / dA dB)^2, (Im C / dA dB)^2), checked to sum to pearson^2;
@@ -236,7 +231,7 @@ class _StateMoments:
         denom = self.a.spread * self.b.spread
         cov_term, imag_term = (self.c.real / denom) ** 2, (self.c.imag / denom) ** 2
         residual = abs(cov_term + imag_term - r * r)
-        _check("decomposition terms sum to pearson^2", residual, _DECOMP_TOL)
+        _check("decomposition terms sum to pearson^2", residual, 1.0, _SUM_TOL)
         return cov_term, imag_term
 
     def sum_relations(self) -> tuple[float, str]:
@@ -245,16 +240,17 @@ class _StateMoments:
         ``pythagoras`` (with d(A+B)^2 = dA^2 + dB^2 asserted) when the
         deviation vectors are orthogonal, ``none`` otherwise."""
         da, db = self.a.spread, self.b.spread
+        squares = da**2 + db**2
         sos = _Spread(self.pair.a + self.pair.b, self.amps).spread
         if not self.spreads_ok:
             kind = "eigenstate_trivial"
         elif abs(self.overlap) <= self.tol.tol_zero:
-            residual = abs(sos**2 - (da**2 + db**2))
-            _check("orthogonal deviations: d(A+B)^2 = dA^2 + dB^2", residual, _PYTHAGORAS_TOL)
+            residual = abs(sos**2 - squares)
+            _check("orthogonal deviations: d(A+B)^2 = dA^2 + dB^2", residual, squares, _SUM_TOL)
             kind = "pythagoras"
         else:
             kind = "none"
-        _check("triangle inequality dA + dB >= d(A+B)", sos - (da + db), _INEQ_SLACK)
-        residual = 0.5 * sos**2 - (da**2 + db**2)
-        _check("squared triangle inequality dA^2 + dB^2 >= d(A+B)^2 / 2", residual, _INEQ_SLACK)
+        _check("triangle inequality dA + dB >= d(A+B)", sos - (da + db), da + db)
+        residual = 0.5 * sos**2 - squares
+        _check("squared triangle inequality dA^2 + dB^2 >= d(A+B)^2 / 2", residual, squares)
         return sos, kind

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .core import DEFAULT_TOLERANCES, Observable, StateVector, Tolerances
-from .moments import _INEQ_SLACK, _check, _PairContext, _StateMoments, std_dev
+from .moments import _check, _PairContext, _StateMoments, std_dev
 
 __all__ = [
     "Degeneracy",
@@ -165,7 +165,7 @@ def sum_relation_n(
         total = total + obs
         lhs += std_dev(obs, phi, tol)
     rhs = std_dev(total, phi, tol)
-    _check("n-term triangle inequality", rhs - lhs, _INEQ_SLACK)
+    _check("n-term triangle inequality", rhs - lhs, lhs)
     return lhs, rhs
 
 

@@ -31,6 +31,13 @@ def files(tmp_path, l3, l4):
     return paths
 
 
+def _module_env() -> dict:
+    """The environment under which `python -m uncertainty_lab.cli` finds this tree."""
+    src = os.path.dirname(os.path.dirname(ul.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestEval:
     def test_uniform_state_golden(self, files, capsys):
         assert main(["eval", files["l3"], files["l4"], files["phi2"]]) == 0
@@ -89,6 +96,16 @@ class TestEval:
         err = capsys.readouterr().err
         assert "moment form = deviation form" in err
         assert "Traceback" not in err
+
+    def test_large_entries_pass_the_internal_checks(self, files, tmp_path, capsys):
+        # the bound chain's residuals at entries of 1e3 are ~1e-10, tiny next
+        # to ||A phi|| ||B phi|| ~ 1e6
+        paths = []
+        for k in (2, 3):
+            path = tmp_path / f"big{k}.json"
+            path.write_text(json.dumps(ul.observable_to_json_dict(1e3 * ul.su3_lambda(k))))
+            paths.append(str(path))
+        assert main(["eval", *paths, files["phi2"]]) == 0, capsys.readouterr().err
 
     def test_csv_format(self, files, capsys):
         assert main(["eval", files["l3"], files["l4"], files["phi2"], "--format", "csv"]) == 0
@@ -224,12 +241,9 @@ class TestDemo:
 
     def test_runs_as_module(self):
         # `python -m uncertainty_lab.cli` must run the CLI, not just import it
-        src = os.path.dirname(os.path.dirname(ul.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
         proc = subprocess.run(
             [sys.executable, "-m", "uncertainty_lab.cli", "demo"],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=_module_env(), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("[PASS]") == 6
@@ -245,3 +259,17 @@ class TestBasis:
         assert all(m.dim == 3 for m in mats)
         lam5 = ul.su3_lambda(5)
         assert any(np.array_equal(m.matrix, lam5.matrix) for m in mats)
+
+    def test_reader_closing_the_pipe_exits_5_without_traceback(self):
+        # ~600 kB of JSON: far more than a pipe buffers, so the writer is
+        # still writing when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "uncertainty_lab.cli", "basis", "--dim", "10"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env(),
+        )
+        assert proc.stdout.readline().strip() == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 5, err
+        assert "Traceback" not in err

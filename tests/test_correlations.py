@@ -52,6 +52,16 @@ class TestCorrelation:
             assert abs(val.imag) <= 1e-12
             assert abs(2 * c.imag - val.real) <= 1e-10
 
+    def test_found_zero_correlation_states_in_other_units(self, rng):
+        # |C| ~ 0 on these states, while the compared terms are ~||A phi|| ||B phi||
+        for d in (3, 4, 8):
+            a, b = rand_hermitian(rng, d), rand_hermitian(rng, d)
+            phi = ul.find(a, b, ul.FinderConfig(seed=d)).state
+            for scale in (1e3, 1e4):
+                ul.correlation(scale * a, scale * b, phi)
+                ul.evaluate(scale * a, scale * b, phi)
+                ul.classify(scale * a, scale * b, phi)
+
     def test_dimension_mismatch(self, l3, l4):
         with pytest.raises(ul.DimensionMismatch):
             ul.correlation(l3, l4, ul.StateVector([1.0, 0.0]))
@@ -132,6 +142,11 @@ class TestPropertiesCheck:
         for _ in range(5):
             a, b1, b2 = (rand_hermitian(rng, 4) for _ in range(3))
             assert ul.correlation_properties_check(a, b1, b2, rand_state(rng, 4))
+
+    def test_holds_in_other_units(self, rng):
+        for d in (3, 4, 8):
+            a, b1, b2 = (1e4 * rand_hermitian(rng, d) for _ in range(3))
+            assert ul.correlation_properties_check(a, b1, b2, rand_state(rng, d))
 
     def test_degenerate_instance(self, l3, phi2):
         assert ul.correlation_properties_check(l3, l3, l3, phi2)

@@ -20,6 +20,17 @@ class TestExpectation:
         with pytest.raises(ul.DimensionMismatch):
             ul.expectation(l3, ul.StateVector([1.0, 0.0]))
 
+    def test_large_entries_are_not_taken_for_non_hermitian(self, rng):
+        # roundoff in Im <F> grows with ||F phi||, which is ~1e6 here
+        for d in (3, 8, 32):
+            for _ in range(20):
+                ul.expectation(1e6 * rand_hermitian(rng, d), rand_state(rng, d))
+
+    def test_non_hermitian_matrix_is_rejected(self):
+        nilpotent = ul.Observable._wrap(np.array([[0, 1], [0, 0]], dtype=complex))
+        with pytest.raises(ul.ValidationError, match="expectation is real"):
+            ul.expectation(nilpotent, ul.StateVector.normalized([1.0, 1j]))
+
 
 class TestDeviationVector:
     # delta_phi1 lambda3 |phi1> = (2|b|^2 a, -2|a|^2 b, 0) / N^3 and

@@ -107,3 +107,64 @@ def test_pearson_in_unit_interval(abs_):
     except ul.DegenerateSpread:
         return  # undefined on eigenstates; nothing to assert
     assert 0.0 <= r <= 1.0
+
+
+# Units: A -> sA and B -> tB with s, t log-uniform in [1e-6, 1e6].
+_scales = st.floats(min_value=-6.0, max_value=6.0).map(lambda e: 10.0**e)
+
+
+def _classify_unless_commuting(a, b, phi):
+    try:
+        return ul.classify(a, b, phi)
+    except ul.CommutingPair:
+        return None  # the guard compares ||[A,B]|| with the absolute tol_zero
+
+
+@given(pair_and_state(), _scales, _scales)
+@settings(max_examples=150)
+def test_internal_checks_do_not_depend_on_units(abs_, s, t):
+    a, b, phi = abs_
+    sa, tb = s * a, t * b
+    # each call raises ArithmeticError if one of its internal checks fails
+    ul.evaluate(sa, tb, phi)
+    ul.sum_relations(sa, tb, phi)
+    ul.correlation(sa, tb, phi)
+    _classify_unless_commuting(sa, tb, phi)
+    scaled = ul.correlation_record(sa, tb, phi).pearson
+    unit = ul.correlation_record(a, b, phi).pearson
+    if scaled is not None and unit is not None:
+        assert abs(scaled - unit) <= 1e-8
+
+
+def _haar_unitary(dim, seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _rotated(u, f):
+    m = u @ f.matrix @ u.conj().T
+    return ul.validate_observable((m + m.conj().T) / 2.0)
+
+
+@given(pair_and_state(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150)
+def test_common_change_of_basis(abs_, seed):
+    a, b, phi = abs_
+    u = _haar_unitary(a.dim, seed)
+    ua, ub, uphi = _rotated(u, a), _rotated(u, b), ul.StateVector.normalized(u @ phi.amps)
+    before, after = ul.evaluate(a, b, phi), ul.evaluate(ua, ub, uphi)
+    size_a = np.linalg.norm(a.matrix @ phi.amps)
+    size_b = np.linalg.norm(b.matrix @ phi.amps)
+    for field, size in (
+        ("delta_a", size_a),
+        ("delta_b", size_b),
+        ("hr_bound", size_a * size_b),
+        ("schrodinger_bound", size_a * size_b),
+        ("general_bound", size_a * size_b),
+    ):
+        gap = abs(getattr(before, field) - getattr(after, field))
+        assert gap <= 1e-9 * max(1.0, size), field
+    ul.correlation_record(ua, ub, uphi)
+    ul.sum_relations(ua, ub, uphi)
+    _classify_unless_commuting(ua, ub, uphi)

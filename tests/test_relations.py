@@ -134,6 +134,14 @@ class TestSumRelationN:
         assert lhs == pytest.approx(4 * ul.std_dev(a, phi), rel=1e-12)
         assert rhs == pytest.approx(lhs, abs=1e-10)
 
+    def test_copies_in_other_units(self, rng):
+        # equality case: the check's residual is pure roundoff of size ~ lhs
+        for d in (3, 8, 32):
+            a, phi = 1e6 * rand_hermitian(rng, d), rand_state(rng, d)
+            for k in (3, 5, 7):
+                lhs, rhs = ul.sum_relation_n([a] * k, phi)
+                assert rhs == pytest.approx(lhs, rel=1e-12)
+
     def test_gell_mann_triple(self, l3, l4, l5, phi2):
         lhs, rhs = ul.sum_relation_n([l3, l4, l5], phi2)
         assert lhs == pytest.approx(2 * np.sqrt(2 / 3) + np.sqrt(2) / 3, abs=1e-12)

@@ -23,7 +23,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .correlations import correlation, correlation_record
 from .finder import FinderConfig, find
 from .gellmann import gell_mann, su3_lambda, two_level_state, uniform_superposition
 from .relations import REPORT_CSV_HEADER, evaluate, report_csv_row
-from .state_sets import ClassificationResult, ScanConfig, _classified_rows, classify
+from .state_sets import ScanConfig, _rng_scheme, _ScanBlock, _scan_blocks, classify
 
 SEED_ENV_VAR = "UNCERTAINTY_LAB_SEED"
 
@@ -92,22 +92,19 @@ def _manifest(command: str, input_paths: Sequence[str], seed: int, tol: Toleranc
     }
 
 
+def _write(out_path: str, chunks: Iterable[str]) -> None:
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise CliError(f"cannot write output path {out_path}: {exc}") from exc
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         print(text)
     else:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-                if not text.endswith("\n"):
-                    fh.write("\n")
-        except OSError as exc:
-            raise CliError(f"cannot write output path {out_path}: {exc}") from exc
-
-
-def _flags(cls: ClassificationResult) -> tuple[bool, ...]:
-    """The five class flags in CSV column order."""
-    return (cls.eigen_a, cls.eigen_b, cls.in_s_ab, cls.in_s_comm, cls.in_s_anti)
+        _write(out_path, (text, "" if text.endswith("\n") else "\n"))
 
 
 def _fmt(x: float) -> str:
@@ -132,7 +129,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         classification = None
     manifest = _manifest("eval", [args.observable_a, args.observable_b, args.state], args.seed, tol)
     if args.format == "csv":
-        flags = (False,) * 5 if classification is None else _flags(classification)
+        cls = classification
+        flags = (False,) * 5 if cls is None else (
+            cls.eigen_a, cls.eigen_b, cls.in_s_ab, cls.in_s_comm, cls.in_s_anti
+        )
         row = report_csv_row(a.dim, args.seed, report, record.pearson, flags)
         _emit(REPORT_CSV_HEADER + "\n" + row, args.out)
         if args.out is not None:
@@ -180,28 +180,33 @@ def _scan_header(dim: int) -> str:
     )
 
 
+def _scan_lines(block: _ScanBlock) -> Iterator[str]:
+    """CSV rows of a scan block, formatted from its arrays."""
+    n = len(block.c)
+    numbers = np.concatenate((block.phis.view(float), block.c.view(float).reshape(n, 2)), axis=1)
+    flags = np.where(block.flags, "1", "0").tolist()
+    for index, values, pearson, row_flags in zip(
+        range(block.start, block.start + n), numbers.tolist(), block.pearson, flags
+    ):
+        r = "" if pearson is None else repr(pearson)
+        yield f"{index},{','.join(map(repr, values))},{r},{','.join(row_flags)}"
+
+
 def _cmd_scan(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     a = _load(args.observable_a, observable_from_json_dict, tol)
     b = _load(args.observable_b, observable_from_json_dict, tol)
     if args.samples < 1:
         raise CliError(f"--samples must be at least 1, got {args.samples}")
-    config = ScanConfig(samples=args.samples, seed=args.seed, tolerances=tol)
+    config = ScanConfig(samples=args.samples, seed=args.seed, tolerances=tol, start=args.start)
     lines = [_scan_header(a.dim)]
-    for index, (phi, moments, cls) in enumerate(_classified_rows(a, b, config)):
-        c = moments.c
-        fields = [str(index)]
-        for amp in phi.amps:
-            fields.append(repr(float(amp.real)))
-            fields.append(repr(float(amp.imag)))
-        fields.append(repr(c.real))
-        fields.append(repr(c.imag))
-        fields.append("" if cls.pearson is None else repr(cls.pearson))
-        fields.extend(str(int(flag)) for flag in _flags(cls))
-        lines.append(",".join(fields))
-    _emit("\n".join(lines), args.out)
+    for block in _scan_blocks(a, b, config):
+        lines.extend(_scan_lines(block))
+    _write(args.out, (line + "\n" for line in lines))  # the body is never held twice
     manifest = _manifest("scan", [args.observable_a, args.observable_b], args.seed, tol)
+    manifest["start"] = args.start
     manifest["samples"] = args.samples
+    manifest["rng"] = _rng_scheme(a.dim)
     manifest["output"] = args.out
     _emit(json.dumps(manifest, indent=2), args.out + ".manifest.json")
     return 0
@@ -337,6 +342,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("observable_a")
     p_scan.add_argument("observable_b")
     p_scan.add_argument("--samples", type=int, required=True)
+    p_scan.add_argument("--start", type=int, default=0,
+                        help="index of the first sample (default 0); rows keep their index")
     _add_common(p_scan)
 
     # the demo is a fixed self-check against golden values; it takes no knobs

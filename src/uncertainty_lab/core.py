@@ -69,7 +69,8 @@ class DimensionTooSmall(ValueError):
 class Tolerances:
     """Numerical thresholds used by validation and classification.
 
-    tol_herm   -- admissible entrywise hermiticity defect of an observable
+    tol_herm   -- admissible entrywise hermiticity defect of an observable,
+                  relative to its largest entry when that exceeds 1
     tol_norm   -- admissible deviation of a state norm from 1
     tol_zero   -- threshold under which a scalar counts as (numerically) zero
     eps_spread -- threshold under which a standard deviation counts as zero
@@ -124,11 +125,14 @@ class Observable:
             raise ValidationError(f"matrix must be square, got shape {arr.shape}")
         if n < 2:
             raise ValidationError(f"observable dimension must be at least 2, got {n}")
+        # judged relative to the largest entry, so the units of M do not matter;
+        # the entries are only scanned when the defect exceeds tol_herm itself
         defect = float(np.max(np.abs(arr - arr.conj().T)))
-        if defect > tol.tol_herm:
+        if defect > tol.tol_herm and defect > tol.tol_herm * float(np.max(np.abs(arr))):
+            limit = tol.tol_herm * max(1.0, float(np.max(np.abs(arr))))
             raise ValidationError(
                 f"matrix is not Hermitian: max |M[i,j] - conj(M[j,i])| = {defect:.3e} "
-                f"> tol_herm = {tol.tol_herm:.3e}"
+                f"> tol_herm * max(1, max |M[i,j]|) = {limit:.3e}"
             )
         object.__setattr__(self, "_matrix", _freeze(arr))
 
@@ -190,6 +194,14 @@ class StateVector:
         if abs(nrm - 1.0) > tol.tol_norm:
             raise ValidationError(f"state is not normalized: ||amps|| = {nrm!r}")
         object.__setattr__(self, "_amps", _freeze(arr))
+
+    @classmethod
+    def _wrap(cls, amps: np.ndarray) -> "StateVector":
+        # Fast path for amplitudes already checked finite and normalized
+        # (the rows of a scan block).
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "_amps", _freeze(amps))
+        return obj
 
     @classmethod
     def normalized(cls, raw: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> "StateVector":

@@ -15,8 +15,10 @@ Every internal check goes through ``_check``: a residual passes up to
 for the variance, ``||A phi|| ||B phi||`` (which bounds ``|<AB>|``, ``|C|``,
 ``dA dB`` and every bound) for correlation forms and bounds, the spreads for
 the triangle relations, 1 for dimensionless ratios.  No check thus depends
-on the units of the observables.  ``expectation`` judges its imaginary part
-by the same rule, with the user's ``tol_zero`` as base.
+on the units of the observables.  ``_check_rows`` applies the rule to a
+block of rows (the scans of ``state_sets``), through ``_check`` on the row
+nearest to failing.  ``expectation`` judges its imaginary part by the same
+rule, with the user's ``tol_zero`` as base.
 """
 
 from __future__ import annotations
@@ -50,6 +52,13 @@ __all__ = [
 _TOL = 1e-10  # base tolerance of the internal checks; see the module docstring
 _SUM_TOL = 1e-9  # for sums of squares (decomposition, Pythagoras)
 
+# The identities that scans also assert, once per block of rows (state_sets)
+_VARIANCE = "variance: norm form = moment form"
+_C_FORMS = "correlation: moment form = deviation form"
+_COMMUTATOR = "|<[A,B]>| = 2|Im C|"
+_OVERLAP = "pearson: |C| / (dA dB) = direction overlap"
+_PEARSON_MAX = "pearson <= 1"
+
 
 @dataclass(frozen=True)
 class DeviationVector:
@@ -67,6 +76,22 @@ def _check(
     if residual > tol and residual > tol * scale:
         limit = tol * max(1.0, scale)
         raise error(f"{identity} fails: residual {residual!r} exceeds tolerance {limit!r}")
+
+
+def _check_rows(
+    identity: str,
+    residuals: np.ndarray,
+    scales: np.ndarray | float,
+    tol: float = _TOL,
+    error: type = ArithmeticError,
+) -> None:
+    """``_check`` over a block of rows, applied to the row nearest to failing
+    (the largest ``residual / max(1, scale)``; a NaN residual passes, as in
+    ``_check``)."""
+    scales = np.broadcast_to(scales, residuals.shape)
+    ratios = residuals / np.maximum(1.0, scales)
+    worst = int(np.argmax(np.where(np.isnan(ratios), -np.inf, ratios)))
+    _check(identity, float(residuals[worst]), float(scales[worst]), tol, error)
 
 
 class _Spread:
@@ -87,7 +112,7 @@ class _Spread:
         because the square root is ill-conditioned near eigenstates)."""
         m2 = complex(np.vdot(self.amps, self.matrix @ self.f_phi)).real
         residual = abs(self.norm**2 - (m2 - self.mean * self.mean))
-        _check("variance: norm form = moment form", residual, abs(m2))
+        _check(_VARIANCE, residual, abs(m2))
         return self.norm
 
 
@@ -183,7 +208,7 @@ class _StateMoments:
     def c(self) -> complex:
         """C = <AB> - <A><B> in moment form, checked against the deviation form."""
         c = complex(np.vdot(self.amps, self.pair.a @ self.b.f_phi)) - self.a.mean * self.b.mean
-        _check("correlation: moment form = deviation form", abs(c - self.overlap), self.scale)
+        _check(_C_FORMS, abs(c - self.overlap), self.scale)
         return c
 
     @cached_property
@@ -195,8 +220,8 @@ class _StateMoments:
         delta_a, delta_b = self.a.spread, self.b.spread
         r = abs(self.c) / (delta_a * delta_b)
         overlap = abs(complex(np.vdot(self.a.vec / delta_a, self.b.vec / delta_b)))
-        _check("pearson: |C| / (dA dB) = direction overlap", abs(r - overlap), 1.0)
-        _check("pearson <= 1", r - 1.0, 1.0, _TOL, ValidationError)
+        _check(_OVERLAP, abs(r - overlap), 1.0)
+        _check(_PEARSON_MAX, r - 1.0, 1.0, _TOL, ValidationError)
         return min(r, 1.0)
 
     @cached_property
@@ -214,7 +239,7 @@ class _StateMoments:
 
     def check_commutator(self) -> None:
         c = self.c
-        _check("|<[A,B]>| = 2|Im C|", abs(2.0 * self.hr - 2.0 * abs(c.imag)), self.scale)
+        _check(_COMMUTATOR, abs(2.0 * self.hr - 2.0 * abs(c.imag)), self.scale)
 
     def check_bound_chain(self) -> None:
         product = self.a.spread * self.b.spread

@@ -8,7 +8,7 @@ import pytest
 
 import uncertainty_lab as ul
 from uncertainty_lab.cli import main
-from helpers import pauli_pair
+from helpers import pauli_pair, rand_hermitian
 
 
 @pytest.fixture
@@ -221,6 +221,47 @@ class TestScan:
 
     def test_missing_out_exits_2(self, files, capsys):
         assert main(["scan", files["l3"], files["l4"], "--samples", "5"]) == 2
+
+    def test_partitioned_scan_matches_the_whole_scan(self, tmp_path, rng):
+        # 1365-row blocks at d = 3: [0, 1400) crosses a block boundary, the
+        # cuts fall inside blocks, and [700, 701) is a one-row range.  A
+        # random pair, because products with the 0/1 entries of lambda_3 and
+        # lambda_4 round alike by any route.
+        paths = []
+        for name in ("a", "b"):
+            paths.append(str(tmp_path / f"{name}.json"))
+            obs = rand_hermitian(rng, 3)
+            (tmp_path / f"{name}.json").write_text(json.dumps(ul.observable_to_json_dict(obs)))
+
+        def body(*extra):
+            out = tmp_path / "part.csv"
+            assert main(["scan", *paths, "--seed", "6", "--out", str(out), *extra]) == 0
+            return out.read_bytes()
+
+        whole = body("--samples", "1400")
+        header, _, rows = whole.partition(b"\n")
+        parts = [body("--samples", "700"), body("--start", "700", "--samples", "1"),
+                 body("--start", "701", "--samples", "665"),
+                 body("--start", "1366", "--samples", "34")]
+        assert all(part.partition(b"\n")[0] == header for part in parts)
+        assert b"".join(part.partition(b"\n")[2] for part in parts) == rows
+        assert parts[1].split(b"\n")[1].startswith(b"700,")
+
+    def test_negative_start_or_seed_exits_2(self, files, tmp_path, capsys):
+        for flag, value in (("--start", "-1"), ("--seed", "-1")):
+            assert main(["scan", files["l3"], files["l4"], "--samples", "5", flag, value,
+                         "--out", str(tmp_path / "x.csv")]) == 2
+            assert "error:" in capsys.readouterr().err
+
+    def test_manifest_records_the_range_and_rng_scheme(self, files, tmp_path):
+        out = tmp_path / "scan.csv"
+        main(["scan", files["l3"], files["l4"], "--samples", "5", "--start", "9",
+              "--out", str(out)])
+        manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
+        assert (manifest["start"], manifest["samples"]) == (9, 5)
+        assert manifest["rng"]["generator"].startswith("Philox-4x64")
+        assert manifest["rng"]["counter_stride"] == 2  # ceil(2 * 3 / 4)
+        assert manifest["tool_version"] == ul.__version__ == "0.2.0"
 
     def test_env_var_provides_seed(self, files, tmp_path, monkeypatch):
         monkeypatch.setenv("UNCERTAINTY_LAB_SEED", "77")

@@ -89,6 +89,18 @@ class TestValidateObservable:
         with pytest.raises(ul.ValidationError):
             ul.validate_observable([[1, 1e-13j], [0, 1]], ul.Tolerances(tol_herm=1e-14))
 
+    def test_large_entries_are_judged_relative_to_their_size(self):
+        # a rotated Hermitian matrix carries roundoff of the size of its
+        # entries; at 1e4 that is far above the absolute tol_herm
+        rng = np.random.default_rng(44)
+        m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        rotated = q @ (1e4 * (m + m.conj().T) / 2) @ q.conj().T
+        assert np.max(np.abs(rotated - rotated.conj().T)) > ul.DEFAULT_TOLERANCES.tol_herm
+        ul.validate_observable(rotated)
+        with pytest.raises(ul.ValidationError, match="not Hermitian"):
+            ul.validate_observable(1e4 * np.array([[1, 1e-6j], [0, 1]]))
+
     def test_rejects_nan_and_inf(self):
         with pytest.raises(ul.ValidationError, match="finite"):
             ul.validate_observable([[np.nan, 0], [0, 1]])

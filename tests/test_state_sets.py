@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import uncertainty_lab as ul
+from uncertainty_lab import state_sets
 from helpers import pauli_pair, rand_hermitian, rand_state
+
+
+def _rows(a, b, **config):
+    scan = ul.membership_scan(a, b, ul.ScanConfig(**config))
+    return [(phi.amps.tobytes(), cls) for phi, cls in scan]
 
 
 class TestClassify:
@@ -125,3 +131,81 @@ class TestMembershipScan:
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError):
             ul.ScanConfig(samples=-1, seed=0)
+
+    def test_negative_start_and_seed_rejected(self, l3, l4):
+        with pytest.raises(ValueError, match="start"):
+            ul.ScanConfig(samples=1, seed=0, start=-1)
+        with pytest.raises(ValueError):
+            ul.membership_scan(l3, l4, ul.ScanConfig(samples=1, seed=-1))  # eagerly
+
+    @pytest.mark.parametrize(
+        "dim, total, cuts", [(3, 1500, (1, 2, 1370)), (64, 200, (37, 100, 101))]
+    )
+    def test_partition_does_not_change_a_row(self, rng, dim, total, cuts):
+        # blocks hold 4096 // d rows (1365 at d = 3, 64 at d = 64): every cut
+        # falls inside a block, some ranges cross block boundaries, and
+        # [2, 3) and [100, 101) are one-row ranges
+        a, b = (rand_hermitian(rng, dim) for _ in range(2))
+        whole = _rows(a, b, samples=total, seed=8)
+        bounds = (0, *cuts, total)
+        parts = [
+            row
+            for lo, hi in zip(bounds, bounds[1:])
+            for row in _rows(a, b, samples=hi - lo, seed=8, start=lo)
+        ]
+        assert len(whole) == total
+        assert parts == whole
+
+    def test_states_are_haar_distributed(self, l3, l4):
+        # for Haar states at d = 3: E phi_k = 0, E|phi_k|^2 = 1/3 and
+        # E|phi_k|^4 = 2 / (d (d + 1)) = 1/6; bounds are ~6 standard errors
+        scan = ul.membership_scan(l3, l4, ul.ScanConfig(samples=6000, seed=12))
+        amps = np.array([phi.amps for phi, _ in scan])
+        p = np.abs(amps) ** 2
+        assert np.all(np.abs(amps.mean(axis=0)) < 0.04)
+        assert np.all(np.abs(p.mean(axis=0) - 1 / 3) < 0.02)
+        assert np.all(np.abs((p**2).mean(axis=0) - 1 / 6) < 0.02)
+
+
+class TestScanKernel:
+    """The batched scan kernel against the per-state path, and its draw."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    @pytest.mark.parametrize("tol_zero", [1e-10, 0.05])
+    def test_rows_agree_with_classify(self, dim, tol_zero):
+        rng = np.random.default_rng(1000 + dim)
+        a, b = (rand_hermitian(rng, dim) for _ in range(2))
+        tol = ul.Tolerances(tol_zero=tol_zero)
+        config = ul.ScanConfig(samples=300, seed=dim, tolerances=tol, start=50)
+        scanned = 0
+        for block in state_sets._scan_blocks(a, b, config):
+            for phi, c, pearson, flags in zip(block.phis, block.c, block.pearson, block.flags):
+                phi = ul.StateVector(phi)
+                cls = ul.classify(a, b, phi, tol)
+                scale = np.linalg.norm(a.matrix @ phi.amps) * np.linalg.norm(b.matrix @ phi.amps)
+                assert abs(c - ul.correlation(a, b, phi)) <= 1e-12 * max(1.0, scale)
+                assert pearson == pytest.approx(cls.pearson, rel=1e-12, abs=1e-12)
+                assert tuple(flags[:2]) == (cls.eigen_a, cls.eigen_b)
+                sets = (cls.in_s_ab, cls.in_s_comm, cls.in_s_anti)
+                for flag, expected, value in zip(flags[2:], sets, (abs(c), c.imag, c.real)):
+                    # a flag may differ only where its value rounds onto tol_zero
+                    assert flag == expected or tol_zero / 10 < abs(value) < tol_zero * 10
+                scanned += 1
+        assert scanned == 300
+
+    def test_membership_scan_yields_the_kernel_rows(self, l3, l4):
+        config = ul.ScanConfig(samples=20, seed=3, start=5)
+        (block,) = state_sets._scan_blocks(l3, l4, config)
+        rows = list(ul.membership_scan(l3, l4, config))
+        assert block.start == 5
+        assert [phi.amps.tobytes() for phi, _ in rows] == [phi.tobytes() for phi in block.phis]
+        assert [cls.pearson for _, cls in rows] == block.pearson
+        assert all(isinstance(cls.in_s_ab, bool) for _, cls in rows)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 64])
+    def test_draw_of_a_range_is_the_same_rows_of_a_draw_from_zero(self, dim):
+        key = np.random.SeedSequence(21).generate_state(2, np.uint64)
+        full = state_sets._gaussian_rows(key, 0, 150, dim)
+        for start, n in [(0, 1), (1, 1), (7, 13), (64, 64), (99, 51), (149, 1)]:
+            part = state_sets._gaussian_rows(key, start, n, dim)
+            assert np.array_equal(part, full[start : start + n])

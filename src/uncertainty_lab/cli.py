@@ -69,6 +69,8 @@ def _load_json(path: str) -> Any:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise CliError(f"input file not found: {path}") from exc
+    except OSError as exc:
+        raise CliError(f"cannot read input path {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid JSON in {path}: {exc}") from exc
 

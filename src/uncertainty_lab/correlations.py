@@ -22,7 +22,7 @@ from .core import (
     StateVector,
     Tolerances,
 )
-from .moments import _check, _PairContext, _StateMoments
+from .moments import _check, _StateMoments
 
 __all__ = [
     "CorrelationRecord",
@@ -66,7 +66,7 @@ def correlation(a: Observable, b: Observable, phi: StateVector) -> complex:
     The same number is the inner product of the two deviation vectors, so both
     routes are evaluated and compared before the moment form is returned.
     """
-    return _StateMoments(_PairContext(a, b), phi).c
+    return _StateMoments(a, b, phi).c
 
 
 def _nondegenerate(m: _StateMoments, what: str) -> float:
@@ -89,7 +89,7 @@ def pearson(
     eps_spread: the coefficient is only defined for states where both
     observables actually spread out.
     """
-    return _nondegenerate(_StateMoments(_PairContext(a, b), phi, tol), "pearson coefficient")
+    return _nondegenerate(_StateMoments(a, b, phi, tol), "pearson coefficient")
 
 
 def decomposition(
@@ -101,7 +101,7 @@ def decomposition(
     The two terms sum to pearson^2; dropping the second one is exactly the
     information lost by using only the real part of C.
     """
-    m = _StateMoments(_PairContext(a, b), phi, tol)
+    m = _StateMoments(a, b, phi, tol)
     _nondegenerate(m, "decomposition")
     return m.decomposition()
 
@@ -116,10 +116,10 @@ def correlation_properties_check(
     rule of the internal cross-checks.  Returns True when all hold; otherwise
     logs each violation and returns False.
     """
-    m_ab = _StateMoments(_PairContext(a, b1), phi)
-    m_ba = _StateMoments(_PairContext(b1, a), phi)
-    m_ab2 = _StateMoments(_PairContext(a, b2), phi)
-    m_sum = _StateMoments(_PairContext(a, b1 + b2), phi)
+    m_ab = _StateMoments(a, b1, phi)
+    m_ba = _StateMoments(b1, a, phi)
+    m_ab2 = _StateMoments(a, b2, phi)
+    m_sum = _StateMoments(a, b1 + b2, phi)
     additivity = abs(m_sum.c - (m_ab.c + m_ab2.c))
     checks = [
         ("conjugate symmetry C(A,B) = conj(C(B,A))", abs(m_ab.c - m_ba.c.conjugate()), m_ab.scale),
@@ -141,7 +141,7 @@ def correlation_record(
     a: Observable, b: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> CorrelationRecord:
     """Full correlation record; pearson/transition_prob absent on degenerate spreads."""
-    m = _StateMoments(_PairContext(a, b), phi, tol)
+    m = _StateMoments(a, b, phi, tol)
     c, r = m.c, m.pearson
     return CorrelationRecord(
         c=c,

@@ -43,10 +43,11 @@ from .core import (
     StateVector,
     Tolerances,
     ValidationError,
+    _check_same_dim,
     haar_state,
     state_to_json_dict,
 )
-from .moments import _PairContext, _StateMoments
+from .moments import _require_noncommuting, _StateMoments
 
 __all__ = ["FinderConfig", "FinderResult", "find", "gradient", "objective", "verify_candidate"]
 
@@ -121,9 +122,10 @@ class _Objective:
     median find-sweep op took ~2.2x as long with it.
     """
 
-    def __init__(self, pair: _PairContext, cfg: FinderConfig):
-        self.a = pair.a
-        self.b = pair.b
+    def __init__(self, a: Observable, b: Observable, cfg: FinderConfig):
+        _check_same_dim(a.dim, b.dim)
+        self.a = a.matrix
+        self.b = b.matrix
         self.floor = cfg.spread_floor
         self.weight = cfg.penalty_weight
 
@@ -185,7 +187,7 @@ def objective(
 ) -> float:
     """Penalized squared-correlation objective at the normalization of x."""
     vec = np.asarray(x, dtype=np.complex128)
-    return _Objective(_PairContext(a, b), cfg or FinderConfig()).parts(vec)[0]
+    return _Objective(a, b, cfg or FinderConfig()).parts(vec)[0]
 
 
 def gradient(
@@ -198,7 +200,7 @@ def gradient(
     imaginary parts.
     """
     vec = np.asarray(x, dtype=np.complex128)
-    return _Objective(_PairContext(a, b), cfg or FinderConfig()).grad(vec)
+    return _Objective(a, b, cfg or FinderConfig()).grad(vec)
 
 
 def _to_complex(xr: np.ndarray, d: int) -> np.ndarray:
@@ -269,14 +271,13 @@ def find(
     ``converged`` False.
     """
     cfg = cfg or FinderConfig()
-    context = _PairContext(a, b)
+    obj = _Objective(a, b, cfg)
     if a.dim < 3:
         raise DimensionTooSmall(
             "zero-correlation states with nonzero spreads need dimension >= 3; "
             f"got dimension {a.dim}"
         )
-    context.require_noncommuting(tol)
-    obj = _Objective(context, cfg)
+    _require_noncommuting(a, b, tol)
     best: tuple[float, int, StateVector, _Parts, int, bool] | None = None
     for restart in range(cfg.restarts):
         rng = np.random.default_rng((cfg.seed, restart))
@@ -320,7 +321,7 @@ def verify_candidate(
     the floor, and checks that the state and its two normalized deviation
     directions form an orthonormal triple.
     """
-    m = _StateMoments(_PairContext(a, b), state, tol)
+    m = _StateMoments(a, b, state, tol)
     if abs(m.c) > tol.tol_zero:
         return False
     if m.a.spread < spread_floor or m.b.spread < spread_floor or not m.spreads_ok:

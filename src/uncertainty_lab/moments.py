@@ -7,7 +7,9 @@ either one is caught immediately.
 
 Every per-state function of a pair reads from one ``_StateMoments`` record
 per call, which computes each value at most once and asserts each identity
-between two routes when the value is first read.
+between two routes when the value is first read.  The record forms no matrix
+product: <[A,B]> and <{A,B}> come from A(B|phi>) and B(A|phi>).  The pair's
+one product, [A,B], is formed by the commuting guard ``_require_noncommuting``.
 
 Every internal check goes through ``_check``: a residual passes up to
 ``tol * max(1, scale)``, ``scale`` being the size of the compared terms
@@ -38,6 +40,7 @@ from .core import (
     ValidationError,
     _check_same_dim,
     _freeze,
+    commutator,
 )
 
 __all__ = [
@@ -158,25 +161,15 @@ def is_eigenstate(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOL
     return std_dev(f, phi, tol) <= tol.eps_spread
 
 
-class _PairContext:
-    """A validated pair; [A,B] and {A,B} are built from AB and BA on first use."""
-
-    def __init__(self, a: Observable, b: Observable):
-        _check_same_dim(a.dim, b.dim)
-        self.a = a.matrix
-        self.b = b.matrix
-
-    @cached_property
-    def comm_anti(self) -> tuple[np.ndarray, np.ndarray]:
-        ab, ba = self.a @ self.b, self.b @ self.a
-        return ab - ba, ab + ba
-
-    def require_noncommuting(self, tol: Tolerances) -> None:
-        norm = float(np.linalg.norm(self.comm_anti[0]))
-        if norm <= tol.tol_zero:
-            raise CommutingPair(
-                f"the pair commutes: ||[A,B]|| = {norm:.3e} is below tol_zero = {tol.tol_zero:.3e}"
-            )
+def _require_noncommuting(a: Observable, b: Observable, tol: Tolerances) -> None:
+    """Raise CommutingPair when ||[A,B]||_F <= tol_zero ||A||_F ||B||_F (scale-free)."""
+    # Frobenius norms as sqrt(<M|M>), at half the cost of np.linalg.norm for small d
+    sizes = [math.sqrt(np.vdot(m, m).real) for m in (commutator(a, b), a.matrix, b.matrix)]
+    norm, limit = sizes[0], tol.tol_zero * sizes[1] * sizes[2]
+    if norm <= limit:
+        raise CommutingPair(
+            f"the pair commutes: ||[A,B]|| = {norm:.3e} <= tol_zero ||A|| ||B|| = {limit:.3e}"
+        )
 
 
 class _StateMoments:
@@ -186,12 +179,14 @@ class _StateMoments:
     computed, and its identity asserted, when first read.
     """
 
-    def __init__(self, pair: _PairContext, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES):
-        self.pair = pair
+    def __init__(
+        self, a: Observable, b: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES
+    ):
+        _check_same_dim(a.dim, b.dim)
         self.amps = phi.amps
         self.tol = tol
-        self.a = _Spread(pair.a, phi.amps)
-        self.b = _Spread(pair.b, phi.amps)
+        self.a = _Spread(a.matrix, phi.amps)
+        self.b = _Spread(b.matrix, phi.amps)
         # ||A phi|| ||B phi||, as ||F phi||^2 = <F>^2 + dF^2 (see the module docstring)
         self.scale = math.hypot(self.a.mean, self.a.norm) * math.hypot(self.b.mean, self.b.norm)
 
@@ -205,9 +200,14 @@ class _StateMoments:
         return complex(np.vdot(self.a.vec, self.b.vec))
 
     @cached_property
+    def ab_ba(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A B|phi>, B A|phi>), from the B|phi> and A|phi> already held."""
+        return self.a.matrix @ self.b.f_phi, self.b.matrix @ self.a.f_phi
+
+    @cached_property
     def c(self) -> complex:
         """C = <AB> - <A><B> in moment form, checked against the deviation form."""
-        c = complex(np.vdot(self.amps, self.pair.a @ self.b.f_phi)) - self.a.mean * self.b.mean
+        c = complex(np.vdot(self.amps, self.ab_ba[0])) - self.a.mean * self.b.mean
         _check(_C_FORMS, abs(c - self.overlap), self.scale)
         return c
 
@@ -226,13 +226,13 @@ class _StateMoments:
 
     @cached_property
     def hr(self) -> float:
-        """|<[A,B]>| / 2 from the commutator matrix."""
-        return 0.5 * abs(complex(np.vdot(self.amps, self.pair.comm_anti[0] @ self.amps)))
+        """|<[A,B]>| / 2, with [A,B]|phi> = AB|phi> - BA|phi>."""
+        return 0.5 * abs(complex(np.vdot(self.amps, self.ab_ba[0] - self.ab_ba[1])))
 
     @cached_property
     def schrodinger(self) -> float:
-        """Bound from the anticommutator and commutator, checked against |C|."""
-        anti_mean = complex(np.vdot(self.amps, self.pair.comm_anti[1] @ self.amps)).real
+        """Bound from <{A,B}> = <AB> + <BA> and the commutator bound, checked against |C|."""
+        anti_mean = complex(np.vdot(self.amps, self.ab_ba[0] + self.ab_ba[1])).real
         bound = float(np.hypot(0.5 * anti_mean - (self.a.mean * self.b.mean), self.hr))
         _check("Schrodinger bound = |C|", abs(bound - abs(self.c)), self.scale)
         return bound
@@ -266,7 +266,7 @@ class _StateMoments:
         deviation vectors are orthogonal, ``none`` otherwise."""
         da, db = self.a.spread, self.b.spread
         squares = da**2 + db**2
-        sos = _Spread(self.pair.a + self.pair.b, self.amps).spread
+        sos = _Spread(self.a.matrix + self.b.matrix, self.amps).spread
         if not self.spreads_ok:
             kind = "eigenstate_trivial"
         elif abs(self.overlap) <= self.tol.tol_zero:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .core import DEFAULT_TOLERANCES, Observable, StateVector, Tolerances
-from .moments import _check, _PairContext, _StateMoments, std_dev
+from .moments import _check, _StateMoments, std_dev
 
 __all__ = [
     "Degeneracy",
@@ -98,23 +98,23 @@ class SumRelationReport:
 
 def hr_bound(a: Observable, b: Observable, phi: StateVector) -> float:
     """Commutator lower bound |<phi|[A,B]|phi>| / 2."""
-    return _StateMoments(_PairContext(a, b), phi).hr
+    return _StateMoments(a, b, phi).hr
 
 
 def schrodinger_bound(a: Observable, b: Observable, phi: StateVector) -> float:
     """sqrt((<AB+BA>/2 - <A><B>)^2 + (|<[A,B]>|/2)^2).
 
-    Computed from the anticommutator and commutator matrix elements, then
-    cross-checked against |C(A,B)|, to which it is identically equal.
+    Computed from <{A,B}> and <[A,B]>, read off A(B|phi>) and B(A|phi>),
+    then cross-checked against |C(A,B)|, to which it is identically equal.
     """
-    return _StateMoments(_PairContext(a, b), phi).schrodinger
+    return _StateMoments(a, b, phi).schrodinger
 
 
 def evaluate(
     a: Observable, b: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> UncertaintyReport:
     """Evaluate every bound for (A, B, phi) and assert the chain between them."""
-    m = _StateMoments(_PairContext(a, b), phi, tol)
+    m = _StateMoments(a, b, phi, tol)
     m.check_bound_chain()
     product = m.a.spread * m.b.spread
     general = abs(m.c)
@@ -141,7 +141,7 @@ def sum_relations(
     spread), ``pythagoras`` when the deviation vectors are orthogonal, in
     which case d(A+B)^2 = dA^2 + dB^2 is additionally asserted.
     """
-    m = _StateMoments(_PairContext(a, b), phi, tol)
+    m = _StateMoments(a, b, phi, tol)
     spread_of_sum, degenerate = m.sum_relations()
     delta_a, delta_b = m.a.spread, m.b.spread
     return SumRelationReport(

@@ -44,7 +44,7 @@ from .moments import (
     _PEARSON_MAX,
     _VARIANCE,
     _check_rows,
-    _PairContext,
+    _require_noncommuting,
     _StateMoments,
 )
 
@@ -115,8 +115,8 @@ def classify(
     cross-checked against each other.  Deciding on Im C makes the inclusion
     s_ab => s_comm and s_anti hold structurally even at tolerance boundaries.
     """
-    m = _StateMoments(_PairContext(a, b), phi, tol)
-    m.pair.require_noncommuting(tol)
+    m = _StateMoments(a, b, phi, tol)
+    _require_noncommuting(a, b, tol)
     spread_a, spread_b = m.a.spread, m.b.spread
     m.check_commutator()
     return ClassificationResult(*_flags(spread_a, spread_b, m.c, tol), m.pearson, tol)
@@ -169,16 +169,13 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _scan_blocks(a: Observable, b: Observable, config: ScanConfig) -> Iterator[_ScanBlock]:
     """The scan's rows, block by block; the guards and the seed are checked
-    (and [A,B] is built) once, eagerly, and the blocks stream lazily."""
-    pair = _PairContext(a, b)
+    once, eagerly, and the blocks stream lazily."""
     tol = config.tolerances
-    pair.require_noncommuting(tol)
+    _require_noncommuting(a, b, tol)
     key = np.random.SeedSequence(config.seed).generate_state(2, np.uint64)
     dim = a.dim
-    # A phi, B phi, A^dag phi, B^dag phi and [A,B] phi of a row phi, side by side
-    operators = np.concatenate(
-        (pair.a.T, pair.b.T, pair.a.conj(), pair.b.conj(), pair.comm_anti[0].T), axis=1
-    )
+    # A phi, B phi, A^dag phi and B^dag phi of a row phi, side by side
+    operators = np.concatenate((a.matrix.T, b.matrix.T, a.matrix.conj(), b.matrix.conj()), axis=1)
     rows = max(1, _BLOCK_AMPLITUDES // dim)
     stop = config.start + config.samples
 
@@ -201,7 +198,7 @@ def _scan_block(
     """
     n, dim = raw.shape
     phis = raw / np.linalg.norm(raw, axis=1)[:, None]
-    a_phi, b_phi, adj_a, adj_b, comm_phi = (phis @ operators).reshape(n, 5, dim).transpose(1, 0, 2)
+    a_phi, b_phi, adj_a, adj_b = (phis @ operators).reshape(n, 4, dim).transpose(1, 0, 2)
     mean_a, mean_b = _rowdot(phis, a_phi).real, _rowdot(phis, b_phi).real
     dev_a, dev_b = a_phi - mean_a[:, None] * phis, b_phi - mean_b[:, None] * phis
     rowwise = (
@@ -215,7 +212,7 @@ def _scan_block(
         _rowdot(adj_b, b_phi).real,
         _rowdot(adj_a, b_phi) - mean_a * mean_b,  # C = <AB> - <A><B>
         _rowdot(dev_a, dev_b),  # C in deviation form
-        0.5 * np.abs(_rowdot(phis, comm_phi)),  # |<[A,B]>| / 2
+        0.5 * np.abs(_rowdot(adj_a, b_phi) - _rowdot(adj_b, a_phi)),  # |<[A,B]>| / 2
     )
     phis, norm, mean_a, mean_b, da, db, a2, b2, c, overlap, hr = (x[keep] for x in rowwise)
     if not np.all(np.abs(norm - 1.0) <= tol.tol_norm):

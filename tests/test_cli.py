@@ -67,6 +67,12 @@ class TestEval:
         assert main(["eval", "no-such-file.json", files["l4"], files["phi2"]]) == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_directory_input_exits_2_without_traceback(self, files, capsys):
+        assert main(["eval", str(files["dir"]), files["l4"], files["phi2"]]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read input path" in err
+        assert "Traceback" not in err
+
     def test_schema_violation_exits_2(self, files, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dim": 3, "entries": "nope"}')

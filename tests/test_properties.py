@@ -117,7 +117,7 @@ def _classify_unless_commuting(a, b, phi):
     try:
         return ul.classify(a, b, phi)
     except ul.CommutingPair:
-        return None  # the guard compares ||[A,B]|| with the absolute tol_zero
+        return None  # ||[A,B]|| <= tol_zero ||A|| ||B||: the pair commutes
 
 
 @given(pair_and_state(), _scales, _scales)
@@ -129,7 +129,9 @@ def test_internal_checks_do_not_depend_on_units(abs_, s, t):
     ul.evaluate(sa, tb, phi)
     ul.sum_relations(sa, tb, phi)
     ul.correlation(sa, tb, phi)
-    _classify_unless_commuting(sa, tb, phi)
+    # the commuting guard is relative, so it raises at the scaled pair iff at the unit pair
+    commutes = _classify_unless_commuting(a, b, phi) is None
+    assert (_classify_unless_commuting(sa, tb, phi) is None) == commutes
     scaled = ul.correlation_record(sa, tb, phi).pearson
     unit = ul.correlation_record(a, b, phi).pearson
     if scaled is not None and unit is not None:

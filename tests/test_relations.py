@@ -37,6 +37,24 @@ class TestSchrodingerBound:
             assert ul.hr_bound(a, b, phi) <= ul.schrodinger_bound(a, b, phi) + 1e-10
 
 
+@pytest.mark.parametrize("dim", [2, 3, 8, 64])
+def test_bounds_match_the_matrix_formulas(dim):
+    # reference: [A,B] and AB + BA formed as matrices, against the bounds'
+    # route through A(B phi) and B(A phi)
+    rng = np.random.default_rng(5000 + dim)
+    for _ in range(20):
+        a, b = rand_hermitian(rng, dim), rand_hermitian(rng, dim)
+        phi = rand_state(rng, dim)
+        amps, mat_a, mat_b = phi.amps, a.matrix, b.matrix
+        hr = 0.5 * abs(np.vdot(amps, ul.commutator(a, b) @ amps))
+        anti = np.vdot(amps, (mat_a @ mat_b + mat_b @ mat_a) @ amps).real
+        mean_a, mean_b = np.vdot(amps, mat_a @ amps).real, np.vdot(amps, mat_b @ amps).real
+        schrodinger = np.hypot(0.5 * anti - mean_a * mean_b, hr)
+        scale = np.linalg.norm(mat_a @ amps) * np.linalg.norm(mat_b @ amps)
+        assert abs(ul.hr_bound(a, b, phi) - hr) <= 1e-12 * scale
+        assert abs(ul.schrodinger_bound(a, b, phi) - schrodinger) <= 1e-12 * scale
+
+
 class TestEvaluate:
     def test_uniform_state_golden(self, l3, l4, phi2):
         rep = ul.evaluate(l3, l4, phi2)

@@ -42,6 +42,16 @@ class TestClassify:
         with pytest.raises(ul.CommutingPair):
             ul.classify(a, b, phi2)
 
+    def test_pairs_in_small_units_pass_the_commuting_guard(self, rng):
+        # ||[A,B]|| ~ 1e-12 here, below the absolute tol_zero; the guard is
+        # judged relative to ||A|| ||B||, so no path rejects these pairs
+        cfg = ul.FinderConfig(restarts=1, max_iters=1)
+        for _ in range(100):
+            a, b = 1e-6 * rand_hermitian(rng, 4), 1e-6 * rand_hermitian(rng, 4)
+            ul.classify(a, b, rand_state(rng, 4))
+            assert len(list(ul.membership_scan(a, b, ul.ScanConfig(samples=2, seed=0)))) == 2
+            ul.find(a, b, cfg)
+
     def test_formulations_agree_on_random_states(self, rng):
         # classify cross-checks |<[A,B]>| against 2 |Im C| internally and
         # raises if they drift apart

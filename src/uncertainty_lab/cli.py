@@ -63,22 +63,17 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
     return Tolerances(tol_zero=args.tol_zero, eps_spread=args.eps_spread)
 
 
-def _load_json(path: str) -> Any:
+def _load(path: str, parse: Callable[[Any, Tolerances], Any], tol: Tolerances) -> Any:
+    """Read ``path`` as JSON and build an object from it with ``parse``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return parse(json.load(fh), tol)
     except FileNotFoundError as exc:
         raise CliError(f"input file not found: {path}") from exc
     except OSError as exc:
         raise CliError(f"cannot read input path {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise CliError(f"invalid JSON in {path}: {exc}") from exc
-
-
-def _load(path: str, parse: Callable[[Any, Tolerances], Any], tol: Tolerances) -> Any:
-    """Read ``path`` as JSON and build an object from it with ``parse``."""
-    try:
-        return parse(_load_json(path), tol)
     except ValidationError as exc:
         raise CliError(f"schema violation in {path}: {exc}") from exc
 

@@ -17,7 +17,7 @@ be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -272,57 +272,58 @@ def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
 # JSON encoding.  Complex scalars are [re, im] pairs; matrices are row-major.
 # ---------------------------------------------------------------------------
 
+def _pairs(raw: Any, shape: tuple[int, ...], rule: str) -> np.ndarray:
+    """The complex array of ``shape`` nested in ``raw`` as [re, im] pairs of
+    numbers, not bools (``rule`` words this); the wrappers check the values."""
+    arr = np.array(raw, dtype=object)
+    if arr.shape != shape + (2,):
+        raise ValidationError(f"{rule}, got nesting of shape {arr.shape}")
+    types = set(map(type, arr.flat))
+    bad = sorted(t.__name__ for t in types if t is bool or not issubclass(t, (int, float)))
+    if bad:
+        raise ValidationError(f"{rule} of numbers, got {', '.join(bad)}")
+    try:
+        floats = arr.astype(np.float64)
+    except OverflowError as exc:
+        raise ValidationError(f"{rule} of numbers, got an integer too large for a float") from exc
+    # a view, not re + 1j * im, keeps the sign of every zero
+    return floats.view(np.complex128).reshape(shape)
+
+
+def _pairs_from_json(obj: Any, kind: str, key: str, ndim: int) -> np.ndarray:
+    """``obj[key]`` as ``ndim`` axes of length ``obj["dim"]``, not yet validated."""
+    if not isinstance(obj, dict) or "dim" not in obj or key not in obj:
+        raise ValidationError(f'{kind} JSON must be an object with "dim" and "{key}"')
+    dim = obj["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ValidationError(f'"dim" must be an integer, got {dim!r}')
+    rule = f'"{key}" must be {" by ".join([str(dim)] * ndim)} [re, im] pairs'
+    return _pairs(obj[key], (dim,) * ndim, rule)
+
+
+def _pairs_to_json(arr: np.ndarray) -> list:
+    return np.stack((arr.real, arr.imag), -1).tolist()
+
+
 def complex_to_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
+    return _pairs_to_json(np.complex128(z))
 
 
 def complex_from_pair(pair: Any) -> complex:
-    if (
-        not isinstance(pair, Sequence)
-        or isinstance(pair, (str, bytes))
-        or len(pair) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-    ):
-        raise ValidationError(f"complex scalar must be a [re, im] pair of numbers, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(_pairs(pair, (), "complex scalar must be a [re, im] pair"))
 
 
 def observable_to_json_dict(a: Observable) -> dict[str, Any]:
-    return {
-        "dim": a.dim,
-        "entries": [[complex_to_pair(z) for z in row] for row in a.matrix.tolist()],
-    }
+    return {"dim": a.dim, "entries": _pairs_to_json(a.matrix)}
 
 
 def observable_from_json_dict(obj: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> Observable:
-    if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
-        raise ValidationError('observable JSON must be an object with "dim" and "entries"')
-    dim = obj["dim"]
-    entries = obj["entries"]
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise ValidationError(f'"dim" must be an integer, got {dim!r}')
-    if not isinstance(entries, list) or len(entries) != dim:
-        raise ValidationError(f'"entries" must be a list of {dim} rows')
-    rows = []
-    for row in entries:
-        if not isinstance(row, list) or len(row) != dim:
-            raise ValidationError(f"each row must be a list of {dim} [re, im] pairs")
-        rows.append([complex_from_pair(z) for z in row])
-    return Observable(np.array(rows, dtype=np.complex128), tol)
+    return Observable(_pairs_from_json(obj, "observable", "entries", 2), tol)
 
 
 def state_to_json_dict(phi: StateVector) -> dict[str, Any]:
-    return {"dim": phi.dim, "amps": [complex_to_pair(z) for z in phi.amps.tolist()]}
+    return {"dim": phi.dim, "amps": _pairs_to_json(phi.amps)}
 
 
 def state_from_json_dict(obj: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> StateVector:
-    if not isinstance(obj, dict) or "dim" not in obj or "amps" not in obj:
-        raise ValidationError('state JSON must be an object with "dim" and "amps"')
-    dim = obj["dim"]
-    amps = obj["amps"]
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise ValidationError(f'"dim" must be an integer, got {dim!r}')
-    if not isinstance(amps, list) or len(amps) != dim:
-        raise ValidationError(f'"amps" must be a list of {dim} [re, im] pairs')
-    return StateVector(np.array([complex_from_pair(z) for z in amps]), tol)
+    return StateVector(_pairs_from_json(obj, "state", "amps", 1), tol)

@@ -15,12 +15,14 @@ Every internal check goes through ``_check``: a residual passes up to
 ``tol * max(1, scale)``, ``scale`` being the size of the compared terms
 (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3): ``<F^2>``
 for the variance, ``||A phi|| ||B phi||`` (which bounds ``|<AB>|``, ``|C|``,
-``dA dB`` and every bound) for correlation forms and bounds, the spreads for
-the triangle relations, 1 for dimensionless ratios.  No check thus depends
-on the units of the observables.  ``_check_rows`` applies the rule to a
-block of rows (the scans of ``state_sets``), through ``_check`` on the row
-nearest to failing.  ``expectation`` judges its imaginary part by the same
-rule, with the user's ``tol_zero`` as base.
+``dA dB`` and every bound) for correlation forms and bounds, that over
+``dA dB`` for the Pearson checks (as ``r = |C| / (dA dB)`` divides the
+roundoff of ``C``), the spreads for the triangle relations, 1 for the
+decomposition.  No check thus depends on the units of the observables.
+``_check_rows`` applies the rule to a block of rows (the scans of
+``state_sets``), through ``_check`` on the row nearest to failing.
+``expectation`` judges its imaginary part by the same rule, with the user's
+``tol_zero`` as base.
 """
 
 from __future__ import annotations
@@ -218,10 +220,11 @@ class _StateMoments:
         if not self.spreads_ok:
             return None
         delta_a, delta_b = self.a.spread, self.b.spread
-        r = abs(self.c) / (delta_a * delta_b)
+        product = delta_a * delta_b
+        r, scale = abs(self.c) / product, self.scale / product  # C's roundoff, divided like C
         overlap = abs(complex(np.vdot(self.a.vec / delta_a, self.b.vec / delta_b)))
-        _check(_OVERLAP, abs(r - overlap), 1.0)
-        _check(_PEARSON_MAX, r - 1.0, 1.0, _TOL, ValidationError)
+        _check(_OVERLAP, abs(r - overlap), scale)
+        _check(_PEARSON_MAX, r - 1.0, scale, _TOL, ValidationError)
         return min(r, 1.0)
 
     @cached_property

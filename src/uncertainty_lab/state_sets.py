@@ -227,9 +227,9 @@ def _scan_block(
     flags = _flags(da, db, c, tol)
     spreads_ok = ~(flags[0] | flags[1])
     product = np.where(spreads_ok, da * db, 1.0)
-    r = np.abs(c) / product
-    _check_rows(_OVERLAP, np.where(spreads_ok, np.abs(r - np.abs(overlap) / product), 0.0), 1.0)
-    _check_rows(_PEARSON_MAX, np.where(spreads_ok, r - 1.0, 0.0), 1.0, error=ValidationError)
+    r, r_scale = np.abs(c) / product, scale / product  # C's roundoff, divided like C
+    _check_rows(_OVERLAP, np.where(spreads_ok, np.abs(r - np.abs(overlap) / product), 0.0), r_scale)
+    _check_rows(_PEARSON_MAX, np.where(spreads_ok, r - 1.0, 0.0), r_scale, error=ValidationError)
     pearson = [
         p if ok else None for p, ok in zip(np.minimum(r, 1.0).tolist(), spreads_ok.tolist())
     ]

@@ -85,6 +85,20 @@ class TestEval:
         assert main(["eval", str(bad), files["l4"], files["phi2"]]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    def test_huge_integer_exits_2(self, files, tmp_path, capsys):
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps({"dim": 2, "amps": [[10**400, 0], [0, 0]]}))
+        assert main(["eval", files["sx"], files["sz"], str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "schema violation" in err and "Traceback" not in err
+
+    def test_too_deeply_nested_json_exits_2(self, files, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100000 + "]" * 100000)
+        assert main(["eval", str(bad), files["l4"], files["phi2"]]) == 2
+        err = capsys.readouterr().err
+        assert "invalid JSON" in err and "Traceback" not in err
+
     def test_non_hermitian_input_exits_2(self, files, tmp_path, capsys):
         bad = tmp_path / "nonherm.json"
         bad.write_text(json.dumps({

@@ -214,6 +214,12 @@ class TestJson:
             {"dim": 2, "entries": [[[0, 0], [1, 0]], [[1, 0]]]},  # ragged row
             {"dim": 2, "entries": [[[0, 0], "x"], [[1, 0], [0, 0]]]},  # bad scalar
             {"dim": 2.5, "entries": []},  # non-integer dim
+            {"dim": 2, "entries": [[[0, 0], [1, 0]], [[1, 0], [True, 0]]]},  # boolean entry
+            {"dim": 2, "entries": [[[0, 0], [1, None]], [[1, None], [0, 0]]]},  # null entry
+            {"dim": 2, "entries": [[[0, 0], ["1", "0"]], [["1", "0"], [0, 0]]]},  # string pair
+            {"dim": 2, "entries": [[[0, 0], [1, 0, 0]], [[1, 0], [0, 0]]]},  # 3-element pair
+            {"dim": 2, "entries": [[[[0, 0]], [[1, 0]]], [[[1, 0]], [[0, 0]]]]},  # extra nesting
+            {"dim": 2, "entries": [[[0, 0], [10**400, 0]], [[10**400, 0], [0, 0]]]},  # huge int
         ],
     )
     def test_observable_schema_violations(self, doc):
@@ -227,11 +233,40 @@ class TestJson:
             {"amps": [[1, 0], [0, 0]]},
             {"dim": 3, "amps": [[1, 0], [0, 0]]},
             {"dim": 2, "amps": [[1, 0], [0, 0, 0]]},
+            {"dim": 2, "amps": [[1, 0], [False, 0]]},  # boolean entry
+            {"dim": 2, "amps": [[1, 0], [None, 0]]},  # null entry
+            {"dim": 2, "amps": [["1", "0"], [0, 0]]},  # string pair
+            {"dim": 2, "amps": [[1, 0, 0], [0, 0, 0]]},  # 3-element pairs
+            {"dim": 2, "amps": [[[1, 0]], [[0, 0]]]},  # extra nesting
+            {"dim": 2, "amps": [[10**400, 0], [0, 0]]},  # huge int
+            {"dim": 2, "amps": [[1, 0], "x"]},  # bad scalar
         ],
     )
     def test_state_schema_violations(self, doc):
         with pytest.raises(ul.ValidationError):
             ul.state_from_json_dict(doc)
+
+    def test_encoding_matches_the_per_entry_form(self):
+        rng = np.random.default_rng(8)
+        m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        m = (m + m.conj().T) / 2.0
+        m[0, 0] = complex(-0.0, -0.0)
+        m[1, 2], m[2, 1] = complex(-0.0, 0.5), complex(-0.0, -0.5)
+        obs = ul.validate_observable(m)
+        phi = ul.StateVector.normalized(m[:, 3])
+        per_entry = [[[z.real, z.imag] for z in row] for row in obs.matrix.tolist()]
+        amps = [[z.real, z.imag] for z in phi.amps.tolist()]
+        assert "-0.0" in json.dumps(per_entry)
+        # json text, so that the sign of each zero is compared too
+        assert json.dumps(ul.observable_to_json_dict(obs)) == json.dumps(
+            {"dim": 8, "entries": per_entry}
+        )
+        assert json.dumps(ul.state_to_json_dict(phi)) == json.dumps({"dim": 8, "amps": amps})
+        assert np.array_equal(
+            ul.observable_from_json_dict(json.loads(json.dumps({"dim": 8, "entries": per_entry})))
+            .matrix.view(float),
+            obs.matrix.view(float),
+        )
 
 
 def test_identity_helper():

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import uncertainty_lab as ul
@@ -178,3 +179,17 @@ class TestCorrelationRecord:
         assert doc["pearson"] is None
         assert doc["transition_prob"] is None
         assert doc["c"] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_near_eigenstates_pass_the_pearson_checks(self, dim):
+        # r = |C| / (dA dB) carries the roundoff of C, ~1e-16 ||A phi|| ||B phi||,
+        # divided by dA dB: large when phi is close to an eigenvector of A
+        rng = np.random.default_rng(dim)
+        for _ in range(600):
+            a, b = rand_hermitian(rng, dim), rand_hermitian(rng, dim)
+            eigvec = np.linalg.eigh(a.matrix)[1][:, rng.integers(dim)]
+            noise = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            phi = ul.StateVector.normalized(eigvec + 10.0 ** rng.uniform(-6, -3) * noise)
+            record = ul.correlation_record(a, b, phi)
+            cls = ul.classify(a, b, phi)
+            assert cls.eigen_a == (record.pearson is None)

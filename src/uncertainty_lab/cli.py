@@ -37,7 +37,7 @@ from .core import (
     state_from_json_dict,
 )
 from .correlations import correlation, correlation_record
-from .finder import FinderConfig, find
+from .finder import _STEP_RULES, FinderConfig, find
 from .gellmann import gell_mann, su3_lambda, two_level_state, uniform_superposition
 from .relations import REPORT_CSV_HEADER, evaluate, report_csv_row
 from .state_sets import ScanConfig, _rng_scheme, _ScanBlock, _scan_blocks, classify
@@ -67,13 +67,17 @@ def _load(path: str, parse: Callable[[Any, Tolerances], Any], tol: Tolerances) -
     """Read ``path`` as JSON and build an object from it with ``parse``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse(json.load(fh), tol)
+            raw = json.load(fh)
     except FileNotFoundError as exc:
         raise CliError(f"input file not found: {path}") from exc
     except OSError as exc:
         raise CliError(f"cannot read input path {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+    # ValueError: malformed JSON, undecodable bytes, or an integer literal
+    # past the int-string digit limit; RecursionError: nested too deep
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"invalid JSON in {path}: {exc}") from exc
+    try:
+        return parse(raw, tol)
     except ValidationError as exc:
         raise CliError(f"schema violation in {path}: {exc}") from exc
 
@@ -329,7 +333,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_find.add_argument("observable_b")
     p_find.add_argument("--restarts", type=int, default=32)
     p_find.add_argument("--max-iters", type=int, default=2000)
-    p_find.add_argument("--step-rule", choices=("fixed", "backtracking"), default="backtracking")
+    p_find.add_argument("--step-rule", choices=_STEP_RULES, default=FinderConfig().step_rule)
     p_find.add_argument("--spread-floor", type=float, default=0.1)
     p_find.add_argument("--penalty-weight", type=float, default=10.0)
     p_find.add_argument("--converge-tol", type=float, default=1e-10)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import uncertainty_lab as ul
-from uncertainty_lab.cli import main
+from uncertainty_lab import finder
+from uncertainty_lab.cli import main, make_parser
 from helpers import pauli_pair, rand_hermitian
 
 
@@ -92,6 +93,13 @@ class TestEval:
         err = capsys.readouterr().err
         assert "schema violation" in err and "Traceback" not in err
 
+    def test_integer_literal_past_the_digit_limit_exits_2(self, files, tmp_path, capsys):
+        bad = tmp_path / "digits.json"
+        bad.write_text('{"dim": 2, "amps": [[1' + "0" * 5000 + ", 0], [0, 0]]}")
+        assert main(["eval", files["sx"], files["sz"], str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid JSON in {bad}" in err and "Traceback" not in err
+
     def test_too_deeply_nested_json_exits_2(self, files, tmp_path, capsys):
         bad = tmp_path / "deep.json"
         bad.write_text("[" * 100000 + "]" * 100000)
@@ -174,6 +182,14 @@ class TestFind:
         assert code == 3
         doc = json.loads(capsys.readouterr().out)
         assert doc["result"]["converged"] is False
+
+    def test_step_rule_flag_follows_the_finder(self):
+        parser = make_parser()
+        assert parser.parse_args(["find", "a", "b"]).step_rule == ul.FinderConfig().step_rule
+        for rule in finder._STEP_RULES:
+            assert parser.parse_args(["find", "a", "b", "--step-rule", rule]).step_rule == rule
+        with pytest.raises(SystemExit):
+            parser.parse_args(["find", "a", "b", "--step-rule", "newton"])
 
     def test_reproducible_state_digits(self, files, capsys):
         main(["find", files["l3"], files["l4"], "--seed", "11"])
@@ -281,7 +297,7 @@ class TestScan:
         assert (manifest["start"], manifest["samples"]) == (9, 5)
         assert manifest["rng"]["generator"].startswith("Philox-4x64")
         assert manifest["rng"]["counter_stride"] == 2  # ceil(2 * 3 / 4)
-        assert manifest["tool_version"] == ul.__version__ == "0.2.0"
+        assert manifest["tool_version"] == ul.__version__ == "0.3.0"
 
     def test_env_var_provides_seed(self, files, tmp_path, monkeypatch):
         monkeypatch.setenv("UNCERTAINTY_LAB_SEED", "77")

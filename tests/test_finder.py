@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -105,7 +106,79 @@ class TestGradient:
             ul.gradient(l3, l4, np.zeros(3, dtype=complex))
 
 
+def fd_jacobian(obj, x, h=1e-6):
+    d = len(x)
+    cols = []
+    for i in range(2 * d):
+        dx = np.zeros(d, dtype=complex)
+        dx[i % d] = h if i < d else 1j * h
+        cols.append((obj.residual(x + dx)[0] - obj.residual(x - dx)[0]) / (2 * h))
+    return np.array(cols).T
+
+
+def real_coords(v):
+    return np.concatenate([v.real, v.imag])
+
+
+class TestResidual:
+    def test_jacobian_matches_finite_differences_with_both_hinges_active(self, rng):
+        cfg = ul.FinderConfig(spread_floor=5.0)
+        worst = 0.0
+        for d in (3, 4, 5):
+            for _ in range(10):
+                a, b = rand_hermitian(rng, d), rand_hermitian(rng, d)
+                x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                obj = finder._Objective(a, b, cfg)
+                r, jac = obj.residual(x)
+                assert r.shape == (4,) and jac.shape == (4, 2 * d)
+                fd = fd_jacobian(obj, x)
+                worst = max(worst, float(np.linalg.norm(jac - fd) / np.linalg.norm(fd)))
+        assert worst <= 1e-5
+
+    def test_residual_and_jacobian_give_objective_and_gradient(self, rng):
+        for floor in (0.1, 5.0):
+            cfg = ul.FinderConfig(spread_floor=floor)
+            for d in (3, 4, 5):
+                a, b = rand_hermitian(rng, d), rand_hermitian(rng, d)
+                x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                r, jac = finder._Objective(a, b, cfg).residual(x)
+                g = ul.gradient(a, b, x, cfg)
+                assert r @ r == pytest.approx(ul.objective(a, b, x, cfg), rel=1e-12)
+                assert np.linalg.norm(2.0 * jac.T @ r - g) <= 1e-12 * np.linalg.norm(g)
+
+    def test_inactive_hinges_leave_two_rows(self, l3, l4):
+        r, jac = finder._Objective(l3, l4, ul.FinderConfig()).residual(
+            ul.two_level_state(1, 1).amps
+        )
+        assert r.shape == (2,) and jac.shape == (2, 6)
+
+    def test_correlation_jacobian_has_rank_two_on_the_qutrit_family(self, l3, l4):
+        # At phi = (a, b, 0)/N, C = 0 and (Re C, Im C) has rank 2 on the
+        # tangent space modulo phase, so S_AB is locally a smooth manifold of
+        # real dimension 2d - 4 = 2 in CP^2; the family's own two tangent
+        # directions span the kernel.
+        obj = finder._Objective(l3, l4, ul.FinderConfig())
+        for a in (1.0, 0.3, 2.0, 1 + 1j, 0.5j):
+            for b in (1.0, -0.7, 0.2 + 0.9j, 3.0):
+                x = np.array([a, b, 0], dtype=complex)
+                x /= np.linalg.norm(x)
+                r, jac = obj.residual(x)
+                assert np.max(np.abs(r[:2])) <= 1e-15
+                flat = np.array([real_coords(x), real_coords(1j * x)]).T
+                on_tangent = jac[:2] @ (np.eye(6) - flat @ flat.T)
+                sv = np.linalg.svd(on_tangent, compute_uv=False)
+                assert np.linalg.matrix_rank(on_tangent) == 2
+                assert sv[1] >= 0.1 * sv[0]
+                w = np.array([-np.conj(b), np.conj(a), 0])
+                w /= np.linalg.norm(w)
+                for t in (w, 1j * w):
+                    assert np.linalg.norm(jac[:2] @ real_coords(t)) <= 1e-14
+
+
 class TestFinderConfig:
+    def test_default_step_rule_is_gauss_newton(self):
+        assert ul.FinderConfig().step_rule == "gauss-newton"
+
     def test_validation(self):
         with pytest.raises(ul.ValidationError):
             ul.FinderConfig(restarts=0)
@@ -141,6 +214,36 @@ class TestFind:
         result = ul.find(l3, l4, ul.FinderConfig(seed=3, step_rule="fixed"))
         assert result.converged
         assert ul.verify_candidate(l3, l4, result.state)
+
+    # Recorded with version 0.2.0; the gradient rules must keep reproducing
+    # it byte for byte (on one machine and numpy build, as README says).
+    @pytest.mark.parametrize("rule, seed, iterations, restart, digest", [
+        ("backtracking", 3, 6, 0,
+         "5b793fb3557249bec09005e785a3f96b858daecce946193315c84bfed9ffffd1"),
+        ("backtracking", 7, 11, 0,
+         "9c22d0ff816a9c6a5d391892fb8c4594b7b2bb5eac9afed9475319e92f1d943d"),
+        ("fixed", 3, 1241, 1,
+         "289fd43f8412aa91a2625edb1c0363e4d9a099a95993d6f270b6f10bcfb7a55b"),
+        ("fixed", 7, 1116, 0,
+         "9b0d323693268c51abe60dd24c90830eea7667d66f122e9752c60a0d55ef66f5"),
+    ], ids=["backtracking-3", "backtracking-7", "fixed-3", "fixed-7"])
+    def test_gradient_rules_reproduce_their_results(self, l3, l4, rule, seed, iterations,
+                                                    restart, digest):
+        result = ul.find(l3, l4, ul.FinderConfig(seed=seed, step_rule=rule))
+        assert result.converged
+        assert (result.iterations, result.restart_index) == (iterations, restart)
+        assert hashlib.sha256(result.state.amps.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_default_converges_on_every_noncommuting_gell_mann_pair(self, dim):
+        basis = ul.gell_mann(dim).matrices
+        pairs = [(a, b) for i, a in enumerate(basis) for b in basis[i + 1:]
+                 if np.linalg.norm(a.matrix @ b.matrix - b.matrix @ a.matrix) > 1e-9]
+        assert len(pairs) == {3: 25, 4: 80}[dim]
+        for a, b in pairs:
+            result = ul.find(a, b)
+            assert result.converged
+            assert ul.verify_candidate(a, b, result.state)
 
     def test_random_pairs_converge(self, rng):
         # failures may only ever be "not converged", never a false positive

@@ -24,9 +24,9 @@ f = ||r||^2 for the residual r = [Re C, Im C, sqrt(w) h_A, sqrt(w) h_B] (a
 hinge row only while its hinge is active), which has 2 to 4 rows against 2d
 real unknowns.  The default step rule, "gauss-newton", takes the
 minimum-norm Gauss-Newton step dx = -J^T (J J^T)^-1 r of this
-underdetermined system, halved until f decreases; it converges
-quadratically near a zero of r, typically in 3 to 5 steps.  The rules
-"fixed" and "backtracking" (Polyak-seeded Armijo backtracking) descend along
+underdetermined system, halved until f meets the sufficient-decrease test
+f(x + t dx) < f + c t f'(x; dx); it converges quadratically near a zero of
+r, typically in 3 to 5 steps.  The rule "fixed" takes a constant step along
 the gradient 2 J^T r instead.
 
 With s = <x|x>, u_F = (F - <F>)|x> and means taken at phi, every term comes
@@ -59,9 +59,15 @@ from .moments import _require_noncommuting, _StateMoments
 
 __all__ = ["FinderConfig", "FinderResult", "find", "gradient", "objective", "verify_candidate"]
 
-_STEP_RULES = ("gauss-newton", "fixed", "backtracking")
+_STEP_RULES = ("gauss-newton", "fixed")
+# sufficient-decrease constant c of the Gauss-Newton halving
 _ARMIJO_C = 1e-4
-_GN_HALVINGS = 40
+# A Gauss-Newton step that needs t < 2^-9 has left the region where r is
+# near linear, as on pairs whose spread floor is barely reachable; the
+# restart ends there rather than creeping on.  In a 2160-find stress set
+# this cut failed restarts from 25 to 9 iterations at the median, and the
+# same restarts converged.
+_GN_HALVINGS = 10
 _GRAM_TOL = 1e-8
 # (objective, |C|, dA, dB) at one point
 _Parts = tuple[float, float, float, float]
@@ -122,12 +128,12 @@ class FinderResult:
 
 
 class _Objective:
-    """f(x), its parts and its gradient from A|x>, B|x> and the deviation vectors.
+    """f(x), its parts, residual and gradient from A|x>, B|x> and the deviation vectors.
 
     Reads the pair's matrices directly rather than the checked per-state
     record ``_StateMoments``: a value evaluation read from the record (state
     validation and cross-checks included) measured ~5x dearer (83 vs 17 us
-    at d=3), line-search trials are most of a search's evaluations, and the
+    at d=3), step trials are most of a search's evaluations, and the
     median find-sweep op took ~2.2x as long with it.
     """
 
@@ -161,54 +167,39 @@ class _Objective:
         f = float(abs(c) ** 2 + self.weight * (h_a**2 + h_b**2))
         return f, float(abs(c)), d_a, d_b
 
-    def _wirtinger(self, x: np.ndarray):
-        """C, dC/dxbar, dCbar/dxbar, s and (h, dF, dVar_F/dxbar * s) per active hinge."""
-        s, ax, bx, mean_a, mean_b, c, var_a, var_b = self._moments(x)
-        u_a, u_b = ax - mean_a * x, bx - mean_b * x
-        d_c = (self.a @ u_b - mean_a * u_b - c * x) / s
-        d_cbar = (self.b @ u_a - mean_b * u_a - np.conj(c) * x) / s
-        hinges = []
-        for mat, mean, u, var in ((self.a, mean_a, u_a, var_a), (self.b, mean_b, u_b, var_b)):
-            d = np.sqrt(var)
-            h = self.floor - d
-            if h > 0.0:
-                hinges.append((h, d, mat @ u - mean * u - var * x))
-        return c, d_c, d_cbar, s, hinges
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        """Gradient of the objective in the 2d real coordinates (re x, im x).
-
-        Derived via Wirtinger calculus: for real-valued f, the gradient with
-        respect to (re x_i, im x_i) is (2 Re df/dxbar_i, 2 Im df/dxbar_i).
-        """
-        c, d_c, d_cbar, s, hinges = self._wirtinger(x)
-        g = np.conj(c) * d_c + c * d_cbar
-        for h, d, d_var in hinges:
-            if d > 1e-30:
-                g -= (self.weight * h / (d * s)) * d_var
-        return np.concatenate([2.0 * g.real, 2.0 * g.imag])
-
     def residual(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Residual r with f = ||r||^2 and its k x 2d real Jacobian, k <= 4.
 
         r = [Re C, Im C, sqrt(w) h_A, sqrt(w) h_B], with a hinge row only
-        while its hinge is active.  Row j of the Jacobian is
-        (2 Re v_j, 2 Im v_j) for v_j = dr_j/dxbar, from the Wirtinger terms
-        ``grad`` uses, so 2 J^T r equals the gradient.
+        while its hinge is active.  By Wirtinger calculus, row j of the
+        Jacobian in the coordinates (re x, im x) is (2 Re v_j, 2 Im v_j) for
+        v_j = dr_j/dxbar.
         """
-        c, d_c, d_cbar, s, hinges = self._wirtinger(x)
+        s, ax, bx, mean_a, mean_b, c, var_a, var_b = self._moments(x)
+        u_a, u_b = ax - mean_a * x, bx - mean_b * x
+        d_c = (self.a @ u_b - mean_a * u_b - c * x) / s
+        d_cbar = (self.b @ u_a - mean_b * u_a - np.conj(c) * x) / s
         root_w = np.sqrt(self.weight)
         r = [c.real, c.imag]
         # the rows are 2 v_j: 2 d(Re C)/dxbar = d_c + d_cbar,
         # 2 d(Im C)/dxbar = (d_c - d_cbar)/i and
         # 2 d(sqrt(w) h_F)/dxbar = -sqrt(w)/(dF s) ((F - <F>) u_F - Var_F x)
         v2 = [d_c + d_cbar, (d_cbar - d_c) * 1j]
-        for h, d, d_var in hinges:
-            r.append(root_w * h)
-            # dF is not differentiable at zero; grad drops the term there too
-            v2.append(-(root_w / (d * s)) * d_var if d > 1e-30 else 0.0 * d_var)
+        for mat, mean, u, var in ((self.a, mean_a, u_a, var_a), (self.b, mean_b, u_b, var_b)):
+            d = np.sqrt(var)
+            h = self.floor - d
+            if h > 0.0:
+                r.append(root_w * h)
+                # dF is not differentiable at zero; its row is zero there
+                v2.append(-(root_w / (d * s)) * (mat @ u - mean * u - var * x)
+                          if d > 1e-30 else np.zeros_like(x))
         rows = np.array(v2)
         return np.array(r), np.concatenate((rows.real, rows.imag), axis=1)
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        """Gradient 2 J^T r of the objective in the 2d real coordinates (re x, im x)."""
+        r, jac = self.residual(x)
+        return 2.0 * (r @ jac)
 
 
 def _converged(parts: _Parts, cfg: FinderConfig, tol: Tolerances) -> bool:
@@ -250,54 +241,38 @@ def _to_complex(xr: np.ndarray, d: int) -> np.ndarray:
 def _gauss_newton_step(
     obj: _Objective, x: np.ndarray, f: float
 ) -> tuple[np.ndarray, _Parts] | None:
-    """Minimum-norm step -J^T (J J^T)^-1 r, halved until f decreases.
+    """Minimum-norm step dx = -J^T (J J^T)^-1 r, halved to sufficient decrease.
 
-    J J^T is at most 4 x 4; lstsq takes over only when it is singular.
-    Returns the normalized new point with its parts, or None when no
-    halving decreases f.
+    J J^T is at most 4 x 4; lstsq takes over only when it is singular.  A
+    trial step t dx is taken once f(x + t dx) < f + c t f'(x; dx), where the
+    directional derivative f'(x; dx) = 2 r.(J dx) is -2f whenever J dx = -r.
+    Returns the normalized new point with its parts, or None when no step
+    down to t = 2^-(_GN_HALVINGS - 1) passes the test.
     """
     r, jac = obj.residual(x)
     try:
         dxr = -jac.T @ np.linalg.solve(jac @ jac.T, r)
     except np.linalg.LinAlgError:
         dxr = -np.linalg.lstsq(jac, r, rcond=None)[0]
+    slope = 2.0 * float(r @ (jac @ dxr))
+    if not slope < 0.0:
+        return None
     dx = _to_complex(dxr, x.shape[0])
     t = 1.0
     for _ in range(_GN_HALVINGS):
         accepted = _normalized(obj, x + t * dx)
-        if accepted[1][0] < f:
+        if accepted[1][0] < f + _ARMIJO_C * t * slope:
             return accepted
         t *= 0.5
     return None
 
 
-def _gradient_step(
-    obj: _Objective, x: np.ndarray, f: float, fixed_step: float | None, step: float
-) -> tuple[tuple[np.ndarray, _Parts] | None, float]:
-    """One step along -grad f, fixed or backtracking from the last step length.
-
-    Returns the normalized new point with its parts, or None when f cannot
-    be decreased, and the step length to remember.
-    """
-    d = x.shape[0]
-    g = obj.grad(x)
-    gn2 = float(g @ g)
-    if gn2 < 1e-34:
-        return None, step
-    xr = np.concatenate([x.real, x.imag])
-    if fixed_step is not None:
-        x_new = _to_complex(xr - fixed_step * g, d)
-        return (_normalized(obj, x_new) if obj.parts(x_new)[0] < f else None), step
-    # Backtracking line search, with the trial step seeded by the Polyak
-    # rule t = 2 f / ||g||^2 (the minimum value is known to be zero), which
-    # is near-exact once the basin is quadratic.
-    t = min(max(2.0 * f / gn2, 1e-12), max(step * 4.0, 1e-12))
-    while t > 1e-18:
-        x_new = _to_complex(xr - t * g, d)
-        if obj.parts(x_new)[0] <= f - _ARMIJO_C * t * gn2:
-            return _normalized(obj, x_new), t
-        t *= 0.5
-    return None, step
+def _fixed_step(
+    obj: _Objective, x: np.ndarray, f: float, size: float
+) -> tuple[np.ndarray, _Parts] | None:
+    """One step of constant length along -grad f; None when f does not decrease."""
+    accepted = _normalized(obj, x - size * _to_complex(obj.grad(x), x.shape[0]))
+    return accepted if accepted[1][0] < f else None
 
 
 def _normalized(obj: _Objective, x: np.ndarray) -> tuple[np.ndarray, _Parts]:
@@ -314,22 +289,20 @@ def _descend(
     Every accepted point is renormalized, purely for conditioning.
     """
     x = x0.copy()
-    fixed_step = None
     if cfg.step_rule == "fixed":
         # Conservative constant step scaled to the curvature of |C|^2 and
         # of the penalty term.
         scale = (np.linalg.norm(obj.a) * np.linalg.norm(obj.b)) ** 2
-        fixed_step = min(0.5 / max(scale, 1e-30), 0.1 / obj.weight)
-    step = 1.0
+        size = min(0.5 / max(scale, 1e-30), 0.1 / obj.weight)
     parts = obj.parts(x)
     for it in range(cfg.max_iters):
         f = parts[0]
         if _converged(parts, cfg, tol):
             return x, f, it, True
-        if cfg.step_rule == "gauss-newton":
-            accepted = _gauss_newton_step(obj, x, f)
+        if cfg.step_rule == "fixed":
+            accepted = _fixed_step(obj, x, f, size)
         else:
-            accepted, step = _gradient_step(obj, x, f, fixed_step, step)
+            accepted = _gauss_newton_step(obj, x, f)
         if accepted is None:
             return x, f, it, False
         x, parts = accepted

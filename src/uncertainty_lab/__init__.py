@@ -9,7 +9,7 @@ vectors are orthogonal, i.e. for which the lower bound on the product of
 spreads is exactly zero.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .core import (
     CommutingPair,

@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -153,15 +154,7 @@ def _cmd_find(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     a = _load(args.observable_a, observable_from_json_dict, tol)
     b = _load(args.observable_b, observable_from_json_dict, tol)
-    cfg = FinderConfig(
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        step_rule=args.step_rule,
-        spread_floor=args.spread_floor,
-        penalty_weight=args.penalty_weight,
-        converge_tol=args.converge_tol,
-        seed=args.seed,
-    )
+    cfg = FinderConfig(**{f.name: getattr(args, f.name) for f in fields(FinderConfig)})
     result = find(a, b, cfg, tol)
     payload = {
         "result": result.to_json_dict(),

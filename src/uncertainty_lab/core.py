@@ -97,7 +97,7 @@ def _as_complex_array(raw: Any, ndim: int) -> np.ndarray:
     arr = np.asarray(raw, dtype=np.complex128)
     if arr.ndim != ndim:
         raise ValidationError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValidationError("entries must be finite (no NaN/Inf)")
     return arr
 
@@ -190,27 +190,33 @@ class StateVector:
         arr = _as_complex_array(amps, 1)
         if arr.shape[0] < 1:
             raise ValidationError("state vector must have at least one amplitude")
-        nrm = float(np.linalg.norm(arr))
-        if abs(nrm - 1.0) > tol.tol_norm:
-            raise ValidationError(f"state is not normalized: ||amps|| = {nrm!r}")
+        _check_unit(arr, tol)
         object.__setattr__(self, "_amps", _freeze(arr))
 
     @classmethod
     def _wrap(cls, amps: np.ndarray) -> "StateVector":
         # Fast path for amplitudes already checked finite and normalized
-        # (the rows of a scan block).
+        # (the rows of a scan block, the result of ``normalized``).
         obj = object.__new__(cls)
         object.__setattr__(obj, "_amps", _freeze(amps))
         return obj
 
     @classmethod
     def normalized(cls, raw: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> "StateVector":
-        """Normalize a nonzero raw vector and wrap it."""
+        """Normalize a nonzero raw vector and wrap it, with the constructor's checks."""
         arr = _as_complex_array(raw, 1)
-        nrm = float(np.linalg.norm(arr))
-        if nrm == 0.0:
+        # Outside this range of the largest |Re| or |Im| the sum of squares
+        # would overflow or underflow, so rescale by it first, on the real
+        # view (a complex division by a subnormal overflows).
+        parts = np.ascontiguousarray(arr).view(np.float64)
+        peak = float(np.abs(parts).max(initial=0.0))
+        if peak == 0.0:
             raise ValidationError("cannot normalize the zero vector")
-        return cls(arr / nrm, tol)
+        if not 1e-75 < peak < 1e75:
+            arr = (parts / peak).view(np.complex128)
+        amps = arr / float(np.linalg.norm(arr))
+        _check_unit(amps, tol)
+        return cls._wrap(amps)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("StateVector is immutable")
@@ -225,6 +231,12 @@ class StateVector:
 
     def __repr__(self) -> str:
         return f"StateVector(dim={self.dim})"
+
+
+def _check_unit(amps: np.ndarray, tol: Tolerances) -> None:
+    nrm = float(np.linalg.norm(amps))
+    if abs(nrm - 1.0) > tol.tol_norm:
+        raise ValidationError(f"state is not normalized: ||amps|| = {nrm!r}")
 
 
 def _check_same_dim(da: int, db: int) -> None:

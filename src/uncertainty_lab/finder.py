@@ -29,17 +29,22 @@ f(x + t dx) < f + c t f'(x; dx); it converges quadratically near a zero of
 r, typically in 3 to 5 steps.  The rule "fixed" takes a constant step along
 the gradient 2 J^T r instead.
 
-With s = <x|x>, u_F = (F - <F>)|x> and means taken at phi, every term comes
-from A|x>, B|x> and the deviation vectors, so no matrix product is formed:
-
-    C = <Ax|Bx>/s - <A><B>,
-    dC/dxbar = ((A - <A>) u_B - C x) / s,
-    dVar_F/dxbar = ((F - <F>) u_F - Var_F x) / s.
+Each point costs one product with the stacked operator [I; A; B] (3d x d),
+which gives V = [x; Ax; Bx]; its 3 x 3 Gram matrix gives s = <x|x>, both
+means, C = <Ax|Bx>/s - <A><B> and both variances.  A step costs one more,
+of the deviations u_F = (F - <F>) x, whose products give every row of J.
+Each product takes at most three vectors, so no d x d matrix product is
+formed.  The point a step accepts is carried into the next step, not
+evaluated again.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -51,6 +56,7 @@ from .core import (
     StateVector,
     Tolerances,
     ValidationError,
+    _as_complex_array,
     _check_same_dim,
     haar_state,
     state_to_json_dict,
@@ -84,25 +90,21 @@ class FinderConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.restarts < 1 or self.max_iters < 1:
-            raise ValidationError("restarts and max_iters must be positive")
+        for name, low in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+                raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy integers serialize as int
         if self.step_rule not in _STEP_RULES:
             raise ValidationError(f"step_rule must be one of {_STEP_RULES}")
-        if self.spread_floor <= DEFAULT_TOLERANCES.eps_spread:
-            raise ValidationError("spread_floor must exceed eps_spread")
-        if self.penalty_weight <= 0.0 or self.converge_tol <= 0.0:
-            raise ValidationError("penalty_weight and converge_tol must be positive")
+        for name, low in (("spread_floor", DEFAULT_TOLERANCES.eps_spread),
+                          ("penalty_weight", 0.0), ("converge_tol", 0.0)):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > low):
+                raise ValidationError(f"{name} must be finite and exceed {low}, got {value!r}")
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "restarts": self.restarts,
-            "max_iters": self.max_iters,
-            "step_rule": self.step_rule,
-            "spread_floor": self.spread_floor,
-            "penalty_weight": self.penalty_weight,
-            "converge_tol": self.converge_tol,
-            "seed": self.seed,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -116,85 +118,88 @@ class FinderResult:
     converged: bool
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "state": state_to_json_dict(self.state),
-            "objective": self.objective,
-            "delta_a": self.delta_a,
-            "delta_b": self.delta_b,
-            "iterations": self.iterations,
-            "restart_index": self.restart_index,
-            "converged": self.converged,
-        }
+        return {**vars(self), "state": state_to_json_dict(self.state)}
+
+
+# One evaluation at phi = x/||x||: the parts, V = [x; Ax; Bx] and what its
+# 3 x 3 Gram matrix gives (s = <x|x>, both means, C and both variances).
+_Point = namedtuple("_Point", "parts v s mean_a mean_b c var_a var_b")
 
 
 class _Objective:
-    """f(x), its parts, residual and gradient from A|x>, B|x> and the deviation vectors.
+    """f(x), its parts, residual and gradient from products with the stacked [I; A; B].
 
-    Reads the pair's matrices directly rather than the checked per-state
-    record ``_StateMoments``: a value evaluation read from the record (state
-    validation and cross-checks included) measured ~5x dearer (83 vs 17 us
-    at d=3), step trials are most of a search's evaluations, and the
-    median find-sweep op took ~2.2x as long with it.
+    Not read from the checked per-state record ``_StateMoments``: with its
+    state validation and cross-checks an evaluation measured ~5x dearer,
+    and the median find-sweep op took ~2.2x as long.
     """
 
     def __init__(self, a: Observable, b: Observable, cfg: FinderConfig):
         _check_same_dim(a.dim, b.dim)
         self.a = a.matrix
         self.b = b.matrix
+        # [I; A; B]^T, stored contiguous: every product is rows times it
+        self.ops_t = np.concatenate((np.eye(a.dim, dtype=complex), a.matrix.T, b.matrix.T), 1)
         self.floor = cfg.spread_floor
         self.weight = cfg.penalty_weight
 
-    def _moments(self, x: np.ndarray):
-        """Normalization, A|x>, B|x>, means, correlation and variances at phi = x/||x||."""
-        s = np.vdot(x, x).real
+    def _point(self, x: np.ndarray) -> _Point:
+        """The point record at x, from one product V = [x; Ax; Bx] and its Gram <V_i|V_j>."""
+        v = (x @ self.ops_t).reshape(3, -1)
+        (s, xa, xb), (_, aa, ab), (_, _, bb) = (v.conj() @ v.T).tolist()
+        s = s.real
         if s == 0.0:
             raise ValidationError("objective and gradient are undefined at the zero vector")
-        ax = self.a @ x
-        bx = self.b @ x
-        mean_a = np.vdot(x, ax).real / s
-        mean_b = np.vdot(x, bx).real / s
-        c = np.vdot(ax, bx) / s - mean_a * mean_b
-        var_a = max(np.vdot(ax, ax).real / s - mean_a**2, 0.0)
-        var_b = max(np.vdot(bx, bx).real / s - mean_b**2, 0.0)
-        return s, ax, bx, mean_a, mean_b, c, var_a, var_b
+        mean_a, mean_b = xa.real / s, xb.real / s
+        c = ab / s - mean_a * mean_b
+        var_a = max(aa.real / s - mean_a**2, 0.0)
+        var_b = max(bb.real / s - mean_b**2, 0.0)
+        d_a, d_b = math.sqrt(var_a), math.sqrt(var_b)
+        hinges = max(self.floor - d_a, 0.0) ** 2 + max(self.floor - d_b, 0.0) ** 2
+        f = abs(c) ** 2 + self.weight * hinges
+        return _Point((f, abs(c), d_a, d_b), v, s, mean_a, mean_b, c, var_a, var_b)
+
+    def _rows(self, p: _Point) -> tuple[np.ndarray, np.ndarray]:
+        """Residual r and the complex rows w_j of its Jacobian, k <= 4.
+
+        r = [Re C, Im C, sqrt(w) h_A, sqrt(w) h_B], with a hinge row only
+        while its hinge is active.  By Wirtinger calculus, row j of the real
+        Jacobian in the coordinates (re x, im x) is (Re w_j, Im w_j) for
+        w_j = 2 dr_j/dxbar.  With u_F = (F - <F>) x,
+
+            s w_ReC = (A - <A>) u_B + (B - <B>) u_A - 2 Re C x,
+            s w_ImC = i ((B - <B>) u_A - (A - <A>) u_B) - 2 Im C x,
+            s w_hF  = -sqrt(w)/dF ((F - <F>) u_F - Var_F x),
+
+        so every row is a fixed combination of the nine vectors that one
+        product of [x; u_A; u_B] with [I; A; B]^T gives.
+        """
+        ma, mb, c = p.mean_a, p.mean_b, p.c
+        _, _, d_a, d_b = p.parts
+        x = p.v[0]
+        # rows x, Ax, Bx, u_A, A u_A, B u_A, u_B, A u_B, B u_B
+        z = ((p.v - np.array([[0.0], [ma], [mb]]) * x) @ self.ops_t).reshape(9, -1)
+        r = [c.real, c.imag]
+        coef = [[-2.0 * c.real, 0, 0, -mb, 0, 1, -ma, 1, 0],
+                [-2.0 * c.imag, 0, 0, -1j * mb, 0, 1j, 1j * ma, -1j, 0]]
+        root_w = math.sqrt(self.weight)
+        for d_f, row in ((d_a, (-p.var_a, 0, 0, -ma, 1, 0, 0, 0, 0)),
+                         (d_b, (-p.var_b, 0, 0, 0, 0, 0, -mb, 0, 1))):
+            if self.floor - d_f > 0.0:
+                r.append(root_w * (self.floor - d_f))
+                # dF is not differentiable at zero; its row is zero there
+                k = -root_w / d_f if d_f > 1e-30 else 0.0
+                coef.append([k * e for e in row])
+        return np.array(r), (np.array(coef) @ z) / p.s
 
     def parts(self, x: np.ndarray) -> _Parts:
         """(objective, |C|, dA, dB) in one pass."""
-        _, _, _, _, _, c, var_a, var_b = self._moments(x)
-        d_a, d_b = float(np.sqrt(var_a)), float(np.sqrt(var_b))
-        h_a = max(self.floor - d_a, 0.0)
-        h_b = max(self.floor - d_b, 0.0)
-        f = float(abs(c) ** 2 + self.weight * (h_a**2 + h_b**2))
-        return f, float(abs(c)), d_a, d_b
+        return self._point(x).parts
 
     def residual(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Residual r with f = ||r||^2 and its k x 2d real Jacobian, k <= 4.
-
-        r = [Re C, Im C, sqrt(w) h_A, sqrt(w) h_B], with a hinge row only
-        while its hinge is active.  By Wirtinger calculus, row j of the
-        Jacobian in the coordinates (re x, im x) is (2 Re v_j, 2 Im v_j) for
-        v_j = dr_j/dxbar.
-        """
-        s, ax, bx, mean_a, mean_b, c, var_a, var_b = self._moments(x)
-        u_a, u_b = ax - mean_a * x, bx - mean_b * x
-        d_c = (self.a @ u_b - mean_a * u_b - c * x) / s
-        d_cbar = (self.b @ u_a - mean_b * u_a - np.conj(c) * x) / s
-        root_w = np.sqrt(self.weight)
-        r = [c.real, c.imag]
-        # the rows are 2 v_j: 2 d(Re C)/dxbar = d_c + d_cbar,
-        # 2 d(Im C)/dxbar = (d_c - d_cbar)/i and
-        # 2 d(sqrt(w) h_F)/dxbar = -sqrt(w)/(dF s) ((F - <F>) u_F - Var_F x)
-        v2 = [d_c + d_cbar, (d_cbar - d_c) * 1j]
-        for mat, mean, u, var in ((self.a, mean_a, u_a, var_a), (self.b, mean_b, u_b, var_b)):
-            d = np.sqrt(var)
-            h = self.floor - d
-            if h > 0.0:
-                r.append(root_w * h)
-                # dF is not differentiable at zero; its row is zero there
-                v2.append(-(root_w / (d * s)) * (mat @ u - mean * u - var * x)
-                          if d > 1e-30 else np.zeros_like(x))
-        rows = np.array(v2)
-        return np.array(r), np.concatenate((rows.real, rows.imag), axis=1)
+        """Residual r with f = ||r||^2 and its k x 2d real Jacobian, k <= 4."""
+        r, w = self._rows(self._point(x))
+        return r, np.concatenate((w.real, w.imag), axis=1)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         """Gradient 2 J^T r of the objective in the 2d real coordinates (re x, im x)."""
@@ -213,12 +218,17 @@ def _converged(parts: _Parts, cfg: FinderConfig, tol: Tolerances) -> bool:
     )
 
 
+def _vector(a: Observable, x: Any) -> np.ndarray:
+    vec = _as_complex_array(x, 1)
+    _check_same_dim(a.dim, vec.shape[0])
+    return vec
+
+
 def objective(
     a: Observable, b: Observable, x: Any, cfg: FinderConfig | None = None
 ) -> float:
     """Penalized squared-correlation objective at the normalization of x."""
-    vec = np.asarray(x, dtype=np.complex128)
-    return _Objective(a, b, cfg or FinderConfig()).parts(vec)[0]
+    return _Objective(a, b, cfg or FinderConfig()).parts(_vector(a, x))[0]
 
 
 def gradient(
@@ -230,55 +240,50 @@ def gradient(
     with respect to the real parts of x, the last d with respect to the
     imaginary parts.
     """
-    vec = np.asarray(x, dtype=np.complex128)
-    return _Objective(a, b, cfg or FinderConfig()).grad(vec)
+    return _Objective(a, b, cfg or FinderConfig()).grad(_vector(a, x))
 
 
-def _to_complex(xr: np.ndarray, d: int) -> np.ndarray:
-    return xr[:d] + 1j * xr[d:]
-
-
-def _gauss_newton_step(
-    obj: _Objective, x: np.ndarray, f: float
-) -> tuple[np.ndarray, _Parts] | None:
+def _gauss_newton_step(obj: _Objective, p: _Point) -> _Point | None:
     """Minimum-norm step dx = -J^T (J J^T)^-1 r, halved to sufficient decrease.
 
-    J J^T is at most 4 x 4; lstsq takes over only when it is singular.  A
-    trial step t dx is taken once f(x + t dx) < f + c t f'(x; dx), where the
-    directional derivative f'(x; dx) = 2 r.(J dx) is -2f whenever J dx = -r.
-    Returns the normalized new point with its parts, or None when no step
-    down to t = 2^-(_GN_HALVINGS - 1) passes the test.
+    In complex form J J^T = Re(conj(W) W^T) for the rows W of ``_rows``, at
+    most 4 x 4, and J^T y = y W; lstsq on the real J takes over only when
+    J J^T is singular.  A trial step t dx is taken once
+    f(x + t dx) < f + c t f'(x; dx), where the directional derivative
+    f'(x; dx) = 2 r.(J dx), with J dx = Re(conj(W) dx), is -2f whenever
+    J dx = -r.  Returns the point at the normalized new x, or None when no
+    step down to t = 2^-(_GN_HALVINGS - 1) passes the test.
     """
-    r, jac = obj.residual(x)
+    r, w = obj._rows(p)
+    wc = w.conj()
     try:
-        dxr = -jac.T @ np.linalg.solve(jac @ jac.T, r)
+        dx = -(np.linalg.solve((wc @ w.T).real, r) @ w)
     except np.linalg.LinAlgError:
-        dxr = -np.linalg.lstsq(jac, r, rcond=None)[0]
-    slope = 2.0 * float(r @ (jac @ dxr))
+        dxr = np.linalg.lstsq(np.concatenate((w.real, w.imag), axis=1), r, rcond=None)[0]
+        dx = -(dxr[: w.shape[1]] + 1j * dxr[w.shape[1]:])
+    slope = 2.0 * float(r @ (wc @ dx).real)
     if not slope < 0.0:
         return None
-    dx = _to_complex(dxr, x.shape[0])
-    t = 1.0
+    f, x = p.parts[0], p.v[0]
     for _ in range(_GN_HALVINGS):
-        accepted = _normalized(obj, x + t * dx)
-        if accepted[1][0] < f + _ARMIJO_C * t * slope:
-            return accepted
-        t *= 0.5
+        trial = _normalized(obj, x + dx)
+        if trial.parts[0] < f + _ARMIJO_C * slope:
+            return trial
+        # halve t: f'(x; t dx) = t f'(x; dx)
+        dx, slope = 0.5 * dx, 0.5 * slope
     return None
 
 
-def _fixed_step(
-    obj: _Objective, x: np.ndarray, f: float, size: float
-) -> tuple[np.ndarray, _Parts] | None:
-    """One step of constant length along -grad f; None when f does not decrease."""
-    accepted = _normalized(obj, x - size * _to_complex(obj.grad(x), x.shape[0]))
-    return accepted if accepted[1][0] < f else None
+def _fixed_step(obj: _Objective, p: _Point, size: float) -> _Point | None:
+    """One step of constant length along -grad f = -2 r W; None when f does not decrease."""
+    r, w = obj._rows(p)
+    trial = _normalized(obj, p.v[0] - (2.0 * size) * (r @ w))
+    return trial if trial.parts[0] < p.parts[0] else None
 
 
-def _normalized(obj: _Objective, x: np.ndarray) -> tuple[np.ndarray, _Parts]:
-    """x / ||x|| with its parts."""
-    x = x / np.linalg.norm(x)
-    return x, obj.parts(x)
+def _normalized(obj: _Objective, x: np.ndarray) -> _Point:
+    """The point at x / ||x||."""
+    return obj._point(x / math.sqrt(np.vdot(x, x).real))
 
 
 def _descend(
@@ -286,27 +291,23 @@ def _descend(
 ) -> tuple[np.ndarray, float, int, bool]:
     """Minimize from one start; returns (x, objective, iterations, converged).
 
-    Every accepted point is renormalized, purely for conditioning.
+    Every accepted point is renormalized, purely for conditioning, and its
+    record is carried into the next step, so no point is evaluated twice.
     """
-    x = x0.copy()
+    step = partial(_gauss_newton_step, obj)
     if cfg.step_rule == "fixed":
         # Conservative constant step scaled to the curvature of |C|^2 and
         # of the penalty term.
         scale = (np.linalg.norm(obj.a) * np.linalg.norm(obj.b)) ** 2
-        size = min(0.5 / max(scale, 1e-30), 0.1 / obj.weight)
-    parts = obj.parts(x)
-    for it in range(cfg.max_iters):
-        f = parts[0]
-        if _converged(parts, cfg, tol):
-            return x, f, it, True
-        if cfg.step_rule == "fixed":
-            accepted = _fixed_step(obj, x, f, size)
-        else:
-            accepted = _gauss_newton_step(obj, x, f)
+        step = partial(_fixed_step, obj, size=min(0.5 / max(scale, 1e-30), 0.1 / obj.weight))
+    p = obj._point(x0)
+    it, ok = 0, _converged(p.parts, cfg, tol)
+    while not ok and it < cfg.max_iters:
+        accepted = step(p)
         if accepted is None:
-            return x, f, it, False
-        x, parts = accepted
-    return x, parts[0], cfg.max_iters, _converged(parts, cfg, tol)
+            break
+        p, it, ok = accepted, it + 1, _converged(accepted.parts, cfg, tol)
+    return p.v[0], p.parts[0], it, ok
 
 
 def find(
@@ -351,15 +352,8 @@ def find(
             break
     assert best is not None
     _, restart, state, (f_final, _, d_a, d_b), iters, converged = best
-    return FinderResult(
-        state=state,
-        objective=f_final,
-        delta_a=d_a,
-        delta_b=d_b,
-        iterations=iters,
-        restart_index=restart,
-        converged=converged,
-    )
+    return FinderResult(state=state, objective=f_final, delta_a=d_a, delta_b=d_b,
+                        iterations=iters, restart_index=restart, converged=converged)
 
 
 def verify_candidate(

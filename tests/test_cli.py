@@ -176,6 +176,13 @@ class TestFind:
         assert main(["find", files["l3"], files["l3"]]) == 2
         assert "commutes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--spread-floor", "nan"), ("--converge-tol", "nan"), ("--penalty-weight", "inf"),
+    ])
+    def test_non_finite_setting_exits_2(self, files, capsys, flag, value):
+        assert main(["find", files["l3"], files["l4"], flag, value]) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
     def test_unconverged_exits_3(self, files, capsys):
         code = main(["find", files["l3"], files["l4"],
                      "--restarts", "1", "--max-iters", "2", "--seed", "0"])
@@ -297,7 +304,7 @@ class TestScan:
         assert (manifest["start"], manifest["samples"]) == (9, 5)
         assert manifest["rng"]["generator"].startswith("Philox-4x64")
         assert manifest["rng"]["counter_stride"] == 2  # ceil(2 * 3 / 4)
-        assert manifest["tool_version"] == ul.__version__ == "0.3.0"
+        assert manifest["tool_version"] == ul.__version__ == "0.4.0"
 
     def test_env_var_provides_seed(self, files, tmp_path, monkeypatch):
         monkeypatch.setenv("UNCERTAINTY_LAB_SEED", "77")

@@ -155,6 +155,31 @@ class TestStateVector:
         with pytest.raises(ul.ValidationError, match="zero vector"):
             ul.StateVector.normalized([0.0, 0.0])
 
+    @pytest.mark.parametrize("raw, expected", [
+        ([1e200, 1e200j], [1 / np.sqrt(2), 1j / np.sqrt(2)]),  # the sum of squares overflows
+        ([1e-320, 0.0], [1.0, 0.0]),  # the sum of squares underflows to zero
+        ([1.7e308 + 1.7e308j, 0.0], [(1 + 1j) / np.sqrt(2), 0.0]),  # the modulus overflows
+    ])
+    def test_normalized_at_extreme_scales(self, raw, expected):
+        phi = ul.StateVector.normalized(raw)
+        assert np.max(np.abs(phi.amps - expected)) <= 1e-15
+        assert abs(np.linalg.norm(phi.amps) - 1.0) <= 1e-15
+
+    def test_normalized_keeps_every_check(self):
+        for raw in ([0.0, -0.0], [np.nan, 1.0], [np.inf, 1.0],
+                    [1.0, complex(0, np.inf)], [[1.0, 0.0]], 1.0, []):
+            with pytest.raises(ul.ValidationError):
+                ul.StateVector.normalized(raw)
+        with pytest.raises(ul.ValidationError, match="not normalized"):
+            ul.StateVector.normalized([1.0, 1.0], ul.Tolerances(tol_norm=1e-300))
+
+    def test_normalized_ordinary_input_divides_by_the_norm(self, rng):
+        # the rescaling never touches ordinary inputs, so their digits do not move
+        for scale in (1e-70, 1e-3, 1.0, 1e3, 1e70):
+            raw = scale * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
+            expected = raw / np.linalg.norm(raw)
+            assert ul.StateVector.normalized(raw).amps.tobytes() == expected.tobytes()
+
     def test_nan_rejected(self):
         with pytest.raises(ul.ValidationError):
             ul.StateVector([np.nan, 0.0])

@@ -45,6 +45,14 @@ class TestObjective:
         with pytest.raises(ul.ValidationError):
             ul.objective(l3, l4, np.zeros(3, dtype=complex))
 
+    @pytest.mark.parametrize("fn", [ul.objective, ul.gradient])
+    def test_malformed_point_rejected(self, l3, l4, fn):
+        with pytest.raises(ul.DimensionMismatch):
+            fn(l3, l4, np.ones(4, dtype=complex))
+        for x in ([1.0, np.nan, 0.0], [[1.0], [0.0], [0.0]], 1.0):
+            with pytest.raises(ul.ValidationError):
+                fn(l3, l4, x)
+
 
 class TestGradient:
     def test_matches_finite_differences(self, rng):
@@ -175,9 +183,73 @@ class TestResidual:
                     assert np.linalg.norm(jac[:2] @ real_coords(t)) <= 1e-14
 
 
+def textbook_parts_and_rows(a, b, x, cfg):
+    """(objective, |C|, dA, dB), r and the real Jacobian of r from separate matvecs."""
+    s = np.vdot(x, x).real
+    ax, bx = a @ x, b @ x
+    mean_a, mean_b = np.vdot(x, ax).real / s, np.vdot(x, bx).real / s
+    c = np.vdot(ax, bx) / s - mean_a * mean_b
+    u_a, u_b = ax - mean_a * x, bx - mean_b * x
+    var_a, var_b = np.vdot(u_a, u_a).real / s, np.vdot(u_b, u_b).real / s
+    d_a, d_b = np.sqrt(var_a), np.sqrt(var_b)
+    # 2 dC/dxbar and 2 dCbar/dxbar
+    d_c = (a @ u_b - mean_a * u_b - c * x) / s
+    d_cbar = (b @ u_a - mean_b * u_a - np.conj(c) * x) / s
+    r, rows = [c.real, c.imag], [d_c + d_cbar, (d_cbar - d_c) * 1j]
+    root_w = np.sqrt(cfg.penalty_weight)
+    for f, u, mean, var, d in ((a, u_a, mean_a, var_a, d_a), (b, u_b, mean_b, var_b, d_b)):
+        if d < cfg.spread_floor:
+            r.append(root_w * (cfg.spread_floor - d))
+            rows.append(-root_w / (d * s) * (f @ u - mean * u - var * x))
+    hinges = sum(max(cfg.spread_floor - d, 0.0) ** 2 for d in (d_a, d_b))
+    parts = (abs(c) ** 2 + cfg.penalty_weight * hinges, abs(c), d_a, d_b)
+    rows = np.array(rows)
+    return parts, np.array(r), np.concatenate((rows.real, rows.imag), axis=1)
+
+
+class TestKernelReference:
+    @pytest.mark.parametrize("dim", [3, 4, 8, 64])
+    def test_parts_and_residual_match_textbook_formulas(self, dim):
+        rng = np.random.default_rng(1000 + dim)
+        hinge_counts = set()
+        for floor in (0.1, 5.0):
+            cfg = ul.FinderConfig(spread_floor=floor)
+            for scale_a, scale_b in ((1.0, 1.0), (1.0, 1e-3), (1e-3, 1e-3)):
+                a = rand_hermitian(rng, dim) * scale_a
+                b = rand_hermitian(rng, dim) * scale_b
+                x = 3.7 * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+                obj = finder._Objective(a, b, cfg)
+                parts = obj.parts(x)
+                r, jac = obj.residual(x)
+                ref_parts, ref_r, ref_jac = textbook_parts_and_rows(a.matrix, b.matrix, x, cfg)
+                tol = 1e-12 * max(1.0, np.linalg.norm(a.matrix) * np.linalg.norm(b.matrix))
+                assert r.shape == ref_r.shape and jac.shape == ref_jac.shape
+                hinge_counts.add(len(r) - 2)
+                assert np.max(np.abs(np.array(parts) - ref_parts)) <= tol * max(1.0, ref_parts[0])
+                assert np.max(np.abs(r - ref_r)) <= tol
+                assert np.max(np.abs(jac - ref_jac)) <= tol
+        assert hinge_counts == {0, 1, 2}
+
+
 class TestFinderConfig:
     def test_default_step_rule_is_gauss_newton(self):
         assert ul.FinderConfig().step_rule == "gauss-newton"
+
+    @pytest.mark.parametrize("field, value", [
+        ("spread_floor", float("nan")), ("spread_floor", float("inf")),
+        ("penalty_weight", float("inf")), ("penalty_weight", float("nan")),
+        ("converge_tol", float("nan")), ("converge_tol", float("inf")),
+        ("restarts", 2.5), ("restarts", True), ("max_iters", 3.0), ("max_iters", False),
+        ("seed", -1), ("seed", 1.0), ("seed", True), ("seed", "1"),
+    ])
+    def test_unusable_setting_rejected_by_name(self, field, value):
+        with pytest.raises(ul.ValidationError, match=field):
+            ul.FinderConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = ul.FinderConfig(restarts=np.int64(2), seed=np.uint32(5))
+        assert (cfg.restarts, cfg.seed) == (2, 5)
+        assert json.loads(json.dumps(cfg.to_json_dict()))["seed"] == 5
 
     def test_validation(self):
         with pytest.raises(ul.ValidationError):

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    DEFAULT_TOLERANCES,
     CommutingPair,
     Tolerances,
     ValidationError,
@@ -38,7 +39,7 @@ from .core import (
     state_from_json_dict,
 )
 from .correlations import correlation, correlation_record
-from .finder import _STEP_RULES, FinderConfig, find
+from .finder import FinderConfig, find
 from .gellmann import gell_mann, su3_lambda, two_level_state, uniform_superposition
 from .relations import REPORT_CSV_HEADER, evaluate, report_csv_row
 from .state_sets import ScanConfig, _rng_scheme, _ScanBlock, _scan_blocks, classify
@@ -297,9 +298,9 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-zero", type=float, default=1e-10,
+    parser.add_argument("--tol-zero", type=float, default=DEFAULT_TOLERANCES.tol_zero,
                         help="threshold under which a scalar counts as zero")
-    parser.add_argument("--eps-spread", type=float, default=1e-6,
+    parser.add_argument("--eps-spread", type=float, default=DEFAULT_TOLERANCES.eps_spread,
                         help="threshold under which a spread counts as zero")
     parser.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
@@ -324,12 +325,10 @@ def make_parser() -> argparse.ArgumentParser:
     p_find = sub.add_parser("find", help="search for a zero-correlation state")
     p_find.add_argument("observable_a")
     p_find.add_argument("observable_b")
-    p_find.add_argument("--restarts", type=int, default=32)
-    p_find.add_argument("--max-iters", type=int, default=2000)
-    p_find.add_argument("--step-rule", choices=_STEP_RULES, default=FinderConfig().step_rule)
-    p_find.add_argument("--spread-floor", type=float, default=0.1)
-    p_find.add_argument("--penalty-weight", type=float, default=10.0)
-    p_find.add_argument("--converge-tol", type=float, default=1e-10)
+    for f in fields(FinderConfig):
+        if f.name != "seed":  # --seed comes with the common flags
+            p_find.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                                default=f.default)
     _add_common(p_find)
 
     p_scan = sub.add_parser("scan", help="classify Haar-random states into a CSV")

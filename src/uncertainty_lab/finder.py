@@ -22,12 +22,10 @@ information than stationarity.
 
 f = ||r||^2 for the residual r = [Re C, Im C, sqrt(w) h_A, sqrt(w) h_B] (a
 hinge row only while its hinge is active), which has 2 to 4 rows against 2d
-real unknowns.  The default step rule, "gauss-newton", takes the
-minimum-norm Gauss-Newton step dx = -J^T (J J^T)^-1 r of this
-underdetermined system, halved until f meets the sufficient-decrease test
-f(x + t dx) < f + c t f'(x; dx); it converges quadratically near a zero of
-r, typically in 3 to 5 steps.  The rule "fixed" takes a constant step along
-the gradient 2 J^T r instead.
+real unknowns.  Each step is the minimum-norm Gauss-Newton step
+dx = -J^T (J J^T)^-1 r of this underdetermined system, halved until f meets
+the sufficient-decrease test f(x + t dx) < f + c t f'(x; dx); it converges
+quadratically near a zero of r, typically in 3 to 5 steps.
 
 Each point costs one product with the stacked operator [I; A; B] (3d x d),
 which gives V = [x; Ax; Bx]; its 3 x 3 Gram matrix gives s = <x|x>, both
@@ -44,7 +42,6 @@ import math
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
 from typing import Any
 
 import numpy as np
@@ -65,7 +62,6 @@ from .moments import _require_noncommuting, _StateMoments
 
 __all__ = ["FinderConfig", "FinderResult", "find", "gradient", "objective", "verify_candidate"]
 
-_STEP_RULES = ("gauss-newton", "fixed")
 # sufficient-decrease constant c of the Gauss-Newton halving
 _ARMIJO_C = 1e-4
 # A Gauss-Newton step that needs t < 2^-9 has left the region where r is
@@ -83,7 +79,6 @@ _Parts = tuple[float, float, float, float]
 class FinderConfig:
     restarts: int = 32
     max_iters: int = 2000
-    step_rule: str = "gauss-newton"
     spread_floor: float = 0.1
     penalty_weight: float = 10.0
     converge_tol: float = 1e-10
@@ -95,8 +90,6 @@ class FinderConfig:
             if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
                 raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
             object.__setattr__(self, name, int(value))  # numpy integers serialize as int
-        if self.step_rule not in _STEP_RULES:
-            raise ValidationError(f"step_rule must be one of {_STEP_RULES}")
         for name, low in (("spread_floor", DEFAULT_TOLERANCES.eps_spread),
                           ("penalty_weight", 0.0), ("converge_tol", 0.0)):
             value = getattr(self, name)
@@ -136,8 +129,6 @@ class _Objective:
 
     def __init__(self, a: Observable, b: Observable, cfg: FinderConfig):
         _check_same_dim(a.dim, b.dim)
-        self.a = a.matrix
-        self.b = b.matrix
         # [I; A; B]^T, stored contiguous: every product is rows times it
         self.ops_t = np.concatenate((np.eye(a.dim, dtype=complex), a.matrix.T, b.matrix.T), 1)
         self.floor = cfg.spread_floor
@@ -274,13 +265,6 @@ def _gauss_newton_step(obj: _Objective, p: _Point) -> _Point | None:
     return None
 
 
-def _fixed_step(obj: _Objective, p: _Point, size: float) -> _Point | None:
-    """One step of constant length along -grad f = -2 r W; None when f does not decrease."""
-    r, w = obj._rows(p)
-    trial = _normalized(obj, p.v[0] - (2.0 * size) * (r @ w))
-    return trial if trial.parts[0] < p.parts[0] else None
-
-
 def _normalized(obj: _Objective, x: np.ndarray) -> _Point:
     """The point at x / ||x||."""
     return obj._point(x / math.sqrt(np.vdot(x, x).real))
@@ -294,16 +278,10 @@ def _descend(
     Every accepted point is renormalized, purely for conditioning, and its
     record is carried into the next step, so no point is evaluated twice.
     """
-    step = partial(_gauss_newton_step, obj)
-    if cfg.step_rule == "fixed":
-        # Conservative constant step scaled to the curvature of |C|^2 and
-        # of the penalty term.
-        scale = (np.linalg.norm(obj.a) * np.linalg.norm(obj.b)) ** 2
-        step = partial(_fixed_step, obj, size=min(0.5 / max(scale, 1e-30), 0.1 / obj.weight))
     p = obj._point(x0)
     it, ok = 0, _converged(p.parts, cfg, tol)
     while not ok and it < cfg.max_iters:
-        accepted = step(p)
+        accepted = _gauss_newton_step(obj, p)
         if accepted is None:
             break
         p, it, ok = accepted, it + 1, _converged(accepted.parts, cfg, tol)
@@ -361,7 +339,7 @@ def verify_candidate(
     b: Observable,
     state: StateVector,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    spread_floor: float = 0.1,
+    spread_floor: float = FinderConfig.spread_floor,
 ) -> bool:
     """Independent acceptance check for a candidate zero-correlation state.
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,6 @@ import numpy as np
 import pytest
 
 import uncertainty_lab as ul
-from uncertainty_lab import finder
 from uncertainty_lab.cli import main, make_parser
 from helpers import pauli_pair, rand_hermitian
 
@@ -190,13 +190,18 @@ class TestFind:
         doc = json.loads(capsys.readouterr().out)
         assert doc["result"]["converged"] is False
 
-    def test_step_rule_flag_follows_the_finder(self):
-        parser = make_parser()
-        assert parser.parse_args(["find", "a", "b"]).step_rule == ul.FinderConfig().step_rule
-        for rule in finder._STEP_RULES:
-            assert parser.parse_args(["find", "a", "b", "--step-rule", rule]).step_rule == rule
-        with pytest.raises(SystemExit):
-            parser.parse_args(["find", "a", "b", "--step-rule", "newton"])
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(ul.FinderConfig) if f.name != "seed"]
+    )
+    def test_flag_defaults_follow_the_finder(self, name):
+        args = make_parser().parse_args(["find", "a", "b"])
+        default = getattr(ul.FinderConfig(), name)
+        assert (type(getattr(args, name)), getattr(args, name)) == (type(default), default)
+
+    def test_removed_flag_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            make_parser().parse_args(["find", "a", "b", "--step-rule", "gauss-newton"])
+        assert exc.value.code == 2
 
     def test_reproducible_state_digits(self, files, capsys):
         main(["find", files["l3"], files["l4"], "--seed", "11"])
@@ -304,7 +309,7 @@ class TestScan:
         assert (manifest["start"], manifest["samples"]) == (9, 5)
         assert manifest["rng"]["generator"].startswith("Philox-4x64")
         assert manifest["rng"]["counter_stride"] == 2  # ceil(2 * 3 / 4)
-        assert manifest["tool_version"] == ul.__version__ == "0.4.0"
+        assert manifest["tool_version"] == ul.__version__ == "0.5.0"
 
     def test_env_var_provides_seed(self, files, tmp_path, monkeypatch):
         monkeypatch.setenv("UNCERTAINTY_LAB_SEED", "77")

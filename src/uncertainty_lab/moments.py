@@ -7,9 +7,12 @@ either one is caught immediately.
 
 Every per-state function of a pair reads from one ``_StateMoments`` record
 per call, which computes each value at most once and asserts each identity
-between two routes when the value is first read.  The record forms no matrix
-product: <[A,B]> and <{A,B}> come from A(B|phi>) and B(A|phi>).  The pair's
-one product, [A,B], is formed by the commuting guard ``_require_noncommuting``.
+between two routes when the value is first read.  Its lazy fields (``_lazy``)
+take no lock, since a record belongs to one call, and its norms are
+``sqrt(<v|v>)``.  The record forms no matrix product: <[A,B]> and <{A,B}> come
+from A(B|phi>) and B(A|phi>), each formed when first needed, so C alone costs
+one of them.  The pair's one product, [A,B], is formed by the commuting guard
+``_require_noncommuting``.
 
 Every internal check goes through ``_check``: a residual passes up to
 ``tol * max(1, scale)``, ``scale`` being the size of the compared terms
@@ -17,7 +20,8 @@ Every internal check goes through ``_check``: a residual passes up to
 for the variance, ``||A phi|| ||B phi||`` (which bounds ``|<AB>|``, ``|C|``,
 ``dA dB`` and every bound) for correlation forms and bounds, that over
 ``dA dB`` for the Pearson checks (as ``r = |C| / (dA dB)`` divides the
-roundoff of ``C``), the spreads for the triangle relations, 1 for the
+roundoff of ``C``; the overlap is judged as ``|<dev_A|dev_B>| / (dA dB)``
+here and in the scan), the spreads for the triangle relations, 1 for the
 decomposition.  No check thus depends on the units of the observables.
 ``_check_rows`` applies the rule to a block of rows (the scans of
 ``state_sets``), through ``_check`` on the row nearest to failing.
@@ -29,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +45,7 @@ from .core import (
     ValidationError,
     _check_same_dim,
     _freeze,
+    _norm,
     commutator,
 )
 
@@ -99,6 +103,22 @@ def _check_rows(
     _check(identity, float(residuals[worst]), float(scales[worst]), tol, error)
 
 
+class _lazy:
+    """``functools.cached_property`` without its lock (Python 3.11 takes an
+    ``RLock`` on every first read): the records are per call and never
+    shared.  A non-data descriptor, so the value stored in the instance
+    ``__dict__`` on the first read shadows it on every later one."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class _Spread:
     """One observable in phi: F|phi>, <F> and the deviation vector with its norm."""
 
@@ -109,9 +129,9 @@ class _Spread:
         self.f_phi = matrix @ amps
         self.mean = complex(np.vdot(amps, self.f_phi)).real
         self.vec = self.f_phi - self.mean * amps
-        self.norm = float(np.linalg.norm(self.vec))
+        self.norm = _norm(self.vec)
 
-    @cached_property
+    @_lazy
     def spread(self) -> float:
         """The norm, after comparing its square with <F^2> - <F>^2 (variances,
         because the square root is ill-conditioned near eigenstates)."""
@@ -126,7 +146,7 @@ def expectation(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLER
     _check_same_dim(f.dim, phi.dim)
     f_phi = f.matrix @ phi.amps
     val = complex(np.vdot(phi.amps, f_phi))
-    size = float(np.linalg.norm(f_phi))  # bounds |<F>|, so its roundoff scales with it
+    size = _norm(f_phi)  # bounds |<F>|, so its roundoff scales with it
     _check("expectation is real", abs(val.imag), size, tol.tol_zero, ValidationError)
     return val.real
 
@@ -165,8 +185,8 @@ def is_eigenstate(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOL
 
 def _require_noncommuting(a: Observable, b: Observable, tol: Tolerances) -> None:
     """Raise CommutingPair when ||[A,B]||_F <= tol_zero ||A||_F ||B||_F (scale-free)."""
-    # Frobenius norms as sqrt(<M|M>), at half the cost of np.linalg.norm for small d
-    sizes = [math.sqrt(np.vdot(m, m).real) for m in (commutator(a, b), a.matrix, b.matrix)]
+    # Both products: P - P^dag (P = AB) is [A,B] only for Hermitian A and B
+    sizes = [_norm(m) for m in (commutator(a, b), a.matrix, b.matrix)]
     norm, limit = sizes[0], tol.tol_zero * sizes[1] * sizes[2]
     if norm <= limit:
         raise CommutingPair(
@@ -196,47 +216,51 @@ class _StateMoments:
     def spreads_ok(self) -> bool:
         return min(self.a.spread, self.b.spread) > self.tol.eps_spread
 
-    @cached_property
+    @_lazy
     def overlap(self) -> complex:
         """<dev_A|dev_B>: the deviation form of C."""
         return complex(np.vdot(self.a.vec, self.b.vec))
 
-    @cached_property
-    def ab_ba(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A B|phi>, B A|phi>), from the B|phi> and A|phi> already held."""
-        return self.a.matrix @ self.b.f_phi, self.b.matrix @ self.a.f_phi
+    @_lazy
+    def ab(self) -> np.ndarray:
+        """A B|phi>, from the B|phi> already held."""
+        return self.a.matrix @ self.b.f_phi
 
-    @cached_property
+    @_lazy
+    def ba(self) -> np.ndarray:
+        """B A|phi>, from the A|phi> already held."""
+        return self.b.matrix @ self.a.f_phi
+
+    @_lazy
     def c(self) -> complex:
         """C = <AB> - <A><B> in moment form, checked against the deviation form."""
-        c = complex(np.vdot(self.amps, self.ab_ba[0])) - self.a.mean * self.b.mean
+        c = complex(np.vdot(self.amps, self.ab)) - self.a.mean * self.b.mean
         _check(_C_FORMS, abs(c - self.overlap), self.scale)
         return c
 
-    @cached_property
+    @_lazy
     def pearson(self) -> float | None:
-        """|C| / (dA dB), checked against the overlap of the deviation
-        directions; None when either spread is below eps_spread."""
+        """|C| / (dA dB), checked against |<dev_A|dev_B>| / (dA dB), the
+        overlap of the deviation directions; None when either spread is below
+        eps_spread."""
         if not self.spreads_ok:
             return None
-        delta_a, delta_b = self.a.spread, self.b.spread
-        product = delta_a * delta_b
+        product = self.a.spread * self.b.spread
         r, scale = abs(self.c) / product, self.scale / product  # C's roundoff, divided like C
-        overlap = abs(complex(np.vdot(self.a.vec / delta_a, self.b.vec / delta_b)))
-        _check(_OVERLAP, abs(r - overlap), scale)
+        _check(_OVERLAP, abs(r - abs(self.overlap) / product), scale)
         _check(_PEARSON_MAX, r - 1.0, scale, _TOL, ValidationError)
         return min(r, 1.0)
 
-    @cached_property
+    @_lazy
     def hr(self) -> float:
         """|<[A,B]>| / 2, with [A,B]|phi> = AB|phi> - BA|phi>."""
-        return 0.5 * abs(complex(np.vdot(self.amps, self.ab_ba[0] - self.ab_ba[1])))
+        return 0.5 * abs(complex(np.vdot(self.amps, self.ab - self.ba)))
 
-    @cached_property
+    @_lazy
     def schrodinger(self) -> float:
         """Bound from <{A,B}> = <AB> + <BA> and the commutator bound, checked against |C|."""
-        anti_mean = complex(np.vdot(self.amps, self.ab_ba[0] + self.ab_ba[1])).real
-        bound = float(np.hypot(0.5 * anti_mean - (self.a.mean * self.b.mean), self.hr))
+        anti_mean = complex(np.vdot(self.amps, self.ab + self.ba)).real
+        bound = math.hypot(0.5 * anti_mean - (self.a.mean * self.b.mean), self.hr)
         _check("Schrodinger bound = |C|", abs(bound - abs(self.c)), self.scale)
         return bound
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import uncertainty_lab as ul
+from uncertainty_lab import moments
 from helpers import oracle_std, rand_hermitian, rand_state
 
 
@@ -149,3 +150,48 @@ class TestIsEigenstate:
 
     def test_identity_always_eigenstate(self, rng):
         assert ul.is_eigenstate(ul.identity(4), rand_state(rng, 4))
+
+
+class TestLazyField:
+    class Record:
+        def __init__(self):
+            self.calls = 0
+
+        @moments._lazy
+        def value(self):
+            """The value, counted."""
+            self.calls += 1
+            return 42
+
+    def test_computes_once_and_stores_in_the_instance_dict(self):
+        rec = self.Record()
+        assert "value" not in rec.__dict__
+        assert rec.value == 42 and rec.value == 42
+        assert rec.calls == 1
+        assert rec.__dict__["value"] == 42
+
+    def test_read_on_the_class_returns_the_descriptor(self):
+        assert isinstance(self.Record.value, moments._lazy)
+        assert self.Record.__dict__["value"] is self.Record.value
+
+    def test_keeps_the_docstring(self):
+        assert self.Record.value.__doc__ == "The value, counted."
+        assert moments._StateMoments.c.__doc__.startswith("C = <AB> - <A><B>")
+
+    def test_correlation_forms_only_ab(self, rng):
+        a, b, phi = rand_hermitian(rng, 4), rand_hermitian(rng, 4), rand_state(rng, 4)
+        m = moments._StateMoments(a, b, phi)
+        m.c
+        assert "ab" in m.__dict__ and "ba" not in m.__dict__
+        m.hr
+        assert "ba" in m.__dict__
+
+
+class TestSpreadNorm:
+    def test_matches_linalg_norm(self):
+        rng = np.random.default_rng(1164)
+        for d in range(2, 65):
+            for _ in range(20):
+                f, phi = rand_hermitian(rng, d), rand_state(rng, d)
+                step = moments._Spread(f.matrix, phi.amps)
+                assert step.norm == pytest.approx(np.linalg.norm(step.vec), rel=1e-15, abs=0)

@@ -17,6 +17,7 @@ be shared freely across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Any
 
@@ -244,6 +245,13 @@ def _check_unit(amps: np.ndarray, tol: Tolerances) -> None:
     nrm = _norm(amps)
     if abs(nrm - 1.0) > tol.tol_norm:
         raise ValidationError(f"state is not normalized: ||amps|| = {nrm!r}")
+
+
+def _check_int(name: str, value: Any, low: int) -> int:
+    """``value`` as an int, or a ValidationError naming ``name`` unless it is an integer >= low."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def _check_same_dim(da: int, db: int) -> None:

@@ -9,23 +9,22 @@ single ray.
 
 The search minimizes
 
-    f(x) = |C_phi(A,B)|^2
-         + w * (hinge(floor - dA)^2 + hinge(floor - dB)^2),   phi = x / ||x||
+    f(x) = |C_phi(A,B)|^2 + hinge(floor - dA)^2 + hinge(floor - dB)^2,   phi = x / ||x||
 
 over raw complex coordinates x.  f is invariant under scaling and global
 phase of x, so the unconstrained landscape is benign; x is renormalized after
 every accepted step purely for conditioning.  The penalty (rather than a
 barrier) keeps f finite at random starts that violate the floor.  Convergence
-is declared on the objective value together with the zero-correlation test
-|C| <= tol_zero -- the target value is known to be zero, which is stronger
-information than stationarity.
+is declared on |C| <= tol_zero with both spreads at or above the floor, the
+rule ``verify_candidate`` applies -- the target value is known to be zero,
+which is stronger information than stationarity.
 
-f = ||r||^2 for the residual r = [Re C, Im C, sqrt(w) h_A, sqrt(w) h_B] (a
-hinge row only while its hinge is active), which has 2 to 4 rows against 2d
-real unknowns.  Each step is the minimum-norm Gauss-Newton step
-dx = -J^T (J J^T)^-1 r of this underdetermined system, halved until f meets
-the sufficient-decrease test f(x + t dx) < f + c t f'(x; dx); it converges
-quadratically near a zero of r, typically in 3 to 5 steps.
+f = ||r||^2 for the residual r = [Re C, Im C, h_A, h_B] (a hinge row only
+while its hinge is active), which has 2 to 4 rows against 2d real unknowns.
+Each step is the minimum-norm Gauss-Newton step dx = -J^T (J J^T)^-1 r of
+this underdetermined system, halved until f meets the sufficient-decrease
+test f(x + t dx) < f + c t f'(x; dx); it converges quadratically near a zero
+of r, typically in 3 to 5 steps.
 
 Each point costs one product with the stacked operator [I; A; B] (3d x d),
 which gives V = [x; Ax; Bx]; its 3 x 3 Gram matrix gives s = <x|x>, both
@@ -54,6 +53,7 @@ from .core import (
     Tolerances,
     ValidationError,
     _as_complex_array,
+    _check_int,
     _check_same_dim,
     haar_state,
     state_to_json_dict,
@@ -75,26 +75,26 @@ _GRAM_TOL = 1e-8
 _Parts = tuple[float, float, float, float]
 
 
+def _check_spread_floor(value: Any) -> float:
+    """``value`` as a float, or a ValidationError unless it is a finite real above eps_spread."""
+    low = DEFAULT_TOLERANCES.eps_spread
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and value > low):
+        raise ValidationError(f"spread_floor must be a finite number above {low}, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class FinderConfig:
     restarts: int = 32
     max_iters: int = 2000
     spread_floor: float = 0.1
-    penalty_weight: float = 10.0
-    converge_tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self) -> None:
         for name, low in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
-                raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
-            object.__setattr__(self, name, int(value))  # numpy integers serialize as int
-        for name, low in (("spread_floor", DEFAULT_TOLERANCES.eps_spread),
-                          ("penalty_weight", 0.0), ("converge_tol", 0.0)):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > low):
-                raise ValidationError(f"{name} must be finite and exceed {low}, got {value!r}")
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), low))
+        object.__setattr__(self, "spread_floor", _check_spread_floor(self.spread_floor))
 
     def to_json_dict(self) -> dict[str, Any]:
         return dict(vars(self))
@@ -132,7 +132,6 @@ class _Objective:
         # [I; A; B]^T, stored contiguous: every product is rows times it
         self.ops_t = np.concatenate((np.eye(a.dim, dtype=complex), a.matrix.T, b.matrix.T), 1)
         self.floor = cfg.spread_floor
-        self.weight = cfg.penalty_weight
 
     def _point(self, x: np.ndarray) -> _Point:
         """The point record at x, from one product V = [x; Ax; Bx] and its Gram <V_i|V_j>."""
@@ -146,21 +145,19 @@ class _Objective:
         var_a = max(aa.real / s - mean_a**2, 0.0)
         var_b = max(bb.real / s - mean_b**2, 0.0)
         d_a, d_b = math.sqrt(var_a), math.sqrt(var_b)
-        hinges = max(self.floor - d_a, 0.0) ** 2 + max(self.floor - d_b, 0.0) ** 2
-        f = abs(c) ** 2 + self.weight * hinges
+        f = abs(c) ** 2 + max(self.floor - d_a, 0.0) ** 2 + max(self.floor - d_b, 0.0) ** 2
         return _Point((f, abs(c), d_a, d_b), v, s, mean_a, mean_b, c, var_a, var_b)
 
     def _rows(self, p: _Point) -> tuple[np.ndarray, np.ndarray]:
         """Residual r and the complex rows w_j of its Jacobian, k <= 4.
 
-        r = [Re C, Im C, sqrt(w) h_A, sqrt(w) h_B], with a hinge row only
-        while its hinge is active.  By Wirtinger calculus, row j of the real
-        Jacobian in the coordinates (re x, im x) is (Re w_j, Im w_j) for
-        w_j = 2 dr_j/dxbar.  With u_F = (F - <F>) x,
+        r = [Re C, Im C, h_A, h_B], a hinge row only while its hinge is active.
+        By Wirtinger calculus, row j of the real Jacobian in (re x, im x) is
+        (Re w_j, Im w_j) for w_j = 2 dr_j/dxbar.  With u_F = (F - <F>) x,
 
             s w_ReC = (A - <A>) u_B + (B - <B>) u_A - 2 Re C x,
             s w_ImC = i ((B - <B>) u_A - (A - <A>) u_B) - 2 Im C x,
-            s w_hF  = -sqrt(w)/dF ((F - <F>) u_F - Var_F x),
+            s w_hF  = -1/dF ((F - <F>) u_F - Var_F x),
 
         so every row is a fixed combination of the nine vectors that one
         product of [x; u_A; u_B] with [I; A; B]^T gives.
@@ -173,13 +170,12 @@ class _Objective:
         r = [c.real, c.imag]
         coef = [[-2.0 * c.real, 0, 0, -mb, 0, 1, -ma, 1, 0],
                 [-2.0 * c.imag, 0, 0, -1j * mb, 0, 1j, 1j * ma, -1j, 0]]
-        root_w = math.sqrt(self.weight)
         for d_f, row in ((d_a, (-p.var_a, 0, 0, -ma, 1, 0, 0, 0, 0)),
                          (d_b, (-p.var_b, 0, 0, 0, 0, 0, -mb, 0, 1))):
             if self.floor - d_f > 0.0:
-                r.append(root_w * (self.floor - d_f))
+                r.append(self.floor - d_f)
                 # dF is not differentiable at zero; its row is zero there
-                k = -root_w / d_f if d_f > 1e-30 else 0.0
+                k = -1.0 / d_f if d_f > 1e-30 else 0.0
                 coef.append([k * e for e in row])
         return np.array(r), (np.array(coef) @ z) / p.s
 
@@ -199,14 +195,9 @@ class _Objective:
 
 
 def _converged(parts: _Parts, cfg: FinderConfig, tol: Tolerances) -> bool:
-    """Objective at the tolerance, |C| at tol_zero and both spreads at the floor."""
-    f, c_mod, d_a, d_b = parts
-    return (
-        f <= cfg.converge_tol
-        and c_mod <= tol.tol_zero
-        and d_a >= cfg.spread_floor
-        and d_b >= cfg.spread_floor
-    )
+    """|C| at tol_zero and both spreads at the floor, the rule of ``verify_candidate``."""
+    _, c_mod, d_a, d_b = parts
+    return c_mod <= tol.tol_zero and d_a >= cfg.spread_floor and d_b >= cfg.spread_floor
 
 
 def _vector(a: Observable, x: Any) -> np.ndarray:
@@ -343,11 +334,12 @@ def verify_candidate(
 ) -> bool:
     """Independent acceptance check for a candidate zero-correlation state.
 
-    Recomputes the correlation through both of its defining forms and
-    cross-checks them, requires |C| <= tol_zero and both spreads at or above
-    the floor, and checks that the state and its two normalized deviation
-    directions form an orthonormal triple.
+    Recomputes C through both of its defining forms and cross-checks them,
+    requires |C| <= tol_zero and both spreads at or above the floor (checked
+    as ``FinderConfig`` checks it), and checks that the state and its two
+    normalized deviation directions form an orthonormal triple.
     """
+    spread_floor = _check_spread_floor(spread_floor)
     m = _StateMoments(a, b, state, tol)
     if abs(m.c) > tol.tol_zero:
         return False

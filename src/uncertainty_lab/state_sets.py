@@ -36,7 +36,8 @@ from typing import Any, Iterator, NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, Observable, StateVector, Tolerances, ValidationError
+from .core import (DEFAULT_TOLERANCES, Observable, StateVector, Tolerances, ValidationError,
+                   _check_int)
 from .moments import (
     _C_FORMS,
     _COMMUTATOR,
@@ -86,10 +87,8 @@ class ScanConfig:
     start: int = 0
 
     def __post_init__(self) -> None:
-        if self.samples < 0:
-            raise ValueError(f"samples must be nonnegative, got {self.samples}")
-        if self.start < 0:
-            raise ValueError(f"start must be nonnegative, got {self.start}")
+        for name in ("samples", "seed", "start"):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), 0))
 
 
 def _flags(spread_a, spread_b, c, tol: Tolerances) -> tuple:

@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,9 +178,7 @@ class TestFind:
         assert main(["find", files["l3"], files["l3"]]) == 2
         assert "commutes" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--spread-floor", "nan"), ("--converge-tol", "nan"), ("--penalty-weight", "inf"),
-    ])
+    @pytest.mark.parametrize("flag, value", [("--spread-floor", "nan")])
     def test_non_finite_setting_exits_2(self, files, capsys, flag, value):
         assert main(["find", files["l3"], files["l4"], flag, value]) == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
@@ -202,6 +202,28 @@ class TestFind:
         with pytest.raises(SystemExit) as exc:
             make_parser().parse_args(["find", "a", "b", "--step-rule", "gauss-newton"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--penalty-weight", "--converge-tol"])
+    def test_deleted_setting_flag_is_a_usage_error(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            make_parser().parse_args(["find", "a", "b", flag, "1"])
+        assert exc.value.code == 2
+
+    def test_readme_lists_exactly_the_finder_flags(self):
+        # the flags make_parser builds from FinderConfig: find's options less the
+        # common ones, which basis also takes
+        subcommands = next(a for a in make_parser()._actions if a.choices and "find" in a.choices)
+        options = {
+            name: {s for action in subcommands.choices[name]._actions for s in action.option_strings}
+            for name in ("find", "basis")
+        }
+        built = options["find"] - options["basis"]
+        assert built == {"--" + f.name.replace("_", "-")
+                         for f in dataclasses.fields(ul.FinderConfig) if f.name != "seed"}
+        readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+        listed = re.search(r"`find` also exposes (.*?);", readme)
+        assert listed is not None
+        assert set(re.findall(r"`(--[a-z-]+)`", listed.group(1))) == built
 
     def test_reproducible_state_digits(self, files, capsys):
         main(["find", files["l3"], files["l4"], "--seed", "11"])
@@ -309,7 +331,7 @@ class TestScan:
         assert (manifest["start"], manifest["samples"]) == (9, 5)
         assert manifest["rng"]["generator"].startswith("Philox-4x64")
         assert manifest["rng"]["counter_stride"] == 2  # ceil(2 * 3 / 4)
-        assert manifest["tool_version"] == ul.__version__ == "0.6.0"
+        assert manifest["tool_version"] == ul.__version__ == "0.7.0"
 
     def test_env_var_provides_seed(self, files, tmp_path, monkeypatch):
         monkeypatch.setenv("UNCERTAINTY_LAB_SEED", "77")

@@ -33,7 +33,7 @@ class TestObjective:
         # e0 is an eigenvector of lambda3: C = 0, spread hinge fully active
         cfg = ul.FinderConfig()
         val = ul.objective(l4, l3, np.array([1.0, 0, 0], dtype=complex), cfg)
-        assert val == pytest.approx(cfg.penalty_weight * cfg.spread_floor**2, abs=1e-12)
+        assert val == pytest.approx(cfg.spread_floor**2, abs=1e-12)
 
     def test_scale_and_phase_invariant(self, rng, l3, l4):
         x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -196,13 +196,12 @@ def textbook_parts_and_rows(a, b, x, cfg):
     d_c = (a @ u_b - mean_a * u_b - c * x) / s
     d_cbar = (b @ u_a - mean_b * u_a - np.conj(c) * x) / s
     r, rows = [c.real, c.imag], [d_c + d_cbar, (d_cbar - d_c) * 1j]
-    root_w = np.sqrt(cfg.penalty_weight)
     for f, u, mean, var, d in ((a, u_a, mean_a, var_a, d_a), (b, u_b, mean_b, var_b, d_b)):
         if d < cfg.spread_floor:
-            r.append(root_w * (cfg.spread_floor - d))
-            rows.append(-root_w / (d * s) * (f @ u - mean * u - var * x))
+            r.append(cfg.spread_floor - d)
+            rows.append(-1.0 / (d * s) * (f @ u - mean * u - var * x))
     hinges = sum(max(cfg.spread_floor - d, 0.0) ** 2 for d in (d_a, d_b))
-    parts = (abs(c) ** 2 + cfg.penalty_weight * hinges, abs(c), d_a, d_b)
+    parts = (abs(c) ** 2 + hinges, abs(c), d_a, d_b)
     rows = np.array(rows)
     return parts, np.array(r), np.concatenate((rows.real, rows.imag), axis=1)
 
@@ -234,8 +233,7 @@ class TestKernelReference:
 class TestFinderConfig:
     @pytest.mark.parametrize("field, value", [
         ("spread_floor", float("nan")), ("spread_floor", float("inf")),
-        ("penalty_weight", float("inf")), ("penalty_weight", float("nan")),
-        ("converge_tol", float("nan")), ("converge_tol", float("inf")),
+        ("spread_floor", True), ("spread_floor", "0.2"), ("spread_floor", None),
         ("restarts", 2.5), ("restarts", True), ("max_iters", 3.0), ("max_iters", False),
         ("seed", -1), ("seed", 1.0), ("seed", True), ("seed", "1"),
     ])
@@ -248,15 +246,22 @@ class TestFinderConfig:
         assert (cfg.restarts, cfg.seed) == (2, 5)
         assert json.loads(json.dumps(cfg.to_json_dict()))["seed"] == 5
 
+    @pytest.mark.parametrize("value", [1, np.float32(0.25), np.int64(2)])
+    def test_spread_floor_stored_as_float(self, value):
+        cfg = ul.FinderConfig(spread_floor=value)
+        assert type(cfg.spread_floor) is float and cfg.spread_floor == float(value)
+
     def test_validation(self):
         with pytest.raises(ul.ValidationError):
             ul.FinderConfig(restarts=0)
         with pytest.raises(TypeError):
             ul.FinderConfig(step_rule="gauss-newton")
+        with pytest.raises(TypeError):
+            ul.FinderConfig(penalty_weight=1.0)
+        with pytest.raises(TypeError):
+            ul.FinderConfig(converge_tol=1.0)
         with pytest.raises(ul.ValidationError):
             ul.FinderConfig(spread_floor=1e-7)
-        with pytest.raises(ul.ValidationError):
-            ul.FinderConfig(penalty_weight=0.0)
 
 
 class TestFind:
@@ -373,6 +378,12 @@ class TestVerifyCandidate:
 
     def test_rejects_eigenvector(self, l3, l4):
         assert not ul.verify_candidate(l3, l4, ul.StateVector([1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("floor", [float("nan"), float("inf"), -1.0, 0.0, 1e-6, True, "0.2"])
+    def test_unusable_floor_rejected_by_name(self, l3, l4, floor):
+        # the state passes every usable floor up to 1/sqrt(2): these must raise, not judge it
+        with pytest.raises(ul.ValidationError, match="spread_floor"):
+            ul.verify_candidate(l3, l4, ul.two_level_state(1, 1), spread_floor=floor)
 
     def test_gram_matrix_of_accepted_triple(self, l3, l4):
         phi = ul.two_level_state(1, 1)

@@ -148,6 +148,19 @@ class TestMembershipScan:
         with pytest.raises(ValueError):
             ul.membership_scan(l3, l4, ul.ScanConfig(samples=1, seed=-1))  # eagerly
 
+    @pytest.mark.parametrize("field, value", [
+        ("samples", 2.5), ("samples", True), ("samples", "3"),
+        ("seed", 1.5), ("seed", False), ("seed", None), ("start", np.float64(1.0)),
+    ])
+    def test_unusable_integer_setting_rejected_by_name(self, field, value):
+        with pytest.raises(ul.ValidationError, match=field):
+            ul.ScanConfig(**{"samples": 1, "seed": 0, field: value})
+
+    def test_numpy_integers_stored_as_int(self):
+        cfg = ul.ScanConfig(samples=np.int64(3), seed=np.uint32(5), start=np.int8(2))
+        assert [(type(v), v) for v in (cfg.samples, cfg.seed, cfg.start)] == [
+            (int, 3), (int, 5), (int, 2)]
+
     @pytest.mark.parametrize(
         "dim, total, cuts", [(3, 1500, (1, 2, 1370)), (64, 200, (37, 100, 101))]
     )

@@ -67,6 +67,18 @@ class DimensionTooSmall(ValueError):
     """The requested search needs dimension at least 3."""
 
 
+def _check_real(name: str, value: Any, low: float) -> float:
+    """``value`` as a float, or a ValidationError naming ``name`` unless it is a finite real > low."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not low < number < math.inf:
+        raise ValidationError(f"{name} must be a finite number above {low}, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical thresholds used by validation and classification.
@@ -85,11 +97,10 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for name, value in asdict(self).items():
-            if not (np.isfinite(value) and value > 0.0):
-                raise ValidationError(f"tolerance {name} must be strictly positive, got {value!r}")
+            object.__setattr__(self, name, _check_real(name, value, 0.0))
 
     def to_json_dict(self) -> dict[str, float]:
-        return {k: float(v) for k, v in asdict(self).items()}
+        return asdict(self)
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -173,8 +184,8 @@ class Observable:
         return Observable._wrap(-self._matrix)
 
     def __mul__(self, scalar: float) -> "Observable":
-        if isinstance(scalar, complex) and scalar.imag != 0.0:
-            raise ValidationError("only real scalings preserve hermiticity")
+        if not isinstance(scalar, numbers.Real):
+            raise ValidationError(f"only real scalings preserve hermiticity, got {scalar!r}")
         return Observable._wrap(self._matrix * float(scalar))
 
     __rmul__ = __mul__
@@ -284,13 +295,12 @@ def validate_observable(raw: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> Obser
 
 
 def identity(dim: int) -> Observable:
-    if dim < 2:
-        raise ValidationError(f"observable dimension must be at least 2, got {dim}")
-    return Observable._wrap(np.eye(dim, dtype=np.complex128))
+    return Observable._wrap(np.eye(_check_int("dim", dim, 2), dtype=np.complex128))
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
     """Haar-random pure state: normalized vector of iid standard complex Gaussians."""
+    dim = _check_int("dim", dim, 1)
     raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return StateVector.normalized(raw)
 

@@ -15,9 +15,10 @@ over raw complex coordinates x.  f is invariant under scaling and global
 phase of x, so the unconstrained landscape is benign; x is renormalized after
 every accepted step purely for conditioning.  The penalty (rather than a
 barrier) keeps f finite at random starts that violate the floor.  Convergence
-is declared on |C| <= tol_zero with both spreads at or above the floor, the
-rule ``verify_candidate`` applies -- the target value is known to be zero,
-which is stronger information than stationarity.
+is declared on |C| <= tol_zero with both spreads at or above the floor (and
+above eps_spread), the one rule ``verify_candidate`` also applies -- the
+target value is known to be zero, which is stronger information than
+stationarity.  ``find`` reports the point that rule judged, as it is.
 
 f = ||r||^2 for the residual r = [Re C, Im C, h_A, h_B] (a hinge row only
 while its hinge is active), which has 2 to 4 rows against 2d real unknowns.
@@ -38,7 +39,6 @@ evaluated again.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Any
@@ -54,6 +54,7 @@ from .core import (
     ValidationError,
     _as_complex_array,
     _check_int,
+    _check_real,
     _check_same_dim,
     haar_state,
     state_to_json_dict,
@@ -75,15 +76,6 @@ _GRAM_TOL = 1e-8
 _Parts = tuple[float, float, float, float]
 
 
-def _check_spread_floor(value: Any) -> float:
-    """``value`` as a float, or a ValidationError unless it is a finite real above eps_spread."""
-    low = DEFAULT_TOLERANCES.eps_spread
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and math.isfinite(value) and value > low):
-        raise ValidationError(f"spread_floor must be a finite number above {low}, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class FinderConfig:
     restarts: int = 32
@@ -94,7 +86,8 @@ class FinderConfig:
     def __post_init__(self) -> None:
         for name, low in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
             object.__setattr__(self, name, _check_int(name, getattr(self, name), low))
-        object.__setattr__(self, "spread_floor", _check_spread_floor(self.spread_floor))
+        floor = _check_real("spread_floor", self.spread_floor, DEFAULT_TOLERANCES.eps_spread)
+        object.__setattr__(self, "spread_floor", floor)
 
     def to_json_dict(self) -> dict[str, Any]:
         return dict(vars(self))
@@ -194,10 +187,12 @@ class _Objective:
         return 2.0 * (r @ jac)
 
 
-def _converged(parts: _Parts, cfg: FinderConfig, tol: Tolerances) -> bool:
-    """|C| at tol_zero and both spreads at the floor, the rule of ``verify_candidate``."""
-    _, c_mod, d_a, d_b = parts
-    return c_mod <= tol.tol_zero and d_a >= cfg.spread_floor and d_b >= cfg.spread_floor
+def _accepted(c_mod: float, d_a: float, d_b: float, floor: float, tol: Tolerances) -> bool:
+    """The acceptance rule of ``find`` and ``verify_candidate``: |C| at tol_zero
+    and both spreads at or above the floor and above eps_spread (which a
+    ``tol`` of its own may set above the floor)."""
+    low = min(d_a, d_b)
+    return c_mod <= tol.tol_zero and low >= floor and low > tol.eps_spread
 
 
 def _vector(a: Observable, x: Any) -> np.ndarray:
@@ -233,8 +228,9 @@ def _gauss_newton_step(obj: _Objective, p: _Point) -> _Point | None:
     J J^T is singular.  A trial step t dx is taken once
     f(x + t dx) < f + c t f'(x; dx), where the directional derivative
     f'(x; dx) = 2 r.(J dx), with J dx = Re(conj(W) dx), is -2f whenever
-    J dx = -r.  Returns the point at the normalized new x, or None when no
-    step down to t = 2^-(_GN_HALVINGS - 1) passes the test.
+    J dx = -r.  Returns the point at the new x / ||x||, renormalized purely
+    for conditioning, or None when no step down to t = 2^-(_GN_HALVINGS - 1)
+    passes the test.
     """
     r, w = obj._rows(p)
     wc = w.conj()
@@ -248,7 +244,8 @@ def _gauss_newton_step(obj: _Objective, p: _Point) -> _Point | None:
         return None
     f, x = p.parts[0], p.v[0]
     for _ in range(_GN_HALVINGS):
-        trial = _normalized(obj, x + dx)
+        y = x + dx
+        trial = obj._point(y / math.sqrt(np.vdot(y, y).real))
         if trial.parts[0] < f + _ARMIJO_C * slope:
             return trial
         # halve t: f'(x; t dx) = t f'(x; dx)
@@ -256,27 +253,22 @@ def _gauss_newton_step(obj: _Objective, p: _Point) -> _Point | None:
     return None
 
 
-def _normalized(obj: _Objective, x: np.ndarray) -> _Point:
-    """The point at x / ||x||."""
-    return obj._point(x / math.sqrt(np.vdot(x, x).real))
-
-
 def _descend(
     obj: _Objective, x0: np.ndarray, cfg: FinderConfig, tol: Tolerances
-) -> tuple[np.ndarray, float, int, bool]:
-    """Minimize from one start; returns (x, objective, iterations, converged).
+) -> tuple[_Point, int, bool]:
+    """Minimize from one start; returns (last point, iterations, converged).
 
-    Every accepted point is renormalized, purely for conditioning, and its
-    record is carried into the next step, so no point is evaluated twice.
+    Each point is judged once, by ``_accepted``, and its record is carried
+    into the next step, so no point is evaluated twice.
     """
     p = obj._point(x0)
-    it, ok = 0, _converged(p.parts, cfg, tol)
+    it, ok = 0, _accepted(*p.parts[1:], obj.floor, tol)
     while not ok and it < cfg.max_iters:
         accepted = _gauss_newton_step(obj, p)
         if accepted is None:
             break
-        p, it, ok = accepted, it + 1, _converged(accepted.parts, cfg, tol)
-    return p.v[0], p.parts[0], it, ok
+        p, it, ok = accepted, it + 1, _accepted(*accepted.parts[1:], obj.floor, tol)
+    return p, it, ok
 
 
 def find(
@@ -294,6 +286,10 @@ def find(
     broken by lower restart index.  The whole procedure is deterministic for
     a fixed config.  A failed search still returns the best candidate, with
     ``converged`` False.
+
+    The reported state is the chosen restart's last accepted point, normalized
+    once, and ``objective``, ``delta_a``, ``delta_b`` and ``converged`` are
+    those the search judged it by, with the rule ``verify_candidate`` applies.
     """
     cfg = cfg or FinderConfig()
     obj = _Objective(a, b, cfg)
@@ -303,25 +299,18 @@ def find(
             f"got dimension {a.dim}"
         )
     _require_noncommuting(a, b, tol)
-    best: tuple[float, int, StateVector, _Parts, int, bool] | None = None
+    best: tuple[_Point, int, int, bool] | None = None
     for restart in range(cfg.restarts):
         rng = np.random.default_rng((cfg.seed, restart))
-        x0 = haar_state(a.dim, rng).amps
-        x, f, iters, ok = _descend(obj, x0, cfg, tol)
-        # Judge the restart at the exact state it would report, so the
-        # converged flag and the reported fields cannot disagree by
-        # renormalization roundoff, and a restart whose spread slips below
-        # the floor in that roundoff does not end the search.
-        state = StateVector.normalized(x)
-        parts = obj.parts(state.amps)
-        ok = ok and _converged(parts, cfg, tol)
-        if ok or best is None or f < best[0]:
-            best = (f, restart, state, parts, iters, ok)
+        p, iters, ok = _descend(obj, haar_state(a.dim, rng).amps, cfg, tol)
+        if ok or best is None or p.parts[0] < best[0].parts[0]:
+            best = (p, restart, iters, ok)
         if ok:
             break
     assert best is not None
-    _, restart, state, (f_final, _, d_a, d_b), iters, converged = best
-    return FinderResult(state=state, objective=f_final, delta_a=d_a, delta_b=d_b,
+    p, restart, iters, converged = best
+    f, _, d_a, d_b = p.parts
+    return FinderResult(state=StateVector(p.v[0]), objective=f, delta_a=d_a, delta_b=d_b,
                         iterations=iters, restart_index=restart, converged=converged)
 
 
@@ -334,16 +323,15 @@ def verify_candidate(
 ) -> bool:
     """Independent acceptance check for a candidate zero-correlation state.
 
-    Recomputes C through both of its defining forms and cross-checks them,
-    requires |C| <= tol_zero and both spreads at or above the floor (checked
-    as ``FinderConfig`` checks it), and checks that the state and its two
-    normalized deviation directions form an orthonormal triple.
+    Recomputes C through both of its defining forms and the spreads through
+    the checked per-state record, judges them by ``find``'s acceptance rule
+    (the floor checked as ``FinderConfig`` checks it), and checks that the
+    state and its two normalized deviation directions form an orthonormal
+    triple.
     """
-    spread_floor = _check_spread_floor(spread_floor)
+    spread_floor = _check_real("spread_floor", spread_floor, DEFAULT_TOLERANCES.eps_spread)
     m = _StateMoments(a, b, state, tol)
-    if abs(m.c) > tol.tol_zero:
-        return False
-    if m.a.spread < spread_floor or m.b.spread < spread_floor or not m.spreads_ok:
+    if not _accepted(abs(m.c), m.a.spread, m.b.spread, spread_floor, tol):
         return False
     triple = (state.amps, m.a.vec / m.a.norm, m.b.vec / m.b.norm)
     gram = np.array([[np.vdot(u, v) for v in triple] for u in triple])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Observable, StateVector, ValidationError
+from .core import Observable, StateVector, ValidationError, _check_int
 
 __all__ = [
     "GellMannBasis",
@@ -73,8 +73,7 @@ class GellMannBasis:
 
 def gell_mann(dim: int) -> GellMannBasis:
     """Generalized Gell-Mann basis of dimension ``dim`` (at least 2)."""
-    if dim < 2:
-        raise ValidationError(f"Gell-Mann basis needs dimension >= 2, got {dim}")
+    dim = _check_int("dim", dim, 2)
     symmetric = []
     antisymmetric = []
     for j in range(dim - 1):
@@ -101,17 +100,10 @@ def gell_mann(dim: int) -> GellMannBasis:
     )
 
 
-# Standard numbering of the d = 3 matrices: lambda_1..lambda_8.
-_SU3_INDEX = {
-    1: ("symmetric", 1, 2),
-    2: ("antisymmetric", 1, 2),
-    3: ("diagonal", 1, None),
-    4: ("symmetric", 1, 3),
-    5: ("antisymmetric", 1, 3),
-    6: ("symmetric", 2, 3),
-    7: ("antisymmetric", 2, 3),
-    8: ("diagonal", 2, None),
-}
+# Position in ``gell_mann(3).matrices`` of lambda_1..lambda_8 (standard
+# numbering): symmetric (1,2), (1,3), (2,3) are 0-2, antisymmetric 3-5,
+# diagonals 6-7.
+_SU3_ORDER = (0, 3, 6, 1, 4, 2, 5, 7)
 
 
 def su3_lambda(k: int) -> Observable:
@@ -119,15 +111,9 @@ def su3_lambda(k: int) -> Observable:
 
     lambda_5 follows this package's sign convention (see module docstring).
     """
-    if k not in _SU3_INDEX:
-        raise ValidationError(f"lambda index must be 1..8, got {k}")
-    family, i, j = _SU3_INDEX[k]
-    basis = gell_mann(3)
-    if family == "symmetric":
-        return basis.symmetric(i, j)
-    if family == "antisymmetric":
-        return basis.antisymmetric(i, j)
-    return basis.diagonal(i)
+    if _check_int("lambda index k", k, 1) > 8:
+        raise ValidationError(f"lambda index k must be 1..8, got {k}")
+    return gell_mann(3).matrices[_SU3_ORDER[k - 1]]
 
 
 def two_level_state(a: complex, b: complex) -> StateVector:
@@ -143,6 +129,4 @@ def two_level_state(a: complex, b: complex) -> StateVector:
 
 def uniform_superposition(dim: int = 3) -> StateVector:
     """The state (1, ..., 1) / sqrt(dim)."""
-    if dim < 1:
-        raise ValidationError(f"dimension must be positive, got {dim}")
-    return StateVector.normalized(np.ones(dim, dtype=np.complex128))
+    return StateVector.normalized(np.ones(_check_int("dim", dim, 1), dtype=np.complex128))

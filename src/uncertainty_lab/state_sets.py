@@ -89,6 +89,8 @@ class ScanConfig:
     def __post_init__(self) -> None:
         for name in ("samples", "seed", "start"):
             object.__setattr__(self, name, _check_int(name, getattr(self, name), 0))
+        if not isinstance(self.tolerances, Tolerances):
+            raise ValidationError(f"tolerances must be a Tolerances, got {self.tolerances!r}")
 
 
 def _flags(spread_a, spread_b, c, tol: Tolerances) -> tuple:

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +138,13 @@ class TestObservableArithmetic:
         with pytest.raises(ul.ValidationError):
             (1j * l3)  # noqa: B018
 
+    @pytest.mark.parametrize("scalar", ["2", 2 + 0j, None])
+    def test_non_real_scaling_rejected(self, l3, scalar):
+        with pytest.raises(ul.ValidationError, match="real scalings"):
+            l3 * scalar  # noqa: B018
+        with pytest.raises(ul.ValidationError, match="real scalings"):
+            scalar * l3  # noqa: B018
+
     def test_sum_dimension_mismatch(self, l3):
         with pytest.raises(ul.DimensionMismatch):
             l3 + ul.identity(4)
@@ -204,6 +213,19 @@ class TestTolerances:
         with pytest.raises(ul.ValidationError):
             ul.Tolerances(**{field: -1e-9})
 
+    @pytest.mark.parametrize("field", ["tol_herm", "tol_norm", "tol_zero", "eps_spread"])
+    @pytest.mark.parametrize("value", [True, "1e-3", None, float("nan"), float("inf"),
+                                       pytest.param(10**400, id="10**400")])
+    def test_unusable_value_rejected_by_name(self, field, value):
+        with pytest.raises(ul.ValidationError, match=field):
+            ul.Tolerances(**{field: value})
+
+    @pytest.mark.parametrize("value", [1, np.float32(0.25), np.int64(2)])
+    def test_stored_as_float(self, value):
+        tol = ul.Tolerances(tol_zero=value, eps_spread=value)
+        assert type(tol.tol_zero) is float and tol.tol_zero == float(value)
+        assert json.loads(json.dumps(tol.to_json_dict()))["eps_spread"] == float(value)
+
 
 class TestHaarState:
     def test_normalized(self, rng):
@@ -213,6 +235,11 @@ class TestHaarState:
         a = ul.haar_state(4, np.random.default_rng(42))
         b = ul.haar_state(4, np.random.default_rng(42))
         assert np.array_equal(a.amps, b.amps)
+
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, True])
+    def test_unusable_dimension_rejected_by_name(self, rng, dim):
+        with pytest.raises(ul.ValidationError, match="dim"):
+            ul.haar_state(dim, rng)
 
 
 class TestJson:
@@ -299,3 +326,12 @@ def test_identity_helper():
     assert np.array_equal(eye.matrix, np.eye(3))
     with pytest.raises(ul.ValidationError):
         ul.identity(1)
+    for dim in (2.5, True, "3"):
+        with pytest.raises(ul.ValidationError, match="dim"):
+            ul.identity(dim)
+
+
+def test_pyproject_version_is_the_package_version():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+    assert match is not None and match.group(1) == ul.__version__

@@ -236,6 +236,7 @@ class TestFinderConfig:
         ("spread_floor", True), ("spread_floor", "0.2"), ("spread_floor", None),
         ("restarts", 2.5), ("restarts", True), ("max_iters", 3.0), ("max_iters", False),
         ("seed", -1), ("seed", 1.0), ("seed", True), ("seed", "1"),
+        pytest.param("spread_floor", 10**400, id="spread_floor-10**400"),
     ])
     def test_unusable_setting_rejected_by_name(self, field, value):
         with pytest.raises(ul.ValidationError, match=field):
@@ -328,11 +329,13 @@ class TestFind:
         target = ul.two_level_state(1, 1).amps
         starts = []
 
-        def fake_descend(pair, x0, cfg, tol):
+        def fake_descend(obj, x0, cfg, tol):
             starts.append(x0)
             if len(starts) == 1:
-                return x0, 8e-26, 7, False
-            return target.copy(), 1e-20, 3, True
+                p = obj._point(x0)
+                return p._replace(parts=(8e-26,) + p.parts[1:]), 7, False
+            p = obj._point(target.copy())
+            return p._replace(parts=(1e-20,) + p.parts[1:]), 3, True
 
         monkeypatch.setattr(finder, "_descend", fake_descend)
         result = ul.find(l3, l4, ul.FinderConfig(restarts=4))
@@ -341,25 +344,41 @@ class TestFind:
         assert len(starts) == 2
         assert np.allclose(result.state.amps, target)
 
-    def test_restart_failing_at_reported_state_does_not_end_search(self, l3, l4, monkeypatch):
-        # restart 0 claims convergence, but its normalized state fails the
-        # test (as when a spread slips below the floor in renormalization);
-        # the search must go on to restart 1
-        target = ul.two_level_state(1, 1).amps
-        calls = []
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_reports_the_point_the_search_judged(self, seed, monkeypatch):
+        # the result is the chosen restart's last point, bit for bit, with
+        # the parts and verdict it was judged by: nothing is re-evaluated
+        basis = ul.gell_mann(3).matrices
+        pairs = [(a, b) for i, a in enumerate(basis) for b in basis[i + 1:]
+                 if np.linalg.norm(a.matrix @ b.matrix - b.matrix @ a.matrix) > 1e-9]
+        rng = np.random.default_rng(5)
+        pairs += [(rand_hermitian(rng, d), rand_hermitian(rng, d)) for d in (8, 64) for _ in range(6)]
+        descend, returned = finder._descend, []
 
-        def fake_descend(pair, x0, cfg, tol):
-            calls.append(x0)
-            if len(calls) == 1:
-                return 2.0 * ul.uniform_superposition(3).amps, 1e-20, 5, True
-            return target.copy(), 1e-20, 3, True
+        def recording_descend(*args):
+            returned.append(descend(*args))
+            return returned[-1]
 
-        monkeypatch.setattr(finder, "_descend", fake_descend)
-        result = ul.find(l3, l4, ul.FinderConfig(restarts=4))
-        assert result.converged
-        assert result.restart_index == 1
-        assert len(calls) == 2
-        assert ul.verify_candidate(l3, l4, result.state)
+        monkeypatch.setattr(finder, "_descend", recording_descend)
+        for a, b in pairs:
+            returned.clear()
+            result = ul.find(a, b, ul.FinderConfig(seed=seed))
+            point, iters, ok = returned[result.restart_index]
+            assert result.state.amps.tobytes() == point.v[0].tobytes()
+            f, _, d_a, d_b = point.parts
+            assert (result.objective, result.delta_a, result.delta_b) == (f, d_a, d_b)
+            assert (result.iterations, result.converged) == (iters, ok)
+            assert result.converged and ul.verify_candidate(a, b, result.state)
+
+    def test_spread_at_eps_spread_never_counts_as_converged(self, l3, l4):
+        # a tol whose eps_spread exceeds the floor: find must not report a
+        # state that verify_candidate (and classify) call an eigenstate
+        tol = ul.Tolerances(eps_spread=0.6)
+        for seed in range(8):
+            result = ul.find(l3, l4, ul.FinderConfig(seed=seed), tol)
+            assert result.converged
+            assert min(result.delta_a, result.delta_b) > 0.6
+            assert ul.verify_candidate(l3, l4, result.state, tol)
 
     def test_json_round_trip(self, l3, l4):
         result = ul.find(l3, l4, ul.FinderConfig(seed=7))
@@ -379,7 +398,8 @@ class TestVerifyCandidate:
     def test_rejects_eigenvector(self, l3, l4):
         assert not ul.verify_candidate(l3, l4, ul.StateVector([1.0, 0.0, 0.0]))
 
-    @pytest.mark.parametrize("floor", [float("nan"), float("inf"), -1.0, 0.0, 1e-6, True, "0.2"])
+    @pytest.mark.parametrize("floor", [float("nan"), float("inf"), -1.0, 0.0, 1e-6, True, "0.2",
+                                       pytest.param(10**400, id="10**400")])
     def test_unusable_floor_rejected_by_name(self, l3, l4, floor):
         # the state passes every usable floor up to 1/sqrt(2): these must raise, not judge it
         with pytest.raises(ul.ValidationError, match="spread_floor"):

@@ -40,6 +40,19 @@ class TestSu3Matrices:
         with pytest.raises(ul.ValidationError):
             ul.su3_lambda(9)
 
+    @pytest.mark.parametrize("k", [True, 2.0, "3", None])
+    def test_non_integer_index_rejected(self, k):
+        with pytest.raises(ul.ValidationError, match="lambda index"):
+            ul.su3_lambda(k)
+
+    def test_numbering_picks_the_named_generators_bitwise(self):
+        basis = ul.gell_mann(3)
+        named = [basis.symmetric(1, 2), basis.antisymmetric(1, 2), basis.diagonal(1),
+                 basis.symmetric(1, 3), basis.antisymmetric(1, 3), basis.symmetric(2, 3),
+                 basis.antisymmetric(2, 3), basis.diagonal(2)]
+        for k, expected in enumerate(named, start=1):
+            assert ul.su3_lambda(k).matrix.tobytes() == expected.matrix.tobytes()
+
 
 class TestGellMannBasis:
     def test_dimension_two_gives_paulis(self):
@@ -86,6 +99,12 @@ class TestGellMannBasis:
     def test_dimension_guard(self):
         with pytest.raises(ul.ValidationError):
             ul.gell_mann(1)
+
+    @pytest.mark.parametrize("builder", [ul.gell_mann, ul.uniform_superposition])
+    @pytest.mark.parametrize("dim", [2.5, True, "3", 0])
+    def test_unusable_size_rejected_by_name(self, builder, dim):
+        with pytest.raises(ul.ValidationError, match="dim"):
+            builder(dim)
 
     def test_note_documents_sign_convention(self):
         assert "negative of the common convention" in ul.gell_mann(3).note

@@ -156,6 +156,11 @@ class TestMembershipScan:
         with pytest.raises(ul.ValidationError, match=field):
             ul.ScanConfig(**{"samples": 1, "seed": 0, field: value})
 
+    @pytest.mark.parametrize("value", [None, {"tol_zero": 0.05}, 1e-10])
+    def test_tolerances_must_be_a_tolerances(self, value):
+        with pytest.raises(ul.ValidationError, match="tolerances"):
+            ul.ScanConfig(samples=1, seed=0, tolerances=value)
+
     def test_numpy_integers_stored_as_int(self):
         cfg = ul.ScanConfig(samples=np.int64(3), seed=np.uint32(5), start=np.int8(2))
         assert [(type(v), v) for v in (cfg.samples, cfg.seed, cfg.start)] == [

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -125,8 +125,8 @@ class Observable:
     """A d x d complex matrix, validated Hermitian at construction.
 
     Hermiticity is enforced once here rather than re-checked by every
-    downstream formula.  Supports ``+``, ``-``, unary ``-`` and scaling by a
-    real number, all of which preserve hermiticity.
+    downstream formula.  Supports ``+``, ``-``, unary ``-`` and real scaling,
+    which preserve hermiticity; a result past the float range is refused.
     """
 
     __slots__ = ("_matrix",)
@@ -157,6 +157,12 @@ class Observable:
         object.__setattr__(obj, "_matrix", _freeze(matrix))
         return obj
 
+    @classmethod
+    def _finite(cls, result: Callable[[], np.ndarray]) -> "Observable":
+        # a sum or scaling can leave the float range: refuse it, never hold inf or NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            return cls._wrap(_as_complex_array(result(), 2))
+
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Observable is immutable")
 
@@ -172,13 +178,13 @@ class Observable:
         if not isinstance(other, Observable):
             return NotImplemented
         _check_same_dim(self.dim, other.dim)
-        return Observable._wrap(self._matrix + other._matrix)
+        return Observable._finite(lambda: self._matrix + other._matrix)
 
     def __sub__(self, other: "Observable") -> "Observable":
         if not isinstance(other, Observable):
             return NotImplemented
         _check_same_dim(self.dim, other.dim)
-        return Observable._wrap(self._matrix - other._matrix)
+        return Observable._finite(lambda: self._matrix - other._matrix)
 
     def __neg__(self) -> "Observable":
         return Observable._wrap(-self._matrix)
@@ -186,7 +192,7 @@ class Observable:
     def __mul__(self, scalar: float) -> "Observable":
         if not isinstance(scalar, numbers.Real):
             raise ValidationError(f"only real scalings preserve hermiticity, got {scalar!r}")
-        return Observable._wrap(self._matrix * float(scalar))
+        return Observable._finite(lambda: self._matrix * _check_real("scalar", scalar, -math.inf))
 
     __rmul__ = __mul__
 
@@ -298,11 +304,15 @@ def identity(dim: int) -> Observable:
     return Observable._wrap(np.eye(_check_int("dim", dim, 2), dtype=np.complex128))
 
 
+def _haar_amps(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """``haar_state``'s amplitudes, unwrapped: iid standard complex Gaussians over their norm."""
+    raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return raw / np.linalg.norm(raw)
+
+
 def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
     """Haar-random pure state: normalized vector of iid standard complex Gaussians."""
-    dim = _check_int("dim", dim, 1)
-    raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector.normalized(raw)
+    return StateVector(_haar_amps(_check_int("dim", dim, 1), rng))
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,12 @@ target value is known to be zero, which is stronger information than
 stationarity.  ``find`` reports the point that rule judged, as it is.
 
 f = ||r||^2 for the residual r = [Re C, Im C, h_A, h_B] (a hinge row only
-while its hinge is active), which has 2 to 4 rows against 2d real unknowns.
-Each step is the minimum-norm Gauss-Newton step dx = -J^T (J J^T)^-1 r of
-this underdetermined system, halved until f meets the sufficient-decrease
-test f(x + t dx) < f + c t f'(x; dx); it converges quadratically near a zero
-of r, typically in 3 to 5 steps.
+while its hinge is active): k = 2 to 4 rows against 2d real unknowns.  Each
+step is the minimum-norm Gauss-Newton step dx = -J^T (J J^T)^-1 r, halved
+until f(x + t dx) < f + c t f'(x; dx); it converges quadratically near a
+zero of r, typically in 3 to 5 steps.  J is the real view of the complex
+rows ((re, im) columns interleaved); J J^T y = r is solved in closed form at
+k = 2, else by ``np.linalg.solve``, and by lstsq when det <= 0 or it raises.
 
 Each point costs one product with the stacked operator [I; A; B] (3d x d),
 which gives V = [x; Ax; Bx]; its 3 x 3 Gram matrix gives s = <x|x>, both
@@ -38,6 +39,7 @@ evaluated again.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -56,7 +58,7 @@ from .core import (
     _check_int,
     _check_real,
     _check_same_dim,
-    haar_state,
+    _haar_amps,
     state_to_json_dict,
 )
 from .moments import _require_noncommuting, _StateMoments
@@ -120,11 +122,13 @@ class _Objective:
     and the median find-sweep op took ~2.2x as long.
     """
 
-    def __init__(self, a: Observable, b: Observable, cfg: FinderConfig):
+    def __init__(self, a: Observable, b: Observable, cfg: FinderConfig,
+                 tol: Tolerances = DEFAULT_TOLERANCES):
         _check_same_dim(a.dim, b.dim)
         # [I; A; B]^T, stored contiguous: every product is rows times it
         self.ops_t = np.concatenate((np.eye(a.dim, dtype=complex), a.matrix.T, b.matrix.T), 1)
-        self.floor = cfg.spread_floor
+        # a spread at or below eps_spread is never accepted, so hinge there too
+        self.floor = max(cfg.spread_floor, tol.eps_spread)
 
     def _point(self, x: np.ndarray) -> _Point:
         """The point record at x, from one product V = [x; Ax; Bx] and its Gram <V_i|V_j>."""
@@ -152,25 +156,24 @@ class _Objective:
             s w_ImC = i ((B - <B>) u_A - (A - <A>) u_B) - 2 Im C x,
             s w_hF  = -1/dF ((F - <F>) u_F - Var_F x),
 
-        so every row is a fixed combination of the nine vectors that one
-        product of [x; u_A; u_B] with [I; A; B]^T gives.
+        so every row is a fixed combination, 1/s folded in, of the nine
+        vectors that one product of [x; u_A; u_B] with [I; A; B]^T gives.
         """
-        ma, mb, c = p.mean_a, p.mean_b, p.c
+        ma, mb, c, t = p.mean_a, p.mean_b, p.c, 1.0 / p.s
         _, _, d_a, d_b = p.parts
-        x = p.v[0]
         # rows x, Ax, Bx, u_A, A u_A, B u_A, u_B, A u_B, B u_B
-        z = ((p.v - np.array([[0.0], [ma], [mb]]) * x) @ self.ops_t).reshape(9, -1)
+        z = ((p.v - np.array([[0.0], [ma], [mb]]) * p.v[0]) @ self.ops_t).reshape(9, -1)
         r = [c.real, c.imag]
-        coef = [[-2.0 * c.real, 0, 0, -mb, 0, 1, -ma, 1, 0],
-                [-2.0 * c.imag, 0, 0, -1j * mb, 0, 1j, 1j * ma, -1j, 0]]
-        for d_f, row in ((d_a, (-p.var_a, 0, 0, -ma, 1, 0, 0, 0, 0)),
-                         (d_b, (-p.var_b, 0, 0, 0, 0, 0, -mb, 0, 1))):
+        coef = [[-2.0 * t * c.real, 0.0, 0.0, -t * mb, 0.0, t, -t * ma, t, 0.0],
+                [-2.0 * t * c.imag, 0.0, 0.0, -1j * t * mb, 0.0, 1j * t, 1j * t * ma, -1j * t, 0.0]]
+        for d_f, row in ((d_a, (-p.var_a, 0.0, 0.0, -ma, 1.0, 0.0, 0.0, 0.0, 0.0)),
+                         (d_b, (-p.var_b, 0.0, 0.0, 0.0, 0.0, 0.0, -mb, 0.0, 1.0))):
             if self.floor - d_f > 0.0:
                 r.append(self.floor - d_f)
                 # dF is not differentiable at zero; its row is zero there
-                k = -1.0 / d_f if d_f > 1e-30 else 0.0
+                k = -t / d_f if d_f > 1e-30 else 0.0
                 coef.append([k * e for e in row])
-        return np.array(r), (np.array(coef) @ z) / p.s
+        return np.array(r), np.array(coef) @ z
 
     def parts(self, x: np.ndarray) -> _Parts:
         """(objective, |C|, dA, dB) in one pass."""
@@ -223,26 +226,31 @@ def gradient(
 def _gauss_newton_step(obj: _Objective, p: _Point) -> _Point | None:
     """Minimum-norm step dx = -J^T (J J^T)^-1 r, halved to sufficient decrease.
 
-    In complex form J J^T = Re(conj(W) W^T) for the rows W of ``_rows``, at
-    most 4 x 4, and J^T y = y W; lstsq on the real J takes over only when
-    J J^T is singular.  A trial step t dx is taken once
-    f(x + t dx) < f + c t f'(x; dx), where the directional derivative
-    f'(x; dx) = 2 r.(J dx), with J dx = Re(conj(W) dx), is -2f whenever
-    J dx = -r.  Returns the point at the new x / ||x||, renormalized purely
-    for conditioning, or None when no step down to t = 2^-(_GN_HALVINGS - 1)
-    passes the test.
+    J is the float64 view of the rows W of ``_rows`` (the real Jacobian, its
+    (re, im) columns interleaved), so J J^T and J dx need no conjugate or
+    real-part copy.  k = 2 is solved in closed form on Python floats, k = 3, 4
+    by ``np.linalg.solve``; lstsq on J runs when det <= 0 or ``solve`` raises.
+    A trial step t dx is taken once f(x + t dx) < f + c t f'(x; dx), where
+    f'(x; dx) = 2 r.(J dx) is -2f whenever J dx = -r.  Returns the point at
+    the new x / ||x||, renormalized purely for conditioning, or None when no
+    step down to t = 2^-(_GN_HALVINGS - 1) passes the test.
     """
     r, w = obj._rows(p)
-    wc = w.conj()
-    try:
-        dx = -(np.linalg.solve((wc @ w.T).real, r) @ w)
-    except np.linalg.LinAlgError:
-        dxr = np.linalg.lstsq(np.concatenate((w.real, w.imag), axis=1), r, rcond=None)[0]
-        dx = -(dxr[: w.shape[1]] + 1j * dxr[w.shape[1]:])
-    slope = 2.0 * float(r @ (wc @ dx).real)
+    jac = w.view(np.float64)  # J, the (re, im) columns of each coordinate interleaved
+    gram, lam = jac @ jac.T, None  # dx = J^T lam, where J J^T lam = -r
+    if len(r) == 2:
+        (g00, g01), (_, g11) = gram.tolist()
+        (r0, r1), det = r.tolist(), g00 * g11 - g01 * g01
+        if det > 0.0:
+            lam = np.array(((g01 * r1 - g11 * r0) / det, (g01 * r0 - g00 * r1) / det))
+    else:
+        with contextlib.suppress(np.linalg.LinAlgError):
+            lam = -np.linalg.solve(gram, r)
+    dxr = -np.linalg.lstsq(jac, r, rcond=None)[0] if lam is None else lam @ jac
+    slope = 2.0 * float(r @ (jac @ dxr))
     if not slope < 0.0:
         return None
-    f, x = p.parts[0], p.v[0]
+    f, x, dx = p.parts[0], p.v[0], dxr.view(np.complex128)
     for _ in range(_GN_HALVINGS):
         y = x + dx
         trial = obj._point(y / math.sqrt(np.vdot(y, y).real))
@@ -292,7 +300,7 @@ def find(
     those the search judged it by, with the rule ``verify_candidate`` applies.
     """
     cfg = cfg or FinderConfig()
-    obj = _Objective(a, b, cfg)
+    obj = _Objective(a, b, cfg, tol)
     if a.dim < 3:
         raise DimensionTooSmall(
             "zero-correlation states with nonzero spreads need dimension >= 3; "
@@ -302,7 +310,7 @@ def find(
     best: tuple[_Point, int, int, bool] | None = None
     for restart in range(cfg.restarts):
         rng = np.random.default_rng((cfg.seed, restart))
-        p, iters, ok = _descend(obj, haar_state(a.dim, rng).amps, cfg, tol)
+        p, iters, ok = _descend(obj, _haar_amps(a.dim, rng), cfg, tol)
         if ok or best is None or p.parts[0] < best[0].parts[0]:
             best = (p, restart, iters, ok)
         if ok:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import uncertainty_lab as ul
+from uncertainty_lab import core
 from helpers import rand_hermitian
 
 
@@ -149,6 +150,32 @@ class TestObservableArithmetic:
         with pytest.raises(ul.DimensionMismatch):
             l3 + ul.identity(4)
 
+    @pytest.mark.parametrize("result", [
+        pytest.param(lambda a: a * 1e308 * 10, id="scaling-overflows"),
+        pytest.param(lambda a: a * 1e308 + a * 1e308, id="sum-overflows"),
+        pytest.param(lambda a: a * 1e308 - a * -1e308, id="difference-overflows"),
+        pytest.param(lambda a: a * 10**400, id="integer-beyond-float-range"),
+        pytest.param(lambda a: 10**400 * a, id="integer-beyond-float-range-left"),
+        pytest.param(lambda a: a * float("inf"), id="infinite-scalar"),
+        pytest.param(lambda a: a * float("nan"), id="nan-scalar"),
+    ])
+    def test_result_beyond_float_range_refused(self, l3, result):
+        # refused as a ValidationError: no RuntimeWarning, no bare OverflowError,
+        # no Observable holding inf or NaN
+        with pytest.raises(ul.ValidationError):
+            result(l3)
+
+    def test_bool_scaling_rejected(self, l3):
+        # a scalar is checked as every other number is: bools are not numbers
+        with pytest.raises(ul.ValidationError, match="scalar"):
+            l3 * True  # noqa: B018
+
+    def test_large_finite_results_kept(self, l3):
+        big = l3 * 1e308
+        assert np.array_equal(big.matrix, l3.matrix * 1e308)
+        assert np.array_equal((big - big).matrix, np.zeros((3, 3)))
+        assert np.array_equal((l3 * 10**300).matrix, l3.matrix * 1e300)
+
 
 class TestStateVector:
     def test_norm_validation(self):
@@ -240,6 +267,18 @@ class TestHaarState:
     def test_unusable_dimension_rejected_by_name(self, rng, dim):
         with pytest.raises(ul.ValidationError, match="dim"):
             ul.haar_state(dim, rng)
+
+    def test_amplitudes_are_the_normalized_draw_bit_for_bit(self):
+        # the finder starts from _haar_amps; haar_state wraps the same bytes,
+        # which are the draw normalized as StateVector.normalized does it
+        for dim in range(3, 65):
+            for seed, restart in ((0, 0), (3, 1), (dim, 7)):
+                amps = ul.haar_state(dim, np.random.default_rng((seed, restart))).amps
+                raw = core._haar_amps(dim, np.random.default_rng((seed, restart)))
+                g = np.random.default_rng((seed, restart))
+                draw = g.standard_normal(dim) + 1j * g.standard_normal(dim)
+                expected = ul.StateVector.normalized(draw).amps
+                assert amps.tobytes() == raw.tobytes() == expected.tobytes()
 
 
 class TestJson:

@@ -1,4 +1,5 @@
 import json
+import types
 
 import numpy as np
 import pytest
@@ -230,6 +231,83 @@ class TestKernelReference:
         assert hinge_counts == {0, 1, 2}
 
 
+class _GivenRows:
+    """Stand-in objective for one Gauss-Newton step: its residual and rows are
+    given, and every trial point is recorded and accepted (objective 0)."""
+
+    def __init__(self, r, w):
+        self.r, self.w, self.trials = np.asarray(r, dtype=float), w, []
+
+    def _rows(self, p):
+        return self.r, self.w
+
+    def _point(self, x):
+        self.trials.append(x.copy())
+        return finder._Point((0.0, 0.0, 1.0, 1.0), None, 1.0, 0.0, 0.0, 0j, 1.0, 1.0)
+
+
+def _step_from_zero(monkeypatch, r, w):
+    """The step dx that ``_gauss_newton_step`` tries first from x = 0, unnormalized, or None."""
+    # with x = 0 the first trial point is dx itself once the renormalization is a no-op
+    monkeypatch.setattr(finder, "math", types.SimpleNamespace(sqrt=lambda v: 1.0))
+    obj = _GivenRows(r, w)
+    start = finder._Point((1.0, 0.0, 1.0, 1.0), np.zeros((3, w.shape[1]), complex),
+                          1.0, 0.0, 0.0, 0j, 1.0, 1.0)
+    accepted = finder._gauss_newton_step(obj, start)
+    assert (accepted is None) == (not obj.trials)
+    return obj.trials[0] if obj.trials else None
+
+
+class TestGaussNewtonSolve:
+    @pytest.fixture
+    def lstsq_calls(self, monkeypatch):
+        calls, lstsq = [], np.linalg.lstsq
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        return calls
+
+    @pytest.mark.parametrize("dim", [3, 8, 64])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_step_matches_linalg_solve(self, dim, k, monkeypatch, lstsq_calls):
+        # k = 2 is the closed form, k = 3, 4 np.linalg.solve itself
+        rng = np.random.default_rng(1400 + 10 * dim + k)
+        for _ in range(25):
+            w = rng.standard_normal((k, dim)) + 1j * rng.standard_normal((k, dim))
+            w[1] *= 10.0 ** rng.uniform(-3, 3)
+            r = rng.standard_normal(k)
+            # the real Jacobian in (re x, im x) order, as ``residual`` returns it
+            jac = np.concatenate((w.real, w.imag), axis=1)
+            ref = -(np.linalg.solve(jac @ jac.T, r) @ jac)
+            ref = ref[:dim] + 1j * ref[dim:]
+            dx = _step_from_zero(monkeypatch, r, w)
+            assert np.max(np.abs(dx - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert not lstsq_calls
+
+    @pytest.mark.parametrize("second, r, descends", [
+        (0.0, (0.3, -1.2), True),   # zero row: det = 0
+        (2.0, (0.3, -1.2), True),   # parallel rows: det = 0
+        (0.0, (0.0, 1.0), False),   # r orthogonal to the range of J: no descent
+    ])
+    def test_singular_two_row_gram_takes_lstsq(self, monkeypatch, lstsq_calls, second, r, descends):
+        rng = np.random.default_rng(1414)
+        v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        w = np.array([v, second * v])
+        jac = w.view(np.float64)
+        (g00, g01), (_, g11) = (jac @ jac.T).tolist()
+        assert g00 * g11 - g01 * g01 <= 0.0
+        dx = _step_from_zero(monkeypatch, r, w)
+        assert len(lstsq_calls) == 1
+        if descends:
+            # slope 2 r.(J dx) < 0: a descent direction for f = ||r||^2
+            assert float(np.dot(r, jac @ dx.view(np.float64))) < 0.0
+        else:
+            assert dx is None
+
+
 class TestFinderConfig:
     @pytest.mark.parametrize("field, value", [
         ("spread_floor", float("nan")), ("spread_floor", float("inf")),
@@ -379,6 +457,23 @@ class TestFind:
             assert result.converged
             assert min(result.delta_a, result.delta_b) > 0.6
             assert ul.verify_candidate(l3, l4, result.state, tol)
+
+    def test_hinge_at_eps_spread_above_the_floor(self, l3, l4):
+        # with eps_spread above the floor the penalty hinges at eps_spread,
+        # where acceptance starts, so restarts are rarely needed
+        tol = ul.Tolerances(eps_spread=0.6)
+        results = [ul.find(l3, l4, ul.FinderConfig(seed=seed), tol) for seed in range(40)]
+        for result in results:
+            assert result.converged and ul.verify_candidate(l3, l4, result.state, tol)
+        assert np.mean([result.restart_index for result in results]) <= 1.0
+
+    def test_default_tolerances_keep_the_objective(self, rng, l3, l4):
+        # FinderConfig keeps the floor above the default eps_spread
+        cfg = ul.FinderConfig()
+        x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        assert finder._Objective(l3, l4, cfg, ul.DEFAULT_TOLERANCES).floor == cfg.spread_floor
+        assert finder._Objective(l3, l4, cfg).parts(x) == finder._Objective(
+            l3, l4, cfg, ul.Tolerances(eps_spread=0.05)).parts(x)
 
     def test_json_round_trip(self, l3, l4):
         result = ul.find(l3, l4, ul.FinderConfig(seed=7))

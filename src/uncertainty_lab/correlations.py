@@ -22,7 +22,7 @@ from .core import (
     StateVector,
     Tolerances,
 )
-from .moments import _check, _StateMoments
+from .moments import _check, _Checked
 
 __all__ = [
     "CorrelationRecord",
@@ -66,14 +66,14 @@ def correlation(a: Observable, b: Observable, phi: StateVector) -> complex:
     The same number is the inner product of the two deviation vectors, so both
     routes are evaluated and compared before the moment form is returned.
     """
-    return _StateMoments(a, b, phi).c
+    return _Checked(a, b, phi).c
 
 
-def _nondegenerate(m: _StateMoments, what: str) -> float:
+def _nondegenerate(m: _Checked, what: str) -> float:
     r = m.pearson
     if r is None:
         raise DegenerateSpread(
-            f"{what} undefined: spreads ({m.a.spread:.3e}, {m.b.spread:.3e}) "
+            f"{what} undefined: spreads ({m.spreads[0]:.3e}, {m.spreads[1]:.3e}) "
             f"must both exceed eps_spread = {m.tol.eps_spread:.3e}"
         )
     return r
@@ -89,7 +89,7 @@ def pearson(
     eps_spread: the coefficient is only defined for states where both
     observables actually spread out.
     """
-    return _nondegenerate(_StateMoments(a, b, phi, tol), "pearson coefficient")
+    return _nondegenerate(_Checked(a, b, phi, tol), "pearson coefficient")
 
 
 def decomposition(
@@ -101,7 +101,7 @@ def decomposition(
     The two terms sum to pearson^2; dropping the second one is exactly the
     information lost by using only the real part of C.
     """
-    m = _StateMoments(a, b, phi, tol)
+    m = _Checked(a, b, phi, tol)
     _nondegenerate(m, "decomposition")
     return m.decomposition()
 
@@ -116,14 +116,15 @@ def correlation_properties_check(
     rule of the internal cross-checks.  Returns True when all hold; otherwise
     logs each violation and returns False.
     """
-    m_ab = _StateMoments(a, b1, phi)
-    m_ba = _StateMoments(b1, a, phi)
-    m_ab2 = _StateMoments(a, b2, phi)
-    m_sum = _StateMoments(a, b1 + b2, phi)
+    m_ab = _Checked(a, b1, phi)
+    m_ba = _Checked(b1, a, phi)
+    m_ab2 = _Checked(a, b2, phi)
+    m_sum = _Checked(a, b1 + b2, phi)
     additivity = abs(m_sum.c - (m_ab.c + m_ab2.c))
+    scale = m_ab.n.scale
     checks = [
-        ("conjugate symmetry C(A,B) = conj(C(B,A))", abs(m_ab.c - m_ba.c.conjugate()), m_ab.scale),
-        ("additivity C(A, B1+B2) = C(A,B1) + C(A,B2)", additivity, m_ab.scale + m_ab2.scale),
+        ("conjugate symmetry C(A,B) = conj(C(B,A))", abs(m_ab.c - m_ba.c.conjugate()), scale),
+        ("additivity C(A, B1+B2) = C(A,B1) + C(A,B2)", additivity, scale + m_ab2.n.scale),
     ]
     if m_ab.pearson is not None:
         checks.append(("pearson symmetry r(A,B) = r(B,A)", abs(m_ab.pearson - m_ba.pearson), 1.0))
@@ -141,7 +142,7 @@ def correlation_record(
     a: Observable, b: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> CorrelationRecord:
     """Full correlation record; pearson/transition_prob absent on degenerate spreads."""
-    m = _StateMoments(a, b, phi, tol)
+    m = _Checked(a, b, phi, tol)
     c, r = m.c, m.pearson
     return CorrelationRecord(
         c=c,

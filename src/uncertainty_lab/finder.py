@@ -61,7 +61,7 @@ from .core import (
     _haar_amps,
     state_to_json_dict,
 )
-from .moments import _require_noncommuting, _StateMoments
+from .moments import _Checked, _require_noncommuting
 
 __all__ = ["FinderConfig", "FinderResult", "find", "gradient", "objective", "verify_candidate"]
 
@@ -117,7 +117,7 @@ _Point = namedtuple("_Point", "parts v s mean_a mean_b c var_a var_b")
 class _Objective:
     """f(x), its parts, residual and gradient from products with the stacked [I; A; B].
 
-    Not read from the checked per-state record ``_StateMoments``: with its
+    Not read from the checked per-state view ``moments._Checked``: with its
     state validation and cross-checks an evaluation measured ~5x dearer,
     and the median find-sweep op took ~2.2x as long.
     """
@@ -331,16 +331,16 @@ def verify_candidate(
 ) -> bool:
     """Independent acceptance check for a candidate zero-correlation state.
 
-    Recomputes C through both of its defining forms and the spreads through
-    the checked per-state record, judges them by ``find``'s acceptance rule
+    Reads C and the spreads from the shared moments record, asserting their
+    identities in this call, judges them by ``find``'s acceptance rule
     (the floor checked as ``FinderConfig`` checks it), and checks that the
     state and its two normalized deviation directions form an orthonormal
     triple.
     """
     spread_floor = _check_real("spread_floor", spread_floor, DEFAULT_TOLERANCES.eps_spread)
-    m = _StateMoments(a, b, state, tol)
-    if not _accepted(abs(m.c), m.a.spread, m.b.spread, spread_floor, tol):
+    m = _Checked(a, b, state, tol)
+    if not _accepted(abs(m.c), *m.spreads, spread_floor, tol):
         return False
-    triple = (state.amps, m.a.vec / m.a.norm, m.b.vec / m.b.norm)
+    triple = (state.amps, m.n.a.vec / m.n.a.norm, m.n.b.vec / m.n.b.norm)
     gram = np.array([[np.vdot(u, v) for v in triple] for u in triple])
     return bool(np.max(np.abs(gram - np.eye(3))) <= _GRAM_TOL)

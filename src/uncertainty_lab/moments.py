@@ -5,14 +5,18 @@ vector ``(F - <F> I)|phi>``; it must agree with the moment form
 ``sqrt(<F^2> - <F>^2)``, and both routes are computed here so drift in
 either one is caught immediately.
 
-Every per-state function of a pair reads from one ``_StateMoments`` record
-per call, which computes each value at most once and asserts each identity
-between two routes when the value is first read.  Its lazy fields (``_lazy``)
-take no lock, since a record belongs to one call, and its norms are
-``sqrt(<v|v>)``.  The record forms no matrix product: <[A,B]> and <{A,B}> come
-from A(B|phi>) and B(A|phi>), each formed when first needed, so C alone costs
-one of them.  The pair's one product, [A,B], is formed by the commuting guard
-``_require_noncommuting``.
+Every per-state function of a pair reads the numbers of (A, B, phi) from one
+shared, unchecked ``_StateMoments`` record, which computes each at most once,
+through a ``_Checked`` view of its own, which asserts each identity between
+two routes when the call first reads it: a call asserts its own identities,
+whatever calls came before.  ``_shared`` keeps the record of the last triple,
+keyed on the identities of A, B and phi (no ``__eq__``, read-only arrays; the
+slot keeps them alive, so no id is reused) and not on ``tol``, on which no
+number depends.  Its lazy fields (``_lazy``) take no lock, as threads racing
+on one only compute it twice; its norms are ``sqrt(<v|v>)``, and it forms no
+matrix product: <[A,B]> and <{A,B}> come from A(B|phi>) and B(A|phi>), each
+formed when first needed, so C alone costs one of them.  The pair's one
+product, [A,B], is formed by the commuting guard ``_require_noncommuting``.
 
 Every internal check goes through ``_check``: a residual passes up to
 ``tol * max(1, scale)``, ``scale`` being the size of the compared terms
@@ -31,6 +35,7 @@ decomposition.  No check thus depends on the units of the observables.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -105,9 +110,9 @@ def _check_rows(
 
 class _lazy:
     """``functools.cached_property`` without its lock (Python 3.11 takes an
-    ``RLock`` on every first read): the records are per call and never
-    shared.  A non-data descriptor, so the value stored in the instance
-    ``__dict__`` on the first read shadows it on every later one."""
+    ``RLock`` on every first read): threads that first read a shared field at
+    once only compute it twice.  A non-data descriptor, so the value stored in
+    the instance ``__dict__`` on the first read shadows it on every later one."""
 
     def __init__(self, func):
         self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
@@ -120,7 +125,7 @@ class _lazy:
 
 
 class _Spread:
-    """One observable in phi: F|phi>, <F> and the deviation vector with its norm."""
+    """One observable in phi: F|phi>, <F>, the deviation vector with its norm, and <F^2>."""
 
     def __init__(self, matrix: np.ndarray, amps: np.ndarray):
         _check_same_dim(matrix.shape[0], amps.shape[0])
@@ -130,14 +135,16 @@ class _Spread:
         self.mean = complex(np.vdot(amps, self.f_phi)).real
         self.vec = self.f_phi - self.mean * amps
         self.norm = _norm(self.vec)
+        self.m2 = None  # <F^2>, formed on the first read of ``spread``
 
-    @_lazy
+    @property
     def spread(self) -> float:
         """The norm, after comparing its square with <F^2> - <F>^2 (variances,
-        because the square root is ill-conditioned near eigenstates)."""
-        m2 = complex(np.vdot(self.amps, self.matrix @ self.f_phi)).real
-        residual = abs(self.norm**2 - (m2 - self.mean * self.mean))
-        _check(_VARIANCE, residual, abs(m2))
+        because the square root is ill-conditioned near eigenstates), on every read."""
+        if self.m2 is None:
+            self.m2 = complex(np.vdot(self.amps, self.matrix @ self.f_phi)).real
+        residual = abs(self.norm**2 - (self.m2 - self.mean * self.mean))
+        _check(_VARIANCE, residual, abs(self.m2))
         return self.norm
 
 
@@ -195,26 +202,16 @@ def _require_noncommuting(a: Observable, b: Observable, tol: Tolerances) -> None
 
 
 class _StateMoments:
-    """Spreads, correlation, bounds and their cross-checks for (A, B, phi).
+    """The numbers of (A, B, phi), unchecked: both one-observable steps run on
+    construction and every other value is computed when first read."""
 
-    Both one-observable steps run on construction; every other value is
-    computed, and its identity asserted, when first read.
-    """
-
-    def __init__(
-        self, a: Observable, b: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES
-    ):
+    def __init__(self, a: Observable, b: Observable, phi: StateVector):
         _check_same_dim(a.dim, b.dim)
         self.amps = phi.amps
-        self.tol = tol
         self.a = _Spread(a.matrix, phi.amps)
         self.b = _Spread(b.matrix, phi.amps)
         # ||A phi|| ||B phi||, as ||F phi||^2 = <F>^2 + dF^2 (see the module docstring)
         self.scale = math.hypot(self.a.mean, self.a.norm) * math.hypot(self.b.mean, self.b.norm)
-
-    @property
-    def spreads_ok(self) -> bool:
-        return min(self.a.spread, self.b.spread) > self.tol.eps_spread
 
     @_lazy
     def overlap(self) -> complex:
@@ -233,23 +230,8 @@ class _StateMoments:
 
     @_lazy
     def c(self) -> complex:
-        """C = <AB> - <A><B> in moment form, checked against the deviation form."""
-        c = complex(np.vdot(self.amps, self.ab)) - self.a.mean * self.b.mean
-        _check(_C_FORMS, abs(c - self.overlap), self.scale)
-        return c
-
-    @_lazy
-    def pearson(self) -> float | None:
-        """|C| / (dA dB), checked against |<dev_A|dev_B>| / (dA dB), the
-        overlap of the deviation directions; None when either spread is below
-        eps_spread."""
-        if not self.spreads_ok:
-            return None
-        product = self.a.spread * self.b.spread
-        r, scale = abs(self.c) / product, self.scale / product  # C's roundoff, divided like C
-        _check(_OVERLAP, abs(r - abs(self.overlap) / product), scale)
-        _check(_PEARSON_MAX, r - 1.0, scale, _TOL, ValidationError)
-        return min(r, 1.0)
+        """C = <AB> - <A><B> in moment form."""
+        return complex(np.vdot(self.amps, self.ab)) - self.a.mean * self.b.mean
 
     @_lazy
     def hr(self) -> float:
@@ -258,19 +240,71 @@ class _StateMoments:
 
     @_lazy
     def schrodinger(self) -> float:
-        """Bound from <{A,B}> = <AB> + <BA> and the commutator bound, checked against |C|."""
+        """The bound from <{A,B}> = <AB> + <BA> and the commutator bound."""
         anti_mean = complex(np.vdot(self.amps, self.ab + self.ba)).real
-        bound = math.hypot(0.5 * anti_mean - (self.a.mean * self.b.mean), self.hr)
-        _check("Schrodinger bound = |C|", abs(bound - abs(self.c)), self.scale)
+        return math.hypot(0.5 * anti_mean - (self.a.mean * self.b.mean), self.hr)
+
+    @_lazy
+    def sum(self) -> _Spread:
+        """A + B in phi."""
+        return _Spread(self.a.matrix + self.b.matrix, self.amps)
+
+
+@functools.lru_cache(maxsize=1)
+def _shared(a: Observable, b: Observable, phi: StateVector) -> _StateMoments:
+    """The record of the last triple asked for (see the module docstring)."""
+    return _StateMoments(a, b, phi)
+
+
+class _Checked:
+    """One call's view of the shared record of (A, B, phi): each value is
+    checked against its second route when the call first reads it."""
+
+    def __init__(
+        self, a: Observable, b: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES
+    ):
+        self.n = _shared(a, b, phi)
+        self.tol = tol
+
+    @_lazy
+    def spreads(self) -> tuple[float, float]:
+        """(dA, dB), each checked against its moment form."""
+        return self.n.a.spread, self.n.b.spread
+
+    @_lazy
+    def c(self) -> complex:
+        """C in moment form, checked against the deviation form."""
+        n = self.n
+        _check(_C_FORMS, abs(n.c - n.overlap), n.scale)
+        return n.c
+
+    @_lazy
+    def pearson(self) -> float | None:
+        """|C| / (dA dB), checked against |<dev_A|dev_B>| / (dA dB), the
+        overlap of the deviation directions; None when either spread is below
+        eps_spread."""
+        if not min(self.spreads) > self.tol.eps_spread:
+            return None
+        product = math.prod(self.spreads)
+        r, scale = abs(self.c) / product, self.n.scale / product  # C's roundoff, divided like C
+        _check(_OVERLAP, abs(r - abs(self.n.overlap) / product), scale)
+        _check(_PEARSON_MAX, r - 1.0, scale, _TOL, ValidationError)
+        return min(r, 1.0)
+
+    @_lazy
+    def schrodinger(self) -> float:
+        """The Schrodinger bound, checked against |C|."""
+        bound = self.n.schrodinger
+        _check("Schrodinger bound = |C|", abs(bound - abs(self.c)), self.n.scale)
         return bound
 
     def check_commutator(self) -> None:
         c = self.c
-        _check(_COMMUTATOR, abs(2.0 * self.hr - 2.0 * abs(c.imag)), self.scale)
+        _check(_COMMUTATOR, abs(2.0 * self.n.hr - 2.0 * abs(c.imag)), self.n.scale)
 
     def check_bound_chain(self) -> None:
-        product = self.a.spread * self.b.spread
-        hr, sch, gen, scale = self.hr, self.schrodinger, abs(self.c), self.scale
+        product = math.prod(self.spreads)
+        hr, sch, gen, scale = self.n.hr, self.schrodinger, abs(self.c), self.n.scale
         _check("commutator bound <= Schrodinger bound", hr - sch, scale)
         _check("Schrodinger bound = |C| in the bound chain", abs(sch - gen), scale)
         _check("commutator bound <= dA dB", hr - product, scale)
@@ -280,7 +314,7 @@ class _StateMoments:
         """((Re C / dA dB)^2, (Im C / dA dB)^2), checked to sum to pearson^2;
         only for nondegenerate spreads."""
         r = self.pearson
-        denom = self.a.spread * self.b.spread
+        denom = math.prod(self.spreads)
         cov_term, imag_term = (self.c.real / denom) ** 2, (self.c.imag / denom) ** 2
         residual = abs(cov_term + imag_term - r * r)
         _check("decomposition terms sum to pearson^2", residual, 1.0, _SUM_TOL)
@@ -291,12 +325,12 @@ class _StateMoments:
         them: ``eigenstate_trivial`` when either spread vanishes,
         ``pythagoras`` (with d(A+B)^2 = dA^2 + dB^2 asserted) when the
         deviation vectors are orthogonal, ``none`` otherwise."""
-        da, db = self.a.spread, self.b.spread
+        da, db = self.spreads
         squares = da**2 + db**2
-        sos = _Spread(self.a.matrix + self.b.matrix, self.amps).spread
-        if not self.spreads_ok:
+        sos = self.n.sum.spread
+        if not min(da, db) > self.tol.eps_spread:
             kind = "eigenstate_trivial"
-        elif abs(self.overlap) <= self.tol.tol_zero:
+        elif abs(self.n.overlap) <= self.tol.tol_zero:
             residual = abs(sos**2 - squares)
             _check("orthogonal deviations: d(A+B)^2 = dA^2 + dB^2", residual, squares, _SUM_TOL)
             kind = "pythagoras"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .core import DEFAULT_TOLERANCES, Observable, StateVector, Tolerances
-from .moments import _check, _StateMoments, std_dev
+from .moments import _check, _Checked, _shared, std_dev
 
 __all__ = [
     "Degeneracy",
@@ -98,7 +98,7 @@ class SumRelationReport:
 
 def hr_bound(a: Observable, b: Observable, phi: StateVector) -> float:
     """Commutator lower bound |<phi|[A,B]|phi>| / 2."""
-    return _StateMoments(a, b, phi).hr
+    return _shared(a, b, phi).hr
 
 
 def schrodinger_bound(a: Observable, b: Observable, phi: StateVector) -> float:
@@ -107,25 +107,26 @@ def schrodinger_bound(a: Observable, b: Observable, phi: StateVector) -> float:
     Computed from <{A,B}> and <[A,B]>, read off A(B|phi>) and B(A|phi>),
     then cross-checked against |C(A,B)|, to which it is identically equal.
     """
-    return _StateMoments(a, b, phi).schrodinger
+    return _Checked(a, b, phi).schrodinger
 
 
 def evaluate(
     a: Observable, b: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> UncertaintyReport:
     """Evaluate every bound for (A, B, phi) and assert the chain between them."""
-    m = _StateMoments(a, b, phi, tol)
+    m = _Checked(a, b, phi, tol)
     m.check_bound_chain()
-    product = m.a.spread * m.b.spread
-    general = abs(m.c)
+    delta_a, delta_b = m.spreads
+    product = delta_a * delta_b
+    general, hr = abs(m.c), m.n.hr
     return UncertaintyReport(
-        delta_a=m.a.spread,
-        delta_b=m.b.spread,
+        delta_a=delta_a,
+        delta_b=delta_b,
         product=product,
-        hr_bound=m.hr,
+        hr_bound=hr,
         schrodinger_bound=m.schrodinger,
         general_bound=general,
-        slack_hr=product - m.hr,
+        slack_hr=product - hr,
         slack_general=product - general,
         tight=(product - general) <= _TIGHT_SLACK,
     )
@@ -141,9 +142,9 @@ def sum_relations(
     spread), ``pythagoras`` when the deviation vectors are orthogonal, in
     which case d(A+B)^2 = dA^2 + dB^2 is additionally asserted.
     """
-    m = _StateMoments(a, b, phi, tol)
+    m = _Checked(a, b, phi, tol)
     spread_of_sum, degenerate = m.sum_relations()
-    delta_a, delta_b = m.a.spread, m.b.spread
+    delta_a, delta_b = m.spreads
     return SumRelationReport(
         sum_of_spreads=delta_a + delta_b,
         spread_of_sum=spread_of_sum,

@@ -13,7 +13,7 @@ classified into three (overlapping) sets:
 relative to the zero tolerance recorded in the result.  Eigenstates of A or B
 are excluded from all three sets by definition.
 
-``classify`` judges one state from its ``_StateMoments`` record.  A scan
+``classify`` judges one state from its view of the moments record.  A scan
 (``membership_scan`` and the CLI ``scan``) judges a block of Haar-random
 states at a time with one batched kernel.  It asserts the identities that
 ``classify`` asserts, in the same order, once per block over all of the
@@ -45,8 +45,8 @@ from .moments import (
     _PEARSON_MAX,
     _VARIANCE,
     _check_rows,
+    _Checked,
     _require_noncommuting,
-    _StateMoments,
 )
 
 __all__ = ["ClassificationResult", "ScanConfig", "classify", "membership_scan"]
@@ -116,9 +116,9 @@ def classify(
     cross-checked against each other.  Deciding on Im C makes the inclusion
     s_ab => s_comm and s_anti hold structurally even at tolerance boundaries.
     """
-    m = _StateMoments(a, b, phi, tol)
+    m = _Checked(a, b, phi, tol)
     _require_noncommuting(a, b, tol)
-    spread_a, spread_b = m.a.spread, m.b.spread
+    spread_a, spread_b = m.spreads
     m.check_commutator()
     return ClassificationResult(*_flags(spread_a, spread_b, m.c, tol), m.pearson, tol)
 

@@ -7,12 +7,16 @@ which identities each public function asserts on valid input.
 """
 
 import json
+import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import uncertainty_lab as ul
 from uncertainty_lab import cli, moments
+from helpers import rand_hermitian, rand_state
 
 VARIANCE = "variance: norm form = moment form"
 C_FORMS = "correlation: moment form = deviation form"
@@ -126,3 +130,73 @@ def test_zero_correlation_state_asserts_pythagoras(recorded, l3, l4):
     recorded.clear()
     assert ul.verify_candidate(l3, l4, phi1)
     assert recorded == [C_FORMS, VARIANCE, VARIANCE]
+
+
+PER_STATE = [
+    ul.std_dev, ul.correlation, ul.hr_bound, ul.schrodinger_bound, ul.pearson,
+    ul.decomposition, ul.correlation_record, ul.evaluate, ul.classify, ul.sum_relations,
+]
+
+
+def call(func, a, b, phi, *tol):
+    return func(a, phi, *tol) if func is ul.std_dev else func(a, b, phi, *tol)
+
+
+def copies(a, b, phi):
+    return ul.Observable(a.matrix), ul.Observable(b.matrix), ul.StateVector(phi.amps)
+
+
+def test_calls_sharing_a_triple_assert_what_cold_calls_assert(recorded, l3, l4, phi2):
+    cold = {}
+    for func in PER_STATE:
+        recorded.clear()
+        call(func, *copies(l3, l4, phi2))
+        cold[func] = list(recorded)
+    for func in PER_STATE + PER_STATE + PER_STATE[::-1]:
+        recorded.clear()
+        call(func, l3, l4, phi2)
+        assert recorded == cold[func], func.__name__
+
+
+def test_a_shared_record_does_not_swallow_a_failure(nilpotent, l4, phi2):
+    moments._shared.cache_clear()
+    expected = [(ul.evaluate, VARIANCE), (ul.classify, VARIANCE), (ul.correlation, C_FORMS)]
+    for func, identity in expected * 2:
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(identity)} fails"):
+            func(nilpotent, l4, phi2)
+    info = moments._shared.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+
+
+def test_results_match_calls_on_fresh_copies_whatever_the_tolerances(rng):
+    loose = ul.Tolerances(eps_spread=0.6)
+    funcs = (ul.evaluate, ul.classify, ul.correlation_record, ul.sum_relations)
+    calls = [(func, tol) for func in funcs for tol in (ul.DEFAULT_TOLERANCES, loose)]
+    for dim in (2, 3, 8, 64):
+        a, b, phi = rand_hermitian(rng, dim), rand_hermitian(rng, dim), rand_state(rng, dim)
+        b = b * (0.3 / ul.std_dev(b, phi))  # dB = 0.3: a spread only under the default tolerances
+        for order in (calls, calls[::-1]):
+            shared = [repr(func(a, b, phi, tol)) for func, tol in order]
+            fresh = [repr(func(*copies(a, b, phi), tol)) for func, tol in order]
+            assert shared == fresh
+        assert ul.classify(a, b, phi, loose).eigen_b and not ul.classify(a, b, phi).eigen_b
+
+
+def test_threads_sharing_triples_match_the_serial_results(rng):
+    triples = [(rand_hermitian(rng, d), rand_hermitian(rng, d), rand_state(rng, d))
+               for d in (2, 3, 4, 8, 64) for _ in range(2)]
+    funcs = (ul.evaluate, ul.correlation_record, ul.classify, ul.sum_relations, ul.pearson)
+
+    def results(order):
+        return [(i, [repr(f(*triples[i])) for f in funcs]) for i in order]
+
+    serial = dict(results(range(len(triples))))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            orders = [[(i + k) % len(triples) for i in range(len(triples))] * 5 for k in range(4)]
+            threaded = list(pool.map(results, orders, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(got == serial[i] for rows in threaded for i, got in rows)

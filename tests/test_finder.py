@@ -448,6 +448,33 @@ class TestFind:
             assert (result.iterations, result.converged) == (iters, ok)
             assert result.converged and ul.verify_candidate(a, b, result.state)
 
+    def test_abstract_holds_at_found_states(self):
+        # PAPER.md's abstract, at states that are not eigenstates: C = 0, every
+        # lower bound on dA dB is zero, and the sum relations are Pythagorean.
+        # Every 5th non-commuting Gell-Mann pair at d = 3, 4 and every 4th of
+        # 12 seeded random pairs at each of d = 3..64.
+        pairs = []
+        for dim in (3, 4):
+            basis = ul.gell_mann(dim).matrices
+            pairs += [(a, b) for i, a in enumerate(basis) for b in basis[i + 1:]
+                      if np.linalg.norm(a.matrix @ b.matrix - b.matrix @ a.matrix) > 1e-9]
+        pairs = pairs[::5]
+        rng = np.random.default_rng(5)
+        for d in (3, 4, 8, 16, 64):
+            pairs += [(rand_hermitian(rng, d), rand_hermitian(rng, d)) for _ in range(12)][::4]
+        assert len(pairs) == 21 + 15
+        tol = ul.DEFAULT_TOLERANCES
+        for a, b in pairs:
+            phi = ul.find(a, b).state
+            sizes = [np.linalg.norm(f.matrix @ phi.amps) for f in (a, b)]
+            scale = max(1.0, sizes[0] * sizes[1])  # the scale of the checks (see moments)
+            report = ul.evaluate(a, b, phi)
+            bounds = (report.hr_bound, report.schrodinger_bound, report.general_bound)
+            assert max(bounds) <= tol.tol_zero * scale and report.product > 0.0
+            assert ul.sum_relations(a, b, phi).degenerate is ul.Degeneracy.PYTHAGORAS
+            flags = ul.classify(a, b, phi)
+            assert flags.in_s_ab and not (flags.eigen_a or flags.eigen_b)
+
     def test_spread_at_eps_spread_never_counts_as_converged(self, l3, l4):
         # a tol whose eps_spread exceeds the floor: find must not report a
         # state that verify_candidate (and classify) call an eigenstate

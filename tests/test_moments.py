@@ -187,6 +187,28 @@ class TestLazyField:
         assert "ba" in m.__dict__
 
 
+class TestSharedRecord:
+    def test_cold_correlation_forms_only_ab_in_the_shared_record(self, rng):
+        a, b, phi = rand_hermitian(rng, 4), rand_hermitian(rng, 4), rand_state(rng, 4)
+        ul.correlation(a, b, phi)
+        shared = moments._shared(a, b, phi)
+        assert "ab" in shared.__dict__ and "ba" not in shared.__dict__
+        ul.hr_bound(a, b, phi)
+        assert "ba" in shared.__dict__
+
+    def test_one_slot_keyed_on_the_objects_not_on_tol(self, rng):
+        a, b, phi = rand_hermitian(rng, 3), rand_hermitian(rng, 3), rand_state(rng, 3)
+        moments._shared.cache_clear()
+        ul.evaluate(a, b, phi)
+        ul.classify(a, b, phi, ul.Tolerances(eps_spread=0.5))
+        ul.sum_relations(a, b, phi)
+        assert moments._shared.cache_info()[:2] == (2, 1)  # (hits, misses)
+        # equal arrays in other objects are another triple, and take the slot
+        ul.evaluate(ul.Observable(a.matrix), b, phi)
+        ul.evaluate(a, b, phi)
+        assert moments._shared.cache_info()[:2] == (2, 3)
+
+
 class TestSpreadNorm:
     def test_matches_linalg_norm(self):
         rng = np.random.default_rng(1164)

@@ -9,11 +9,12 @@ Subcommands:
 * ``demo``  -- self-checking walkthrough of the lambda_3/lambda_4 example;
 * ``basis`` -- emit a generalized Gell-Mann basis as JSON.
 
-Exit codes: 0 success, 1 failed demo golden check, 2 input or guard error,
-3 finder did not converge, 4 an internal cross-check failed, 5 stdout was
-closed before all output was written.  Every output artifact is accompanied
-by a run manifest (embedded in JSON output, sidecar file for CSV).  The
-environment variable UNCERTAINTY_LAB_SEED provides the default seed.
+Exit codes: 0 success, 1 failed demo golden check, 2 input or guard error or
+a value past the float range, 3 finder did not converge, 4 an internal
+cross-check failed, 5 stdout was closed before all output was written.  Every
+output artifact is accompanied by a run manifest (embedded in JSON output,
+sidecar file for CSV).  The environment variable UNCERTAINTY_LAB_SEED provides
+the default seed.
 """
 
 from __future__ import annotations
@@ -199,10 +200,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         lines.extend(_scan_lines(block))
     _write(args.out, (line + "\n" for line in lines))  # the body is never held twice
     manifest = _manifest("scan", [args.observable_a, args.observable_b], args.seed, tol)
-    manifest["start"] = args.start
-    manifest["samples"] = args.samples
-    manifest["rng"] = _rng_scheme(a.dim)
-    manifest["output"] = args.out
+    manifest.update(start=args.start, samples=args.samples, rng=_rng_scheme(a.dim),
+                    output=args.out)
     _emit(json.dumps(manifest, indent=2), args.out + ".manifest.json")
     return 0
 
@@ -376,6 +375,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (CliError, ValueError) as exc:
         # every library input or guard error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: a value left the float range: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"error: internal cross-check failed: {exc}", file=sys.stderr)

@@ -51,13 +51,7 @@ class CorrelationRecord:
     transition_prob: float | None
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "c": [self.c.real, self.c.imag],
-            "cov_real": self.cov_real,
-            "imag_part": self.imag_part,
-            "pearson": self.pearson,
-            "transition_prob": self.transition_prob,
-        }
+        return {**vars(self), "c": [self.c.real, self.c.imag]}
 
 
 def correlation(a: Observable, b: Observable, phi: StateVector) -> complex:

@@ -16,7 +16,8 @@ number depends.  Its lazy fields (``_lazy``) take no lock, as threads racing
 on one only compute it twice; its norms are ``sqrt(<v|v>)``, and it forms no
 matrix product: <[A,B]> and <{A,B}> come from A(B|phi>) and B(A|phi>), each
 formed when first needed, so C alone costs one of them.  The pair's one
-product, [A,B], is formed by the commuting guard ``_require_noncommuting``.
+product, [A,B], is formed once per pair: ``_guard_sizes`` keeps the commuting
+guard's sizes in a slot keyed like ``_shared``; the verdict is each call's.
 
 Every internal check goes through ``_check``: a residual passes up to
 ``tol * max(1, scale)``, ``scale`` being the size of the compared terms
@@ -190,14 +191,37 @@ def is_eigenstate(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOL
     return std_dev(f, phi, tol) <= tol.eps_spread
 
 
+def _sizes(a: Observable, b: Observable) -> tuple[float, float, float]:
+    # Both products: P - P^dag (P = AB) is [A,B] only for Hermitian A and B
+    return _norm(commutator(a, b)), _norm(a.matrix), _norm(b.matrix)
+
+
+def _unit_peak(f: Observable) -> Observable:
+    """F over its largest |Re| or |Im| entry (F when zero), on the real view:
+    a complex division by a subnormal overflows."""
+    parts = f.matrix.view(np.float64)
+    return Observable._wrap((parts / (np.abs(parts).max() or 1.0)).view(np.complex128))
+
+
+@functools.lru_cache(maxsize=1)
+def _guard_sizes(a: Observable, b: Observable) -> tuple[float, float, float]:
+    """``_sizes`` of the last pair asked for, keyed like ``_shared``.  Past
+    (1e-150, 1e150) a squared size may under- or overflow, so then all three
+    are taken on A and B over their largest entries, which keeps the ratio."""
+    sizes = _sizes(a, b)
+    if not all(1e-150 < size < 1e150 for size in sizes):
+        sizes = _sizes(_unit_peak(a), _unit_peak(b))
+    return sizes
+
+
 def _require_noncommuting(a: Observable, b: Observable, tol: Tolerances) -> None:
     """Raise CommutingPair when ||[A,B]||_F <= tol_zero ||A||_F ||B||_F (scale-free)."""
-    # Both products: P - P^dag (P = AB) is [A,B] only for Hermitian A and B
-    sizes = [_norm(m) for m in (commutator(a, b), a.matrix, b.matrix)]
-    norm, limit = sizes[0], tol.tol_zero * sizes[1] * sizes[2]
-    if norm <= limit:
+    norm, size_a, size_b = _guard_sizes(a, b)
+    if norm <= tol.tol_zero * size_a * size_b:
+        ratio = norm / (size_a * size_b) if norm else 0.0
         raise CommutingPair(
-            f"the pair commutes: ||[A,B]|| = {norm:.3e} <= tol_zero ||A|| ||B|| = {limit:.3e}"
+            f"the pair commutes: ||[A,B]|| / (||A|| ||B||) = {ratio:.3e} "
+            f"<= tol_zero = {tol.tol_zero:.3e}"
         )
 
 

@@ -57,17 +57,7 @@ class UncertaintyReport:
     tight: bool
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "delta_a": self.delta_a,
-            "delta_b": self.delta_b,
-            "product": self.product,
-            "hr_bound": self.hr_bound,
-            "schrodinger_bound": self.schrodinger_bound,
-            "general_bound": self.general_bound,
-            "slack_hr": self.slack_hr,
-            "slack_general": self.slack_general,
-            "tight": self.tight,
-        }
+        return dict(vars(self))
 
 
 class Degeneracy(str, enum.Enum):
@@ -87,13 +77,7 @@ class SumRelationReport:
     degenerate: Degeneracy
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "sum_of_spreads": self.sum_of_spreads,
-            "spread_of_sum": self.spread_of_sum,
-            "quad_lhs": self.quad_lhs,
-            "quad_rhs": self.quad_rhs,
-            "degenerate": self.degenerate.value,
-        }
+        return {**vars(self), "degenerate": self.degenerate.value}
 
 
 def hr_bound(a: Observable, b: Observable, phi: StateVector) -> float:
@@ -187,14 +171,8 @@ def report_csv_row(
     """One CSV row matching REPORT_CSV_HEADER; flags are the five class flags."""
     if len(flags) != 5:
         raise ValueError("expected five class flags (eigen_a, eigen_b, s_ab, s_comm, s_anti)")
-    fields = [
-        str(dim),
-        str(seed),
-        repr(report.delta_a),
-        repr(report.delta_b),
-        repr(report.product),
-        repr(report.hr_bound),
-        repr(report.general_bound),
-        "" if pearson is None else repr(pearson),
-    ] + [str(int(bool(f))) for f in flags]
+    spreads_and_bounds = (report.delta_a, report.delta_b, report.product, report.hr_bound,
+                          report.general_bound)
+    fields = [str(dim), str(seed), *map(repr, spreads_and_bounds),
+              "" if pearson is None else repr(pearson), *(str(int(bool(f))) for f in flags)]
     return ",".join(fields)

@@ -65,15 +65,7 @@ class ClassificationResult:
     tolerances_used: Tolerances
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "eigen_a": self.eigen_a,
-            "eigen_b": self.eigen_b,
-            "in_s_ab": self.in_s_ab,
-            "in_s_comm": self.in_s_comm,
-            "in_s_anti": self.in_s_anti,
-            "pearson": self.pearson,
-            "tolerances_used": self.tolerances_used.to_json_dict(),
-        }
+        return {**vars(self), "tolerances_used": self.tolerances_used.to_json_dict()}
 
 
 @dataclass(frozen=True)

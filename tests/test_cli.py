@@ -127,6 +127,21 @@ class TestEval:
         assert "moment form = deviation form" in err
         assert "Traceback" not in err
 
+    def test_json_keys_in_field_order(self, files, capsys):
+        assert main(["eval", files["l3"], files["l4"], files["phi2"]]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["uncertainty", "correlation", "classification", "manifest"]
+        assert list(doc["uncertainty"]) == [
+            "delta_a", "delta_b", "product", "hr_bound", "schrodinger_bound",
+            "general_bound", "slack_hr", "slack_general", "tight"]
+        assert list(doc["correlation"]) == [
+            "c", "cov_real", "imag_part", "pearson", "transition_prob"]
+        assert list(doc["classification"]) == [
+            "eigen_a", "eigen_b", "in_s_ab", "in_s_comm", "in_s_anti", "pearson",
+            "tolerances_used"]
+        assert list(doc["classification"]["tolerances_used"]) == [
+            "tol_herm", "tol_norm", "tol_zero", "eps_spread"]
+
     def test_large_entries_pass_the_internal_checks(self, files, tmp_path, capsys):
         # the bound chain's residuals at entries of 1e3 are ~1e-10, tiny next
         # to ||A phi|| ||B phi|| ~ 1e6
@@ -182,6 +197,13 @@ class TestFind:
     def test_non_finite_setting_exits_2(self, files, capsys, flag, value):
         assert main(["find", files["l3"], files["l4"], flag, value]) == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+    def test_a_value_past_the_float_range_exits_2(self, files, capsys):
+        # (floor - dA)^2 overflows in the objective: not an internal check
+        assert main(["find", files["l3"], files["l4"], "--spread-floor", "1e300"]) == 2
+        err = capsys.readouterr().err
+        assert "left the float range" in err
+        assert "cross-check" not in err and "Traceback" not in err
 
     def test_unconverged_exits_3(self, files, capsys):
         code = main(["find", files["l3"], files["l4"],
@@ -331,7 +353,7 @@ class TestScan:
         assert (manifest["start"], manifest["samples"]) == (9, 5)
         assert manifest["rng"]["generator"].startswith("Philox-4x64")
         assert manifest["rng"]["counter_stride"] == 2  # ceil(2 * 3 / 4)
-        assert manifest["tool_version"] == ul.__version__ == "0.9.0"
+        assert manifest["tool_version"] == ul.__version__ == "0.10.0"
 
     def test_env_var_provides_seed(self, files, tmp_path, monkeypatch):
         monkeypatch.setenv("UNCERTAINTY_LAB_SEED", "77")

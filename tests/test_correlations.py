@@ -193,3 +193,27 @@ class TestCorrelationRecord:
             record = ul.correlation_record(a, b, phi)
             cls = ul.classify(a, b, phi)
             assert cls.eigen_a == (record.pearson is None)
+
+
+def _ks_distance(sample: np.ndarray, cdf) -> float:
+    """Kolmogorov-Smirnov distance between a sample and a continuous CDF."""
+    x = np.sort(sample)
+    n = len(x)
+    f = cdf(x)
+    return float(max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n)))
+
+
+@pytest.mark.parametrize("dim", [3, 8, 16])
+def test_pearson_square_follows_the_beta_law(dim):
+    # GUE A, B are unitarily invariant, so for a Haar phi their deviation
+    # directions are independent uniform unit vectors in phi^perp = C^(d-1),
+    # and r^2 = |<u|v>|^2 ~ Beta(1, d - 2): P(r^2 <= x) = 1 - (1 - x)^(d - 2)
+    rng = np.random.default_rng(11)
+    n = 2000
+    r = np.array([
+        ul.correlation_record(rand_hermitian(rng, dim), rand_hermitian(rng, dim),
+                              rand_state(rng, dim)).pearson
+        for _ in range(n)
+    ])
+    distance = _ks_distance(r**2, lambda x: 1.0 - (1.0 - x) ** (dim - 2))
+    assert distance <= 1.95 / np.sqrt(n)  # the KS critical value at the 0.1% level

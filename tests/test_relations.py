@@ -143,6 +143,14 @@ class TestSumRelations:
             assert rep.sum_of_spreads >= rep.spread_of_sum - 1e-10
             assert rep.quad_lhs >= rep.quad_rhs - 1e-10
 
+    def test_json_dict_in_field_order_with_the_plain_degeneracy(self, l3, l4):
+        rep = ul.sum_relations(l3, l4, ul.two_level_state(1, 1))
+        doc = rep.to_json_dict()
+        assert list(doc) == [
+            "sum_of_spreads", "spread_of_sum", "quad_lhs", "quad_rhs", "degenerate"]
+        assert type(doc["degenerate"]) is str and doc["degenerate"] == "pythagoras"
+        assert doc["quad_lhs"] == rep.quad_lhs
+
 
 class TestSumRelationN:
     def test_copies_of_same_observable(self, rng):

@@ -200,8 +200,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         lines.extend(_scan_lines(block))
     _write(args.out, (line + "\n" for line in lines))  # the body is never held twice
     manifest = _manifest("scan", [args.observable_a, args.observable_b], args.seed, tol)
-    manifest.update(start=args.start, samples=args.samples, rng=_rng_scheme(a.dim),
-                    output=args.out)
+    manifest["start"] = args.start
+    manifest["samples"] = args.samples
+    manifest["rng"] = _rng_scheme(a.dim)
+    manifest["output"] = args.out
     _emit(json.dumps(manifest, indent=2), args.out + ".manifest.json")
     return 0
 

@@ -16,8 +16,9 @@ number depends.  Its lazy fields (``_lazy``) take no lock, as threads racing
 on one only compute it twice; its norms are ``sqrt(<v|v>)``, and it forms no
 matrix product: <[A,B]> and <{A,B}> come from A(B|phi>) and B(A|phi>), each
 formed when first needed, so C alone costs one of them.  The pair's one
-product, [A,B], is formed once per pair: ``_guard_sizes`` keeps the commuting
-guard's sizes in a slot keyed like ``_shared``; the verdict is each call's.
+product, [A,B], is formed by the commuting guard ``_require_noncommuting``,
+once per call; it scales A and B by exact powers of two first when their
+sizes lie outside (1e-60, 1e60), so its verdict is scale-free.
 
 Every internal check goes through ``_check``: a residual passes up to
 ``tol * max(1, scale)``, ``scale`` being the size of the compared terms
@@ -191,32 +192,23 @@ def is_eigenstate(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOL
     return std_dev(f, phi, tol) <= tol.eps_spread
 
 
-def _sizes(a: Observable, b: Observable) -> tuple[float, float, float]:
-    # Both products: P - P^dag (P = AB) is [A,B] only for Hermitian A and B
-    return _norm(commutator(a, b)), _norm(a.matrix), _norm(b.matrix)
-
-
 def _unit_peak(f: Observable) -> Observable:
-    """F over its largest |Re| or |Im| entry (F when zero), on the real view:
-    a complex division by a subnormal overflows."""
+    """F times the power of two that brings its largest |Re| or |Im| entry
+    into [1/2, 1): exact, and the squared sizes neither under- nor overflow."""
     parts = f.matrix.view(np.float64)
-    return Observable._wrap((parts / (np.abs(parts).max() or 1.0)).view(np.complex128))
-
-
-@functools.lru_cache(maxsize=1)
-def _guard_sizes(a: Observable, b: Observable) -> tuple[float, float, float]:
-    """``_sizes`` of the last pair asked for, keyed like ``_shared``.  Past
-    (1e-150, 1e150) a squared size may under- or overflow, so then all three
-    are taken on A and B over their largest entries, which keeps the ratio."""
-    sizes = _sizes(a, b)
-    if not all(1e-150 < size < 1e150 for size in sizes):
-        sizes = _sizes(_unit_peak(a), _unit_peak(b))
-    return sizes
+    exponent = np.frexp(np.abs(parts).max())[1]  # 0 for a zero matrix
+    return Observable._wrap(np.ldexp(parts, -exponent).view(np.complex128))
 
 
 def _require_noncommuting(a: Observable, b: Observable, tol: Tolerances) -> None:
     """Raise CommutingPair when ||[A,B]||_F <= tol_zero ||A||_F ||B||_F (scale-free)."""
-    norm, size_a, size_b = _guard_sizes(a, b)
+    size_a, size_b = _norm(a.matrix), _norm(b.matrix)
+    if not (1e-60 < size_a < 1e60 and 1e-60 < size_b < 1e60):
+        # the squares of [A,B]'s entries might under- or overflow
+        a, b = _unit_peak(a), _unit_peak(b)
+        size_a, size_b = _norm(a.matrix), _norm(b.matrix)
+    # Both products: P - P^dag (P = AB) is [A,B] only for Hermitian A and B
+    norm = _norm(commutator(a, b))
     if norm <= tol.tol_zero * size_a * size_b:
         ratio = norm / (size_a * size_b) if norm else 0.0
         raise CommutingPair(

@@ -171,8 +171,14 @@ def report_csv_row(
     """One CSV row matching REPORT_CSV_HEADER; flags are the five class flags."""
     if len(flags) != 5:
         raise ValueError("expected five class flags (eigen_a, eigen_b, s_ab, s_comm, s_anti)")
-    spreads_and_bounds = (report.delta_a, report.delta_b, report.product, report.hr_bound,
-                          report.general_bound)
-    fields = [str(dim), str(seed), *map(repr, spreads_and_bounds),
-              "" if pearson is None else repr(pearson), *(str(int(bool(f))) for f in flags)]
+    fields = [
+        str(dim),
+        str(seed),
+        repr(report.delta_a),
+        repr(report.delta_b),
+        repr(report.product),
+        repr(report.hr_bound),
+        repr(report.general_bound),
+        "" if pearson is None else repr(pearson),
+    ] + [str(int(bool(f))) for f in flags]
     return ",".join(fields)

@@ -219,43 +219,8 @@ class TestSpreadNorm:
                 assert step.norm == pytest.approx(np.linalg.norm(step.vec), rel=1e-15, abs=0)
 
 
-class TestGuardSizes:
-    """The commuting guard forms [A,B] once per pair; its verdict is each call's."""
-
-    @pytest.fixture
-    def formations(self, monkeypatch):
-        calls = []
-
-        def counted(a, b):
-            calls.append((a, b))
-            return ul.commutator(a, b)
-
-        monkeypatch.setattr(moments, "commutator", counted)
-        moments._guard_sizes.cache_clear()
-        return calls
-
-    def test_one_formation_per_pair(self, formations, rng):
-        a, b = rand_hermitian(rng, 8), rand_hermitian(rng, 8)
-        for _ in range(1000):
-            ul.classify(a, b, rand_state(rng, 8))
-        assert len(list(ul.membership_scan(a, b, ul.ScanConfig(samples=3, seed=0)))) == 3
-        ul.find(a, b, ul.FinderConfig(restarts=1, max_iters=2))
-        assert len(formations) == 1
-
-    def test_alternating_pairs_form_once_per_switch(self, formations, rng):
-        pairs = [(rand_hermitian(rng, 4), rand_hermitian(rng, 4)) for _ in range(2)]
-        order = [0, 0, 1, 1, 1, 0, 1, 0, 0]
-        for k in order:
-            ul.classify(*pairs[k], rand_state(rng, 4))
-        switches = sum(1 for x, y in zip(order, order[1:]) if x != y)
-        assert len(formations) == 1 + switches
-
-    def test_the_verdict_stays_per_call(self, formations, l3, l4, phi2):
-        # ||[l3, l4]|| / (||l3|| ||l4||) = 1 / sqrt(2)
-        with pytest.raises(ul.CommutingPair, match=r"= 7\.071e-01 <= tol_zero = 9\.000e-01"):
-            ul.classify(l3, l4, phi2, ul.Tolerances(tol_zero=0.9))
-        assert ul.classify(l3, l4, phi2).in_s_comm
-        assert len(formations) == 1
+class TestCommutingGuard:
+    """The guard's verdict is scale-free in floating point too."""
 
     @pytest.mark.parametrize("s", [1e-200, 1e-150, 1e-120, 1e-80, 1.0, 1e80, 1e150])
     def test_scale_free_in_floating_point(self, s, l3, l4, phi2):
@@ -272,3 +237,8 @@ class TestGuardSizes:
         zero = ul.validate_observable(np.zeros((3, 3)))
         with pytest.raises(ul.CommutingPair, match=r"= 0\.000e\+00 <= tol_zero"):
             ul.classify(zero, l4, phi2)
+
+    @pytest.mark.parametrize("s", [1e155, 1e300, 5e-324])
+    def test_no_square_under_or_overflows(self, s, l3, l4):
+        with np.errstate(all="raise"):
+            moments._require_noncommuting(s * l3, s * l4, ul.DEFAULT_TOLERANCES)

@@ -10,16 +10,25 @@ Subcommands:
 * ``basis`` -- emit a generalized Gell-Mann basis as JSON.
 
 Exit codes: 0 success, 1 failed demo golden check, 2 input or guard error or
-a value past the float range, 3 finder did not converge, 4 an internal
-cross-check failed, 5 stdout was closed before all output was written.  Every
-output artifact is accompanied by a run manifest (embedded in JSON output,
-sidecar file for CSV).  The environment variable UNCERTAINTY_LAB_SEED provides
-the default seed.
+a value past the float range (for ``eval`` and ``scan`` also a pair for which
+4 ||A||_F^2 or 4 ||B||_F^2 is, checked before anything is computed), 3 finder
+did not converge, 4 an internal cross-check failed, 5 stdout was closed before
+all output was written.  Every output artifact is accompanied by a run manifest (embedded in
+JSON output, sidecar file for CSV).  The environment variable
+UNCERTAINTY_LAB_SEED provides the default seed.
+
+Every ``--out`` file is written whole or not at all (``_write``): the bytes go
+to a temporary file beside it, which replaces it after the last byte.  A scan
+streams its body there one block at a time, so its memory does not grow with
+``--samples``, and a failing check leaves ``--out`` as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
+import itertools
 import json
 import os
 import sys
@@ -42,6 +51,7 @@ from .core import (
 from .correlations import correlation, correlation_record
 from .finder import FinderConfig, find
 from .gellmann import gell_mann, su3_lambda, two_level_state, uniform_superposition
+from .moments import _require_in_float_range
 from .relations import REPORT_CSV_HEADER, evaluate, report_csv_row
 from .state_sets import ScanConfig, _rng_scheme, _ScanBlock, _scan_blocks, classify
 
@@ -96,10 +106,38 @@ def _manifest(command: str, input_paths: Sequence[str], seed: int, tol: Toleranc
     }
 
 
-def _write(out_path: str, chunks: Iterable[str]) -> None:
+_TEMP_IDS = itertools.count()  # with the process id, names each temporary file once
+
+
+def _write(out_path: str, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to ``out_path`` whole or not at all.
+
+    The chunks go to a temporary file beside the (symlink-resolved) target,
+    created as ``open(out_path, "w")`` creates a file (mode 0o666 less the
+    umask), which ``os.replace`` moves onto the target after the last chunk.
+    On any exception, ``KeyboardInterrupt`` included, the temporary file is
+    removed, and the target keeps its old bytes or stays absent.  A target
+    that exists but is no regular file (``/dev/null``, a pipe) cannot be
+    replaced and is written directly.
+    """
+    target = os.path.realpath(out_path)
+    direct = os.path.exists(target) and not os.path.isfile(target)
+    head, tail = os.path.split(target)
+    path = target if direct else os.path.join(
+        head, f".{tail}.{os.getpid()}.{next(_TEMP_IDS)}.tmp"
+    )
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | (os.O_TRUNC if direct else os.O_EXCL), 0o666)
+        try:
+            with open(fd, "wb") as fh:
+                fh.writelines(chunks)
+            if not direct:
+                os.replace(path, target)
+        except BaseException:
+            if not direct:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+            raise
     except OSError as exc:
         raise CliError(f"cannot write output path {out_path}: {exc}") from exc
 
@@ -108,7 +146,7 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         print(text)
     else:
-        _write(out_path, (text, "" if text.endswith("\n") else "\n"))
+        _write(out_path, [(text if text.endswith("\n") else text + "\n").encode()])
 
 
 def _fmt(x: float) -> str:
@@ -125,6 +163,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     a = _load(args.observable_a, observable_from_json_dict, tol)
     b = _load(args.observable_b, observable_from_json_dict, tol)
     phi = _load(args.state, state_from_json_dict, tol)
+    _require_in_float_range(a, b)
     report = evaluate(a, b, phi, tol)
     record = correlation_record(a, b, phi, tol)
     try:
@@ -167,13 +206,12 @@ def _cmd_find(args: argparse.Namespace) -> int:
     return 0 if result.converged else 3
 
 
+_FLAG_COLUMNS = ("eigen_a", "eigen_b", "s_ab", "s_comm", "s_anti")  # ClassificationResult order
+
+
 def _scan_header(dim: int) -> str:
     amp_cols = [f"amp{i}_{part}" for i in range(dim) for part in ("re", "im")]
-    return ",".join(
-        ["index"]
-        + amp_cols
-        + ["re_c", "im_c", "pearson", "eigen_a", "eigen_b", "s_ab", "s_comm", "s_anti"]
-    )
+    return ",".join(["index", *amp_cols, "re_c", "im_c", "pearson", *_FLAG_COLUMNS])
 
 
 def _scan_lines(block: _ScanBlock) -> Iterator[str]:
@@ -195,15 +233,29 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise CliError(f"--samples must be at least 1, got {args.samples}")
     config = ScanConfig(samples=args.samples, seed=args.seed, tolerances=tol, start=args.start)
-    lines = [_scan_header(a.dim)]
-    for block in _scan_blocks(a, b, config):
-        lines.extend(_scan_lines(block))
-    _write(args.out, (line + "\n" for line in lines))  # the body is never held twice
+    blocks = _scan_blocks(a, b, config)  # the guards raise here, before any output
+    digest, counts = hashlib.sha256(), np.zeros(len(_FLAG_COLUMNS), dtype=np.int64)
+
+    def hashed(text: str) -> bytes:
+        data = (text + "\n").encode()
+        digest.update(data)
+        return data
+
+    def body() -> Iterator[bytes]:
+        """The header, then one chunk per block, as ``_scan_blocks`` yields it."""
+        yield hashed(_scan_header(a.dim))
+        for block in blocks:
+            np.add(counts, block.flags.sum(axis=0), out=counts)
+            yield hashed("\n".join(_scan_lines(block)))
+
+    _write(args.out, body())
     manifest = _manifest("scan", [args.observable_a, args.observable_b], args.seed, tol)
     manifest["start"] = args.start
     manifest["samples"] = args.samples
     manifest["rng"] = _rng_scheme(a.dim)
     manifest["output"] = args.out
+    manifest["class_counts"] = dict(zip(_FLAG_COLUMNS, counts.tolist()))
+    manifest["body_sha256"] = digest.hexdigest()
     _emit(json.dumps(manifest, indent=2), args.out + ".manifest.json")
     return 0
 

@@ -17,8 +17,10 @@ on one only compute it twice; its norms are ``sqrt(<v|v>)``, and it forms no
 matrix product: <[A,B]> and <{A,B}> come from A(B|phi>) and B(A|phi>), each
 formed when first needed, so C alone costs one of them.  The pair's one
 product, [A,B], is formed by the commuting guard ``_require_noncommuting``,
-once per call; it scales A and B by exact powers of two first when their
-sizes lie outside (1e-60, 1e60), so its verdict is scale-free.
+once per call; it scales A or B by an exact power of two first when its size
+lies outside (1e-60, 1e60) (``_sized``), so its verdict is scale-free.  The
+same sizes tell ``_require_in_float_range``, which scans and CLI ``eval`` run
+first, whether a pair's moments can leave the float range.
 
 Every internal check goes through ``_check``: a residual passes up to
 ``tol * max(1, scale)``, ``scale`` being the size of the compared terms
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,21 +195,23 @@ def is_eigenstate(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOL
     return std_dev(f, phi, tol) <= tol.eps_spread
 
 
-def _unit_peak(f: Observable) -> Observable:
-    """F times the power of two that brings its largest |Re| or |Im| entry
-    into [1/2, 1): exact, and the squared sizes neither under- nor overflow."""
+def _sized(f: Observable) -> tuple[Observable, float, int]:
+    """``(F 2^-k, ||F 2^-k||_F, k)``: ``k = 0`` when ``||F||_F`` lies in
+    (1e-60, 1e60), else the power of two that brings F's largest |Re| or |Im|
+    entry into [1/2, 1).  The scaling is exact, and the squares of the scaled
+    entries and size neither under- nor overflow."""
+    size = _norm(f.matrix)
+    if 1e-60 < size < 1e60:
+        return f, size, 0
     parts = f.matrix.view(np.float64)
-    exponent = np.frexp(np.abs(parts).max())[1]  # 0 for a zero matrix
-    return Observable._wrap(np.ldexp(parts, -exponent).view(np.complex128))
+    exponent = int(np.frexp(np.abs(parts).max())[1])  # 0 for a zero matrix
+    f = Observable._wrap(np.ldexp(parts, -exponent).view(np.complex128))
+    return f, _norm(f.matrix), exponent
 
 
 def _require_noncommuting(a: Observable, b: Observable, tol: Tolerances) -> None:
     """Raise CommutingPair when ||[A,B]||_F <= tol_zero ||A||_F ||B||_F (scale-free)."""
-    size_a, size_b = _norm(a.matrix), _norm(b.matrix)
-    if not (1e-60 < size_a < 1e60 and 1e-60 < size_b < 1e60):
-        # the squares of [A,B]'s entries might under- or overflow
-        a, b = _unit_peak(a), _unit_peak(b)
-        size_a, size_b = _norm(a.matrix), _norm(b.matrix)
+    (a, size_a, _), (b, size_b, _) = _sized(a), _sized(b)
     # Both products: P - P^dag (P = AB) is [A,B] only for Hermitian A and B
     norm = _norm(commutator(a, b))
     if norm <= tol.tol_zero * size_a * size_b:
@@ -215,6 +220,24 @@ def _require_noncommuting(a: Observable, b: Observable, tol: Tolerances) -> None
             f"the pair commutes: ||[A,B]|| / (||A|| ||B||) = {ratio:.3e} "
             f"<= tol_zero = {tol.tol_zero:.3e}"
         )
+
+
+def _require_in_float_range(a: Observable, b: Observable) -> None:
+    """Raise OverflowError when ``4 ||F||_F^2`` exceeds the largest float for
+    F = A or B.  ``||F||_F^2`` bounds <F^2>, ``||A||_F ||B||_F`` (at most the
+    larger square) bounds |<AB>| and |C| of a unit state, and the factor 4
+    covers the sums of two such terms that the routes form (AB + BA, A + B).
+    The sizes come scaled (``_sized``), so the check itself cannot overflow."""
+    for name, f in (("A", a), ("B", b)):
+        _, size, exponent = _sized(f)
+        try:
+            math.ldexp(4.0 * size * size, 2 * exponent)
+        except OverflowError:
+            decades = 2.0 * (math.log10(size) + exponent * math.log10(2.0))
+            raise OverflowError(
+                f"||{name}||_F^2 ~ 10^{decades:.1f} is past a quarter of the largest float, "
+                f"{sys.float_info.max / 4:.3e}"
+            ) from None
 
 
 class _StateMoments:

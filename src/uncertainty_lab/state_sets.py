@@ -46,6 +46,7 @@ from .moments import (
     _VARIANCE,
     _check_rows,
     _Checked,
+    _require_in_float_range,
     _require_noncommuting,
 )
 
@@ -161,10 +162,11 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _scan_blocks(a: Observable, b: Observable, config: ScanConfig) -> Iterator[_ScanBlock]:
-    """The scan's rows, block by block; the guards and the seed are checked
-    once, eagerly, and the blocks stream lazily."""
+    """The scan's rows, block by block; the guards, the float range of the
+    pair and the seed are checked once, eagerly, and the blocks stream lazily."""
     tol = config.tolerances
     _require_noncommuting(a, b, tol)
+    _require_in_float_range(a, b)
     key = np.random.SeedSequence(config.seed).generate_state(2, np.uint64)
     dim = a.dim
     # A phi, B phi, A^dag phi and B^dag phi of a row phi, side by side
@@ -234,14 +236,14 @@ def membership_scan(
 ) -> Iterator[tuple[StateVector, ClassificationResult]]:
     """Classify Haar-random states drawn from the configured seed.
 
-    Guards and the seed are checked eagerly; the rows stream lazily, in
-    blocks.  Sample i is a pure function of (seed, i) (see the module
-    docstring), so the rows are ordered by sample index and do not depend on
-    how the index range is partitioned: scanning [0, n) gives the rows of
-    [0, k) followed by those of [k, n), bit for bit.  The identities
-    ``classify`` asserts are asserted once per block, over all of its rows
-    in the range, so a failing check raises before any row of its block is
-    yielded.
+    Guards, the float range of the pair (``OverflowError``) and the seed
+    are checked eagerly; the rows stream lazily, in blocks.  Sample i is a
+    pure function of (seed, i) (see the module docstring), so the rows are
+    ordered by sample index and do not depend on how the index range is
+    partitioned: scanning [0, n) gives the rows of [0, k) followed by those
+    of [k, n), bit for bit.  The identities ``classify`` asserts are
+    asserted once per block, over all of its rows in the range, so a failing
+    check raises before any row of its block is yielded.
     """
     tol = config.tolerances
     return (

@@ -1,15 +1,19 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import uncertainty_lab as ul
+from uncertainty_lab import cli, state_sets
 from uncertainty_lab.cli import main, make_parser
 from helpers import pauli_pair, rand_hermitian
 
@@ -32,6 +36,29 @@ def files(tmp_path, l3, l4):
         paths[name] = str(p)
     paths["dir"] = tmp_path
     return paths
+
+
+def _huge_pair(tmp_path) -> list[str]:
+    """1e155 lambda_3 and lambda_4: valid input whose squared sizes leave the float range."""
+    paths = []
+    for k in (3, 4):
+        path = tmp_path / f"huge{k}.json"
+        path.write_text(json.dumps(ul.observable_to_json_dict(1e155 * ul.su3_lambda(k))))
+        paths.append(str(path))
+    return paths
+
+
+def _random_pair(tmp_path, rng, dim) -> list[str]:
+    paths = []
+    for name in ("a", "b"):
+        path = tmp_path / f"{name}{dim}.json"
+        path.write_text(json.dumps(ul.observable_to_json_dict(rand_hermitian(rng, dim))))
+        paths.append(str(path))
+    return paths
+
+
+def _temp_files(directory) -> list[str]:
+    return [name for name in os.listdir(directory) if name.endswith(".tmp")]
 
 
 def _module_env() -> dict:
@@ -164,6 +191,41 @@ class TestEval:
         assert main(["eval", files["l3"], files["l4"], files["phi2"], "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["uncertainty"]["general_bound"] == pytest.approx(1 / 3, abs=1e-12)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_pair_past_the_float_range_exits_2_and_writes_nothing(
+        self, files, tmp_path, capsys, fmt
+    ):
+        # before the check, this printed Infinity / NaN tokens and exited 0
+        before = sorted(os.listdir(tmp_path))
+        argv = ["eval", *_huge_pair(tmp_path), files["phi2"], "--format", fmt]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "left the float range" in err and "||A||_F^2" in err
+        assert sorted(os.listdir(tmp_path)) == sorted(before + ["huge3.json", "huge4.json"])
+
+    @pytest.mark.parametrize("fmt, written", [
+        ("json", ["report"]), ("csv", ["report", "report.manifest.json"]),
+    ])
+    def test_outputs_and_manifests_share_the_write_path(
+        self, files, tmp_path, monkeypatch, fmt, written
+    ):
+        calls = []
+        real_write = cli._write
+
+        def recording_write(path, chunks):
+            calls.append(os.path.basename(path))
+            real_write(path, chunks)
+
+        monkeypatch.setattr(cli, "_write", recording_write)
+        out = tmp_path / "report"
+        argv = ["eval", files["l3"], files["l4"], files["phi2"], "--format", fmt]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert calls == written
+        assert all((tmp_path / name).exists() for name in written)
+        assert _temp_files(tmp_path) == []
 
 
 class TestFind:
@@ -355,12 +417,147 @@ class TestScan:
         assert manifest["rng"]["counter_stride"] == 2  # ceil(2 * 3 / 4)
         assert manifest["tool_version"] == ul.__version__ == "0.10.0"
 
+    def test_manifest_counts_and_hashes_the_written_body(self, files, tmp_path):
+        # a loose tol_zero puts many rows in s_comm and s_anti, some in s_ab;
+        # 3000 samples span three blocks at d = 3
+        out = tmp_path / "scan.csv"
+        assert main(["scan", files["l3"], files["l4"], "--samples", "3000", "--seed", "5",
+                     "--tol-zero", "0.05", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
+        body = out.read_bytes()
+        assert manifest["body_sha256"] == hashlib.sha256(body).hexdigest()
+        header, *rows = (line.split(",") for line in body.decode().splitlines())
+        columns = ["eigen_a", "eigen_b", "s_ab", "s_comm", "s_anti"]
+        assert list(manifest["class_counts"]) == columns == header[-5:]
+        counts = {name: sum(int(row[header.index(name)]) for row in rows) for name in columns}
+        assert manifest["class_counts"] == counts
+        assert counts["s_ab"] > 0 and counts["s_comm"] > counts["s_ab"]
+
+    def test_memory_does_not_grow_with_samples(self, tmp_path, rng):
+        # the body streams to disk block by block: 1280 rows at d = 64 (~3.5 MB
+        # of CSV) peak no higher than 128 rows
+        paths = _random_pair(tmp_path, rng, 64)
+        out = str(tmp_path / "scan.csv")
+        assert main(["scan", *paths, "--samples", "1", "--out", out]) == 0  # warm-up
+        peaks = []
+        for samples in (128, 1280):
+            tracemalloc.start()
+            try:
+                assert main(["scan", *paths, "--samples", str(samples), "--out", out]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.5e6, peaks
+
+    def test_failing_check_in_a_late_block_keeps_the_old_out(
+        self, files, tmp_path, capsys, monkeypatch
+    ):
+        # each block runs six row checks; the 13th call is block 3's first
+        real_check, calls = state_sets._check_rows, []
+
+        def failing_check(identity, *args, **kwargs):
+            calls.append(identity)
+            if len(calls) == 13:
+                raise ArithmeticError(f"{identity} fails: injected")
+            real_check(identity, *args, **kwargs)
+
+        out = tmp_path / "scan.csv"
+        argv = ["scan", files["l3"], files["l4"], "--samples", "4000", "--out", str(out)]
+        assert main(argv) == 0
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        monkeypatch.setattr(state_sets, "_check_rows", failing_check)
+        assert main(argv[:-2] + ["--seed", "1", "--out", str(out)]) == 4
+        assert "injected" in capsys.readouterr().err
+        assert len(calls) == 13
+        assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+        # with no earlier output, none is left at all
+        fresh = tmp_path / "fresh.csv"
+        calls.clear()
+        assert main(argv[:-2] + ["--out", str(fresh)]) == 4
+        assert sorted(os.listdir(tmp_path)) == sorted(before)
+
+    def test_interrupt_leaves_no_temp_file(self, files, tmp_path, monkeypatch):
+        real_blocks = cli._scan_blocks
+
+        def interrupted(*args):
+            blocks = real_blocks(*args)
+            yield next(blocks)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_scan_blocks", interrupted)
+        out = tmp_path / "scan.csv"
+        with pytest.raises(KeyboardInterrupt):
+            main(["scan", files["l3"], files["l4"], "--samples", "3000", "--out", str(out)])
+        assert not out.exists() and _temp_files(tmp_path) == []
+
+    def test_past_the_float_range_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # without the check, the rows held nan / -inf for re_c, im_c and pearson
+        paths = _huge_pair(tmp_path)
+        out = tmp_path / "scan.csv"
+        assert main(["scan", *paths, "--samples", "10", "--out", str(out)]) == 2
+        assert "left the float range" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["huge3.json", "huge4.json"]
+
     def test_env_var_provides_seed(self, files, tmp_path, monkeypatch):
         monkeypatch.setenv("UNCERTAINTY_LAB_SEED", "77")
         out = tmp_path / "scan.csv"
         main(["scan", files["l3"], files["l4"], "--samples", "5", "--out", str(out)])
         manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
         assert manifest["seed"] == 77
+
+
+class TestWrite:
+    """Every ``--out`` file is written whole or not at all, through one path."""
+
+    def test_mode_follows_the_umask(self, files, tmp_path):
+        old = os.umask(0o027)
+        try:
+            assert main(["basis", "--dim", "3", "--out", str(tmp_path / "basis.json")]) == 0
+            assert main(["scan", files["l3"], files["l4"], "--samples", "5",
+                         "--out", str(tmp_path / "scan.csv")]) == 0
+        finally:
+            os.umask(old)
+        for name in ("basis.json", "scan.csv", "scan.csv.manifest.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~0o027
+
+    @pytest.mark.parametrize("where", ["missing/out.json", "l3.json/out.json", "."])
+    def test_unwritable_out_exits_2(self, files, tmp_path, capsys, where):
+        # a missing directory, a file in place of one, and a directory as --out
+        before = sorted(os.listdir(tmp_path))
+        assert main(["basis", "--dim", "3", "--out", str(tmp_path / where)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write output path" in err and "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_replaces_an_existing_file(self, tmp_path):
+        out = tmp_path / "basis.json"
+        out.write_text("old")
+        assert main(["basis", "--dim", "3", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["dim"] == 3
+        assert os.listdir(tmp_path) == ["basis.json"]
+
+    def test_a_symlinked_out_writes_its_target(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("old")
+        link.symlink_to(target)
+        assert main(["basis", "--dim", "3", "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["dim"] == 3
+
+    def test_a_pipe_is_written_directly(self, files, tmp_path):
+        # a pipe (like /dev/null or /dev/stdout) cannot be replaced by a file
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            code = main(["eval", files["l3"], files["l4"], files["phi2"], "--out", str(pipe)])
+        finally:
+            reader.join(timeout=60)
+        assert code == 0
+        assert json.loads(received[0])["manifest"]["command"] == "eval"
+        assert pipe.is_fifo()
 
 
 class TestDemo:

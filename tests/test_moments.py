@@ -242,3 +242,20 @@ class TestCommutingGuard:
     def test_no_square_under_or_overflows(self, s, l3, l4):
         with np.errstate(all="raise"):
             moments._require_noncommuting(s * l3, s * l4, ul.DEFAULT_TOLERANCES)
+
+
+class TestFloatRange:
+    """The range check refuses a pair whose moments could overflow, and itself never does."""
+
+    @pytest.mark.parametrize("s", [1e154, 1e155, 1e300])
+    def test_refuses_squared_sizes_past_a_quarter_of_the_range(self, s, l3, l4):
+        with np.errstate(all="raise"), pytest.raises(OverflowError, match=r"\|\|A\|\|_F\^2"):
+            moments._require_in_float_range(s * l3, l4)
+        with np.errstate(all="raise"), pytest.raises(OverflowError, match=r"\|\|B\|\|_F\^2"):
+            moments._require_in_float_range(l3, s * l4)
+
+    @pytest.mark.parametrize("s", [5e-324, 1e-200, 1.0, 1e150, 4e153])
+    def test_passes_pairs_inside_the_range(self, s, l3, l4):
+        # ||s l3||_F^2 = 2 s^2: 4 * 2 * (4e153)^2 ~ 1.3e308 still fits
+        with np.errstate(all="raise"):
+            moments._require_in_float_range(s * l3, s * l4)

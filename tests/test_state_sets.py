@@ -106,6 +106,10 @@ class TestMembershipScan:
         with pytest.raises(ul.CommutingPair):
             list(ul.membership_scan(l3, l3, ul.ScanConfig(samples=1, seed=0)))
 
+    def test_pair_past_the_float_range_rejected_eagerly(self, l3, l4):
+        with pytest.raises(OverflowError, match="largest float"):
+            ul.membership_scan(1e155 * l3, 1e155 * l4, ul.ScanConfig(samples=1, seed=0))
+
     def test_dimension_two_never_hits_s_ab(self):
         sx, sz = pauli_pair()
         rows = list(ul.membership_scan(sx, sz, ul.ScanConfig(samples=2000, seed=3)))

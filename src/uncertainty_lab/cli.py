@@ -39,6 +39,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
+from ._floatrepr import write_reprs
 from .core import (
     DEFAULT_TOLERANCES,
     CommutingPair,
@@ -214,16 +215,47 @@ def _scan_header(dim: int) -> str:
     return ",".join(["index", *amp_cols, "re_c", "im_c", "pearson", *_FLAG_COLUMNS])
 
 
-def _scan_lines(block: _ScanBlock) -> Iterator[str]:
-    """CSV rows of a scan block, formatted from its arrays."""
+_CHUNK_VALUES = 4096  # numbers per call of write_reprs, which bounds its temporaries
+
+
+def _scan_csv(block: _ScanBlock) -> bytes:
+    """The CSV rows of a scan block.
+
+    A row buffer holds a few thousand numbers' rows at a time, NUL-padded:
+    the index and a comma, in whole words; per number a 32-byte slot, its
+    ``repr`` in the first 24 bytes and a comma in byte 24; then the flags
+    and a newline in 16 bytes.  The rows are the buffer's bytes without the
+    NULs.
+    """
     n = len(block.c)
-    numbers = np.concatenate((block.phis.view(float), block.c.view(float).reshape(n, 2)), axis=1)
-    flags = np.where(block.flags, "1", "0").tolist()
-    for index, values, pearson, row_flags in zip(
-        range(block.start, block.start + n), numbers.tolist(), block.pearson, flags
-    ):
-        r = "" if pearson is None else repr(pearson)
-        yield f"{index},{','.join(map(repr, values))},{r},{','.join(row_flags)}"
+    pearson = np.array(block.pearson, dtype=float)  # None becomes nan, blanked below
+    no_pearson = np.array([p is None for p in block.pearson])
+    numbers = np.concatenate(
+        (block.phis.view(float), block.c.view(float).reshape(n, 2), pearson[:, None]), axis=1
+    )
+    cols = numbers.shape[1]
+    digits = len(str(block.start + n - 1))  # of the widest index
+    index_width = (digits + 8) // 8 * 8
+    rows = -(-n // -(-n * cols // _CHUNK_VALUES))  # per chunk, in even chunks
+    buf = np.zeros((rows, index_width + 32 * cols + 16), np.uint8)
+    buf[:, index_width - 1] = ord(",")
+    slots = buf[:, index_width : index_width + 32 * cols].view(np.dtype("<u8"))
+    slots = slots.reshape(rows, cols, 4)
+    slots[..., 3] = ord(",")
+    tail = buf[:, -16:-6]
+    tail[:, 1::2] = ord(",")
+    tail[:, -1] = ord("\n")
+    pieces = []
+    for first in range(0, n, rows):
+        stop = min(first + rows, n)
+        count = stop - first
+        index = [str(i) for i in range(block.start + first, block.start + stop)]
+        buf[:count, :digits] = np.array(index, dtype=f"S{digits}").view(np.uint8).reshape(count, -1)
+        write_reprs(numbers[first:stop], slots[:count, :, :3])
+        slots[:count, -1, :3][no_pearson[first:stop]] = 0
+        tail[:count, ::2] = block.flags[first:stop] + ord("0")
+        pieces.append(buf[:count].tobytes().translate(None, b"\0"))
+    return b"".join(pieces)
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -236,17 +268,16 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     blocks = _scan_blocks(a, b, config)  # the guards raise here, before any output
     digest, counts = hashlib.sha256(), np.zeros(len(_FLAG_COLUMNS), dtype=np.int64)
 
-    def hashed(text: str) -> bytes:
-        data = (text + "\n").encode()
+    def hashed(data: bytes) -> bytes:
         digest.update(data)
         return data
 
     def body() -> Iterator[bytes]:
         """The header, then one chunk per block, as ``_scan_blocks`` yields it."""
-        yield hashed(_scan_header(a.dim))
+        yield hashed((_scan_header(a.dim) + "\n").encode())
         for block in blocks:
             np.add(counts, block.flags.sum(axis=0), out=counts)
-            yield hashed("\n".join(_scan_lines(block)))
+            yield hashed(_scan_csv(block))
 
     _write(args.out, body())
     manifest = _manifest("scan", [args.observable_a, args.observable_b], args.seed, tol)

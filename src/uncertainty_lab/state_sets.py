@@ -129,6 +129,9 @@ class _ScanBlock(NamedTuple):
     flags: np.ndarray  # (n, 5) class flags in ``ClassificationResult`` order
 
 
+_PHILOX_COUNTERS = 2**256
+
+
 def _counter_steps(dim: int) -> int:
     """Philox counter steps per sample: each gives four words, a sample needs 2d."""
     return -(-2 * dim // 4)
@@ -163,7 +166,8 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _scan_blocks(a: Observable, b: Observable, config: ScanConfig) -> Iterator[_ScanBlock]:
     """The scan's rows, block by block; the guards, the float range of the
-    pair and the seed are checked once, eagerly, and the blocks stream lazily."""
+    pair, the seed and the sample range are checked once, eagerly, and the
+    blocks stream lazily."""
     tol = config.tolerances
     _require_noncommuting(a, b, tol)
     _require_in_float_range(a, b)
@@ -173,6 +177,13 @@ def _scan_blocks(a: Observable, b: Observable, config: ScanConfig) -> Iterator[_
     operators = np.concatenate((a.matrix.T, b.matrix.T, a.matrix.conj(), b.matrix.conj()), axis=1)
     rows = max(1, _BLOCK_AMPLITUDES // dim)
     stop = config.start + config.samples
+    # Philox counters wrap at 2^256: a block past it would repeat block 0's samples
+    end = -(-stop // rows) * rows * _counter_steps(dim)
+    if end > _PHILOX_COUNTERS:
+        raise ValidationError(
+            f"samples up to {stop - 1} need Philox counters up to {end - 1}, "
+            f"beyond the generator's 2^256"
+        )
 
     def blocks() -> Iterator[_ScanBlock]:
         for first in range(config.start - config.start % rows, stop, rows):
@@ -236,14 +247,15 @@ def membership_scan(
 ) -> Iterator[tuple[StateVector, ClassificationResult]]:
     """Classify Haar-random states drawn from the configured seed.
 
-    Guards, the float range of the pair (``OverflowError``) and the seed
-    are checked eagerly; the rows stream lazily, in blocks.  Sample i is a
-    pure function of (seed, i) (see the module docstring), so the rows are
-    ordered by sample index and do not depend on how the index range is
-    partitioned: scanning [0, n) gives the rows of [0, k) followed by those
-    of [k, n), bit for bit.  The identities ``classify`` asserts are
-    asserted once per block, over all of its rows in the range, so a failing
-    check raises before any row of its block is yielded.
+    Guards, the float range of the pair (``OverflowError``), the seed and
+    the sample range (its last block must end within Philox's 2^256
+    counters) are checked eagerly; the rows stream lazily, in blocks.
+    Sample i is a pure function of (seed, i) (see the module docstring), so
+    the rows are ordered by sample index and do not depend on how the index
+    range is partitioned: scanning [0, n) gives the rows of [0, k) followed
+    by those of [k, n), bit for bit.  The identities ``classify`` asserts
+    are asserted once per block, over all of its rows in the range, so a
+    failing check raises before any row of its block is yielded.
     """
     tol = config.tolerances
     return (

@@ -40,3 +40,18 @@ def pauli_pair() -> tuple[ul.Observable, ul.Observable]:
     sx = ul.validate_observable(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
     sz = ul.validate_observable(np.diag([1.0, -1.0]).astype(complex))
     return sx, sz
+
+
+def scan_csv_rows(block) -> bytes:
+    """The CSV rows of a scan block as version 0.10.0 wrote them, with one
+    ``repr`` per number: the oracle for the CLI's block formatter."""
+    n = len(block.c)
+    numbers = np.concatenate((block.phis.view(float), block.c.view(float).reshape(n, 2)), axis=1)
+    flags = np.where(block.flags, "1", "0").tolist()
+    lines = []
+    for index, values, pearson, row_flags in zip(
+        range(block.start, block.start + n), numbers.tolist(), block.pearson, flags
+    ):
+        r = "" if pearson is None else repr(pearson)
+        lines.append(f"{index},{','.join(map(repr, values))},{r},{','.join(row_flags)}\n")
+    return "".join(lines).encode()

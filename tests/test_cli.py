@@ -15,7 +15,7 @@ import pytest
 import uncertainty_lab as ul
 from uncertainty_lab import cli, state_sets
 from uncertainty_lab.cli import main, make_parser
-from helpers import pauli_pair, rand_hermitian
+from helpers import pauli_pair, rand_hermitian, scan_csv_rows
 
 
 @pytest.fixture
@@ -448,6 +448,68 @@ class TestScan:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 0.5e6, peaks
+        # and the formatter's working set stays small (0.10.0 peaked at ~1.2 MB)
+        assert peaks[1] <= 1.6e6, peaks
+
+    @pytest.mark.parametrize(
+        "dim, scale, samples, start",
+        [
+            (2, 1.0, 300, 0),
+            (3, 1.0, 300, 0),
+            (8, 1.0, 600, 0),  # two blocks of 512 rows
+            (64, 1.0, 100, 0),  # two blocks of 64 rows
+            (3, 1e9, 200, 0),  # re_c and im_c ~1e18: exponent form, through repr
+            (3, 1e-9, 200, 0),  # ~1e-18, likewise
+            (3, 1.0, 500, 1000),  # cuts the first 1365-row block
+            (3, 1.0, 5, 10**19),  # indices past int64
+        ],
+    )
+    def test_body_matches_the_per_row_formatter(self, tmp_path, rng, dim, scale, samples, start):
+        paths = []
+        for name in ("a", "b"):
+            path = tmp_path / f"{name}.json"
+            obs = scale * rand_hermitian(rng, dim)
+            path.write_text(json.dumps(ul.observable_to_json_dict(obs)))
+            paths.append(str(path))
+        out = tmp_path / "scan.csv"
+        assert main(["scan", *paths, "--samples", str(samples), "--start", str(start),
+                     "--seed", "8", "--out", str(out)]) == 0
+        a, b = (ul.observable_from_json_dict(json.loads(Path(p).read_text())) for p in paths)
+        config = ul.ScanConfig(samples=samples, seed=8, start=start)
+        blocks = list(state_sets._scan_blocks(a, b, config))
+        expected = (cli._scan_header(dim) + "\n").encode()
+        expected += b"".join(scan_csv_rows(block) for block in blocks)
+        body = out.read_bytes()
+        assert body == expected
+        manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
+        assert manifest["body_sha256"] == hashlib.sha256(expected).hexdigest()
+        # every number reads back as the block's double, bit for bit
+        rows = [line.split(",") for line in body.decode().splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == list(range(start, start + samples))
+        numbers = np.array([[float(field) for field in row[1 : 2 * dim + 3]] for row in rows])
+        phis = np.concatenate([block.phis for block in blocks]).view(float)
+        c = np.concatenate([block.c for block in blocks]).view(float).reshape(-1, 2)
+        assert numbers.tobytes() == np.concatenate((phis, c), axis=1).tobytes()
+        pearson = [float(row[2 * dim + 3]) if row[2 * dim + 3] else None for row in rows]
+        assert pearson == [p for block in blocks for p in block.pearson]
+
+    @pytest.mark.parametrize("dim", [3, 64])
+    def test_samples_past_the_philox_counters_exit_2(self, tmp_path, rng, capsys, dim):
+        # Philox-4x64 counts to 2^256 and then wraps: a block past that would
+        # repeat the samples at counter 0 under other indices
+        paths = _random_pair(tmp_path, rng, dim)
+        rows, steps = 4096 // dim, -(-2 * dim // 4)
+        last = 2**256 // (rows * steps) * rows - 1  # the last sample of the last whole block
+        out = tmp_path / "scan.csv"
+        assert main(["scan", *paths, "--start", str(last), "--samples", "1",
+                     "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].startswith(f"{last},")
+        before = sorted(os.listdir(tmp_path))
+        for start, samples in ((last, 2), (last + 1, 1), (2**255, 2)):
+            assert main(["scan", *paths, "--start", str(start), "--samples", str(samples),
+                         "--out", str(tmp_path / "past.csv")]) == 2
+            assert "2^256" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_failing_check_in_a_late_block_keeps_the_old_out(
         self, files, tmp_path, capsys, monkeypatch

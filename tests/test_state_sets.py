@@ -110,6 +110,12 @@ class TestMembershipScan:
         with pytest.raises(OverflowError, match="largest float"):
             ul.membership_scan(1e155 * l3, 1e155 * l4, ul.ScanConfig(samples=1, seed=0))
 
+    def test_range_past_the_philox_counters_rejected_eagerly(self, l3, l4):
+        # at d = 3 a 1365-sample block takes 2730 counters; sample 2^255 would
+        # sit at counter 2^256, which Philox wraps to 0
+        with pytest.raises(ul.ValidationError, match="2\\^256"):
+            ul.membership_scan(l3, l4, ul.ScanConfig(samples=2, seed=0, start=2**255))
+
     def test_dimension_two_never_hits_s_ab(self):
         sx, sz = pauli_pair()
         rows = list(ul.membership_scan(sx, sz, ul.ScanConfig(samples=2000, seed=3)))

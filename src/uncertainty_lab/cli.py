@@ -17,6 +17,11 @@ all output was written.  Every output artifact is accompanied by a run manifest 
 JSON output, sidecar file for CSV).  The environment variable
 UNCERTAINTY_LAB_SEED provides the default seed.
 
+Each number of a scan's CSV is Python's shortest round-trip ``repr`` of the
+computed double, so ``float(field)`` gives that double back exactly; the
+vectorized formatter ``_floatrepr.write_reprs`` produces those same bytes for
+a block of rows at once.
+
 Every ``--out`` file is written whole or not at all (``_write``): the bytes go
 to a temporary file beside it, which replaces it after the last byte.  A scan
 streams its body there one block at a time, so its memory does not grow with

@@ -75,7 +75,7 @@ _TENS, _TENS_HI, _TENS_LO = map(np.array, (_TENS, _TENS_HI, _TENS_LO))
 _BIASED_MIN = 1023 - 14
 _POWERS = [float(f"1e{j}") for j in range(-5, 18)]
 _BELOW = [bisect.bisect_right(_POWERS, 2.0**e) - 1 for e in range(-14, 54)]
-_P_BASE = np.array(_BELOW) - 5
+_P_BASE = np.array([j - 5 for j in _BELOW])
 _P_NEXT = np.array([_POWERS[j + 1] for j in _BELOW])
 _HALF_ULP = np.array([2.0 ** (e - 53) for e in range(-14, 54)])
 del _POWERS, _BELOW

@@ -23,10 +23,11 @@ of its block is yielded.  Both decide membership by one rule, ``_flags``.
 Scan sample ``i`` is a pure function of ``(seed, i)``: its amplitudes come
 from the counter-based generator Philox-4x64 (Salmon et al., "Parallel Random
 Numbers: As Easy as 1, 2, 3", SC'11) at counters ``i * ceil(2d/4)`` on, by
-one Box-Muller step per pair of words (``_rng_scheme``).  Blocks are aligned
-to multiples of a fixed row count and always computed whole, so not even the
-rounding of a row depends on where a scan starts or how many samples it
-takes.
+one Box-Muller step per pair of words (``_rng_scheme``).  The counter wraps
+at 2^256, so a scan whose last block would reach past it is refused.  Blocks
+are aligned to multiples of a fixed row count and always computed whole, so
+not even the rounding of a row depends on where a scan starts or how many
+samples it takes.
 """
 
 from __future__ import annotations
@@ -129,9 +130,6 @@ class _ScanBlock(NamedTuple):
     flags: np.ndarray  # (n, 5) class flags in ``ClassificationResult`` order
 
 
-_PHILOX_COUNTERS = 2**256
-
-
 def _counter_steps(dim: int) -> int:
     """Philox counter steps per sample: each gives four words, a sample needs 2d."""
     return -(-2 * dim // 4)
@@ -179,7 +177,7 @@ def _scan_blocks(a: Observable, b: Observable, config: ScanConfig) -> Iterator[_
     stop = config.start + config.samples
     # Philox counters wrap at 2^256: a block past it would repeat block 0's samples
     end = -(-stop // rows) * rows * _counter_steps(dim)
-    if end > _PHILOX_COUNTERS:
+    if end > 2**256:
         raise ValidationError(
             f"samples up to {stop - 1} need Philox counters up to {end - 1}, "
             f"beyond the generator's 2^256"

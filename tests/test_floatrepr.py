@@ -55,11 +55,12 @@ def test_any_finite_float_matches_repr(values):
 
 def test_hard_families_match_repr():
     rng = np.random.default_rng(20261019)
+    digits = rng.integers(1, 17, 80000)  # 1- to 16-digit decimals, mostly in [1e-4, 1e16)
     decimals = [
         float(f"{m}e{e}")
         for m, e in zip(
-            rng.integers(1, 10 ** rng.integers(1, 17, 80000), dtype=np.int64).tolist(),
-            rng.integers(-20, 17, 80000).tolist(),
+            rng.integers(10 ** (digits - 1), 10**digits, dtype=np.int64).tolist(),
+            rng.integers(-3 - digits, 17 - digits).tolist(),
         )
     ]
     small_odd = np.array([1, 3, 5, 7, 9, 15, 25, 125, 625], dtype=np.float64)

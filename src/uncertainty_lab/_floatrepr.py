@@ -54,10 +54,10 @@ import bisect
 
 import numpy as np
 
-__all__ = ["WIDTH", "write_reprs"]
+__all__ = ["WIDTH", "WORD", "write_reprs"]
 
 WIDTH = 24  # bytes of the longest float repr, '-2.2250738585072014e-308'
-_WORD = np.dtype("<u8")  # slots are little-endian words on every machine
+WORD = np.dtype("<u8")  # a slot is three little-endian words on every machine
 
 _LOW, _HIGH = float("1e-4"), 1e16  # repr is positional for _LOW <= |x| < _HIGH
 
@@ -83,7 +83,7 @@ del _POWERS, _BELOW
 
 def _slots(texts) -> np.ndarray:
     """Byte strings as NUL-padded slots: row w holds word w of each."""
-    words = np.frombuffer(b"".join(t.ljust(WIDTH, b"\0") for t in texts), _WORD)
+    words = np.frombuffer(b"".join(t.ljust(WIDTH, b"\0") for t in texts), WORD)
     return words.reshape(-1, 3).T.copy()
 
 
@@ -96,12 +96,19 @@ _INTEGER = _slots(bytes(min(b, 5)) + b"\xff" * (b + 1 - min(b, 5)) for b in rang
 _FRACTION = _slots(  # [23 b + c]
     bytes(b + 2) + b"\xff" * (c - b - 1) for b in range(21) for c in range(23)
 )
-_MARKS = _slots(  # [2 b + negative]: the dot, and the sign of a negative value
+
+
+def _marks(b: int, negative: bool) -> bytes:
+    """The dot after byte b and, for a negative value, the minus sign."""
+    text = bytearray(b + 1) + b"."
+    if negative:
+        text[min(b, 5) - 1] = ord("-")
+    return bytes(text)
+
+
+_MARKS = _slots(  # [2 b + negative]
     [b"", b""]  # b = 0 does not occur
-    + [text for b in range(1, 21) for text in (
-        bytes(b + 1) + b".",
-        bytes(min(b, 5) - 1) + b"-" + bytes(b + 1 - min(b, 5)) + b".",
-    )]
+    + [_marks(b, negative) for b in range(1, 21) for negative in (False, True)]
 )
 
 
@@ -119,7 +126,7 @@ def _scaled(x: np.ndarray) -> tuple:
     """For positive doubles in [1e-4, 1e16): their decimal exponent p, x 10^k
     as an int64 and a fraction, and the half-width w of the interval of reals
     that read back as x, times 10^k (see the module docstring)."""
-    binade = (x.view(_WORD) >> 52).astype(np.intp) - _BIASED_MIN
+    binade = (x.view(WORD) >> 52).astype(np.intp) - _BIASED_MIN
     p = _P_BASE[binade] + (x >= _P_NEXT[binade])
     k = 16 - p
     prod, f = _times_power_of_ten(x, k)
@@ -149,7 +156,7 @@ def _nearest(i: np.ndarray, f: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _digits8(n: np.ndarray) -> np.ndarray:
     """The 8 decimal digits of each n < 10^8 as the bytes of a word, the
     first digit in the lowest byte (bytes 0..9, not yet ASCII)."""
-    n = n.astype(_WORD)
+    n = n.astype(WORD)
     high = n // 10000
     n = high | (n - high * 10000) << 32  # two 4-digit halves in 32-bit lanes
     t = (n * 10486 >> 20) & 0x0000007F0000007F  # each lane // 100, exact below 10^4
@@ -170,7 +177,7 @@ def _through_last_nonzero(raw: np.ndarray) -> np.ndarray:
 def write_reprs(values: np.ndarray, out: np.ndarray) -> None:
     """Write ``repr(float(v))`` of each of ``values`` into ``out``, an array of
     little-endian 64-bit words of shape ``values.shape + (3,)`` (see the
-    module docstring).  Temporaries take ~200 bytes per value: pass a few
+    module docstring).  Temporaries take ~130 bytes per value: pass a few
     thousand values at a time."""
     flat = np.ravel(values)
     magnitude = np.abs(flat)
@@ -189,7 +196,7 @@ def write_reprs(values: np.ndarray, out: np.ndarray) -> None:
     middle, end = raw + 0x3030303030303030
     del raw, last
     # "00000", the lead digit and the other 16 as bytes 0..21 of three words
-    z = (0x3030303030 | (lead.astype(_WORD) + 0x30) << 40 | middle << 48,
+    z = (0x3030303030 | (lead.astype(WORD) + 0x30) << 40 | middle << 48,
          middle >> 16 | end << 48,
          end >> 16)
     b = p + 5
@@ -204,5 +211,5 @@ def write_reprs(values: np.ndarray, out: np.ndarray) -> None:
         out[..., w] = text.reshape(values.shape)
     slow = ~fast
     if slow.any():
-        text = [repr(v) for v in flat[slow].tolist()]
-        out[slow.reshape(values.shape)] = np.array(text, dtype=f"S{WIDTH}").view(_WORD).reshape(-1, 3)
+        text = np.array([repr(v) for v in flat[slow].tolist()], dtype=f"S{WIDTH}")
+        out[slow.reshape(values.shape)] = text.view(WORD).reshape(-1, 3)

@@ -44,7 +44,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from ._floatrepr import write_reprs
+from ._floatrepr import WORD, write_reprs
 from .core import (
     DEFAULT_TOLERANCES,
     CommutingPair,
@@ -244,7 +244,7 @@ def _scan_csv(block: _ScanBlock) -> bytes:
     rows = -(-n // -(-n * cols // _CHUNK_VALUES))  # per chunk, in even chunks
     buf = np.zeros((rows, index_width + 32 * cols + 16), np.uint8)
     buf[:, index_width - 1] = ord(",")
-    slots = buf[:, index_width : index_width + 32 * cols].view(np.dtype("<u8"))
+    slots = buf[:, index_width : index_width + 32 * cols].view(WORD)
     slots = slots.reshape(rows, cols, 4)
     slots[..., 3] = ord(",")
     tail = buf[:, -16:-6]

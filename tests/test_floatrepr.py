@@ -18,12 +18,12 @@ fallback to ``repr``).
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from uncertainty_lab._floatrepr import WIDTH, write_reprs
+from uncertainty_lab._floatrepr import WIDTH, WORD, write_reprs
 
 
 def _formatted(values: np.ndarray) -> bytes:
     """The formatter's output for ``values``, one per line, NULs removed."""
-    slots = np.zeros((len(values), 4), np.dtype("<u8"))
+    slots = np.zeros((len(values), 4), WORD)
     slots[:, 3] = ord("\n")
     for first in range(0, len(values), 4096):
         write_reprs(values[first : first + 4096], slots[first : first + 4096, :3])
@@ -92,7 +92,7 @@ def test_the_longest_repr_fills_the_slot():
 def test_writes_into_a_strided_view():
     # the CLI writes slots inside a row buffer, between other columns
     values = np.array([[0.1, -2.5e-5, 3.0], [1e300, -0.0, 0.000123456789]])
-    buf = np.zeros((2, 3, 5), np.dtype("<u8"))
+    buf = np.zeros((2, 3, 5), WORD)
     write_reprs(values, buf[:, :, 1:4])
     assert not buf[:, :, [0, 4]].any()
     text = buf[:, :, 1:4].copy().view(np.uint8).reshape(6, WIDTH)

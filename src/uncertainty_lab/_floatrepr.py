@@ -170,7 +170,8 @@ def _through_last_nonzero(raw: np.ndarray) -> np.ndarray:
 
     A word whose highest nonzero byte is number j (a digit 1..9) lies in
     [2^(8j), 2^(8j+4)), where its float exponent from ``frexp`` is 8j+1 to
-    8j+4 (rounding to 53 bits cannot carry it to 8j+5)."""
+    8j+4 (rounding to 53 bits cannot carry it to 8j+5); a zero word has
+    exponent 0."""
     return (np.frexp(raw.astype(np.float64))[1] + 7) // 8
 
 

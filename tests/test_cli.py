@@ -452,19 +452,22 @@ class TestScan:
         assert peaks[1] <= 1.6e6, peaks
 
     @pytest.mark.parametrize(
-        "dim, scale, samples, start",
+        "dim, scale, samples, start, eps_spread",
         [
-            (2, 1.0, 300, 0),
-            (3, 1.0, 300, 0),
-            (8, 1.0, 600, 0),  # two blocks of 512 rows
-            (64, 1.0, 100, 0),  # two blocks of 64 rows
-            (3, 1e9, 200, 0),  # re_c and im_c ~1e18: exponent form, through repr
-            (3, 1e-9, 200, 0),  # ~1e-18, likewise
-            (3, 1.0, 500, 1000),  # cuts the first 1365-row block
-            (3, 1.0, 5, 10**19),  # indices past int64
+            (2, 1.0, 300, 0, None),
+            (3, 1.0, 300, 0, None),
+            (8, 1.0, 600, 0, None),  # two blocks of 512 rows
+            (64, 1.0, 100, 0, None),  # two blocks of 64 rows
+            (3, 1e9, 200, 0, None),  # re_c and im_c ~1e18: exponent form, through repr
+            (3, 1e-9, 200, 0, None),  # ~1e-18, likewise
+            (3, 1.0, 500, 1000, None),  # cuts the first 1365-row block
+            (3, 1.0, 5, 10**19, None),  # indices past int64
+            (3, 1.0, 300, 0, 1.0),  # a third of the rows have no pearson
         ],
     )
-    def test_body_matches_the_per_row_formatter(self, tmp_path, rng, dim, scale, samples, start):
+    def test_body_matches_the_per_row_formatter(
+        self, tmp_path, rng, dim, scale, samples, start, eps_spread
+    ):
         paths = []
         for name in ("a", "b"):
             path = tmp_path / f"{name}.json"
@@ -472,10 +475,11 @@ class TestScan:
             path.write_text(json.dumps(ul.observable_to_json_dict(obs)))
             paths.append(str(path))
         out = tmp_path / "scan.csv"
+        tol = ul.Tolerances() if eps_spread is None else ul.Tolerances(eps_spread=eps_spread)
         assert main(["scan", *paths, "--samples", str(samples), "--start", str(start),
-                     "--seed", "8", "--out", str(out)]) == 0
+                     "--seed", "8", "--eps-spread", repr(tol.eps_spread), "--out", str(out)]) == 0
         a, b = (ul.observable_from_json_dict(json.loads(Path(p).read_text())) for p in paths)
-        config = ul.ScanConfig(samples=samples, seed=8, start=start)
+        config = ul.ScanConfig(samples=samples, seed=8, start=start, tolerances=tol)
         blocks = list(state_sets._scan_blocks(a, b, config))
         expected = (cli._scan_header(dim) + "\n").encode()
         expected += b"".join(scan_csv_rows(block) for block in blocks)
@@ -492,6 +496,7 @@ class TestScan:
         assert numbers.tobytes() == np.concatenate((phis, c), axis=1).tobytes()
         pearson = [float(row[2 * dim + 3]) if row[2 * dim + 3] else None for row in rows]
         assert pearson == [p for block in blocks for p in block.pearson]
+        assert eps_spread is None or None in pearson
 
     @pytest.mark.parametrize("dim", [3, 64])
     def test_samples_past_the_philox_counters_exit_2(self, tmp_path, rng, capsys, dim):

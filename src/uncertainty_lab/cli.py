@@ -10,12 +10,13 @@ Subcommands:
 * ``basis`` -- emit a generalized Gell-Mann basis as JSON.
 
 Exit codes: 0 success, 1 failed demo golden check, 2 input or guard error or
-a value past the float range (for ``eval`` and ``scan`` also a pair for which
-4 ||A||_F^2 or 4 ||B||_F^2 is, checked before anything is computed), 3 finder
-did not converge, 4 an internal cross-check failed, 5 stdout was closed before
-all output was written.  Every output artifact is accompanied by a run manifest (embedded in
-JSON output, sidecar file for CSV).  The environment variable
-UNCERTAINTY_LAB_SEED provides the default seed.
+a value past the float range (for ``eval``, ``find`` and ``scan`` also a pair
+for which 4 ||A||_F^2 or 4 ||B||_F^2 is, checked before any moment is
+computed), 3 finder did not converge, 4 an internal cross-check failed, 5
+stdout was closed before all output was written.  Every output artifact is
+accompanied by a run manifest (embedded in JSON output, sidecar file for
+CSV).  The environment variable UNCERTAINTY_LAB_SEED provides the default
+seed.
 
 Each number of a scan's CSV is Python's shortest round-trip ``repr`` of the
 computed double, so ``float(field)`` gives that double back exactly; the
@@ -57,7 +58,6 @@ from .core import (
 from .correlations import correlation, correlation_record
 from .finder import FinderConfig, find
 from .gellmann import gell_mann, su3_lambda, two_level_state, uniform_superposition
-from .moments import _require_in_float_range
 from .relations import REPORT_CSV_HEADER, evaluate, report_csv_row
 from .state_sets import ScanConfig, _rng_scheme, _ScanBlock, _scan_blocks, classify
 
@@ -169,7 +169,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     a = _load(args.observable_a, observable_from_json_dict, tol)
     b = _load(args.observable_b, observable_from_json_dict, tol)
     phi = _load(args.state, state_from_json_dict, tol)
-    _require_in_float_range(a, b)
     report = evaluate(a, b, phi, tol)
     record = correlation_record(a, b, phi, tol)
     try:
@@ -233,10 +232,9 @@ def _scan_csv(block: _ScanBlock) -> bytes:
     NULs.
     """
     n = len(block.c)
-    pearson = np.array(block.pearson, dtype=float)  # None becomes nan, blanked below
-    no_pearson = np.array([p is None for p in block.pearson])
+    no_pearson = block.flags[:, :2].any(axis=1)  # NaN there, blanked below
     numbers = np.concatenate(
-        (block.phis.view(float), block.c.view(float).reshape(n, 2), pearson[:, None]), axis=1
+        (block.phis.view(float), block.c.view(float).reshape(n, 2), block.pearson[:, None]), axis=1
     )
     cols = numbers.shape[1]
     digits = len(str(block.start + n - 1))  # of the widest index

@@ -61,7 +61,7 @@ from .core import (
     _haar_amps,
     state_to_json_dict,
 )
-from .moments import _Checked, _require_noncommuting
+from .moments import _Checked, _require_in_float_range, _require_noncommuting
 
 __all__ = ["FinderConfig", "FinderResult", "find", "gradient", "objective", "verify_candidate"]
 
@@ -307,6 +307,7 @@ def find(
             f"got dimension {a.dim}"
         )
     _require_noncommuting(a, b, tol)
+    _require_in_float_range(a, b)
     best: tuple[_Point, int, int, bool] | None = None
     for restart in range(cfg.restarts):
         rng = np.random.default_rng((cfg.seed, restart))

@@ -19,8 +19,9 @@ formed when first needed, so C alone costs one of them.  The pair's one
 product, [A,B], is formed by the commuting guard ``_require_noncommuting``,
 once per call; it scales A or B by an exact power of two first when its size
 lies outside (1e-60, 1e60) (``_sized``), so its verdict is scale-free.  The
-same sizes tell ``_require_in_float_range``, which scans and CLI ``eval`` run
-first, whether a pair's moments can leave the float range.
+same sizes tell ``_require_in_float_range`` whether a pair's moments can leave
+the float range; every new record, ``find`` and the scans run it first, so
+each per-state function of a pair refuses such a pair with an OverflowError.
 
 Every internal check goes through ``_check``: a residual passes up to
 ``tol * max(1, scale)``, ``scale`` being the size of the compared terms
@@ -100,14 +101,13 @@ def _check(
 def _check_rows(
     identity: str,
     residuals: np.ndarray,
-    scales: np.ndarray | float,
+    scales: np.ndarray,
     tol: float = _TOL,
     error: type = ArithmeticError,
 ) -> None:
     """``_check`` over a block of rows, applied to the row nearest to failing
     (the largest ``residual / max(1, scale)``; a NaN residual passes, as in
     ``_check``)."""
-    scales = np.broadcast_to(scales, residuals.shape)
     ratios = residuals / np.maximum(1.0, scales)
     worst = int(np.argmax(np.where(np.isnan(ratios), -np.inf, ratios)))
     _check(identity, float(residuals[worst]), float(scales[worst]), tol, error)
@@ -246,6 +246,7 @@ class _StateMoments:
 
     def __init__(self, a: Observable, b: Observable, phi: StateVector):
         _check_same_dim(a.dim, b.dim)
+        _require_in_float_range(a, b)
         self.amps = phi.amps
         self.a = _Spread(a.matrix, phi.amps)
         self.b = _Spread(b.matrix, phi.amps)

@@ -25,8 +25,9 @@ from the counter-based generator Philox-4x64 (Salmon et al., "Parallel Random
 Numbers: As Easy as 1, 2, 3", SC'11) at counters ``i * ceil(2d/4)`` on, by
 one Box-Muller step per pair of words (``_rng_scheme``).  The counter wraps
 at 2^256, so a scan whose last block would reach past it is refused.  Blocks
-are aligned to multiples of a fixed row count and always computed whole, so
-not even the rounding of a row depends on where a scan starts or how many
+are aligned to multiples of a fixed row count, and each block's one matrix
+product runs on the whole block (every later step is row by row), so not
+even the rounding of a row depends on where a scan starts or how many
 samples it takes.
 """
 
@@ -126,7 +127,7 @@ class _ScanBlock(NamedTuple):
     start: int  # sample index of the first row
     phis: np.ndarray  # (n, d) states
     c: np.ndarray  # (n,) correlation C, moment form
-    pearson: list  # n Pearson coefficients, None where a spread is below eps_spread
+    pearson: np.ndarray  # (n,) Pearson coefficients, NaN on rows with an eigen flag
     flags: np.ndarray  # (n, 5) class flags in ``ClassificationResult`` order
 
 
@@ -196,48 +197,41 @@ def _scan_block(
 ) -> _ScanBlock:
     """Normalize, measure, check and classify the ``keep`` rows of a block.
 
-    Every step up to the row slicing runs on the whole block, whatever
-    ``keep`` is: matrix products may round a row differently in a block of
-    another size (a one-row block takes another BLAS route).
+    The normalization and the product with ``operators`` run on the whole
+    block, whatever ``keep`` is: a matrix product may round a row differently
+    in a block of another size (a one-row block takes another BLAS route).
+    Every later step is row by row and runs on the ``keep`` rows only.
     """
-    n, dim = raw.shape
+    dim = raw.shape[1]
     phis = raw / np.linalg.norm(raw, axis=1)[:, None]
-    a_phi, b_phi, adj_a, adj_b = (phis @ operators).reshape(n, 4, dim).transpose(1, 0, 2)
-    mean_a, mean_b = _rowdot(phis, a_phi).real, _rowdot(phis, b_phi).real
-    dev_a, dev_b = a_phi - mean_a[:, None] * phis, b_phi - mean_b[:, None] * phis
-    rowwise = (
-        phis,
-        np.linalg.norm(phis, axis=1),
-        mean_a,
-        mean_b,
-        np.linalg.norm(dev_a, axis=1),
-        np.linalg.norm(dev_b, axis=1),
-        _rowdot(adj_a, a_phi).real,  # <A^2> = <A^dag phi|A phi>
-        _rowdot(adj_b, b_phi).real,
-        _rowdot(adj_a, b_phi) - mean_a * mean_b,  # C = <AB> - <A><B>
-        _rowdot(dev_a, dev_b),  # C in deviation form
-        0.5 * np.abs(_rowdot(adj_a, b_phi) - _rowdot(adj_b, a_phi)),  # |<[A,B]>| / 2
-    )
-    phis, norm, mean_a, mean_b, da, db, a2, b2, c, overlap, hr = (x[keep] for x in rowwise)
+    products = (phis @ operators)[keep]
+    phis = phis[keep]
+    a_phi, b_phi, adj_a, adj_b = products.reshape(-1, 4, dim).transpose(1, 0, 2)
+    norm = np.linalg.norm(phis, axis=1)
     if not np.all(np.abs(norm - 1.0) <= tol.tol_norm):
         worst = float(norm[np.argmax(np.abs(norm - 1.0))])
         raise ValidationError(f"state is not normalized: ||amps|| = {worst!r}")
+    mean_a, mean_b = _rowdot(phis, a_phi).real, _rowdot(phis, b_phi).real
+    dev_a, dev_b = a_phi - mean_a[:, None] * phis, b_phi - mean_b[:, None] * phis
+    da, db = np.linalg.norm(dev_a, axis=1), np.linalg.norm(dev_b, axis=1)
+    a2, b2 = _rowdot(adj_a, a_phi).real, _rowdot(adj_b, b_phi).real  # <A^2> = <A^dag phi|A phi>
+    ab = _rowdot(adj_a, b_phi)  # <AB>
+    c, overlap = ab - mean_a * mean_b, _rowdot(dev_a, dev_b)  # C in moment and deviation form
+    hr = 0.5 * np.abs(ab - _rowdot(adj_b, a_phi))  # |<[A,B]>| / 2
     # ||A phi|| ||B phi||, the scale of the pair checks (see moments)
     scale = np.hypot(mean_a, da) * np.hypot(mean_b, db)
     _check_rows(_VARIANCE, np.abs(da**2 - (a2 - mean_a * mean_a)), np.abs(a2))
     _check_rows(_VARIANCE, np.abs(db**2 - (b2 - mean_b * mean_b)), np.abs(b2))
     _check_rows(_C_FORMS, np.abs(c - overlap), scale)
     _check_rows(_COMMUTATOR, np.abs(2.0 * hr - 2.0 * np.abs(c.imag)), scale)
-    flags = _flags(da, db, c, tol)
-    spreads_ok = ~(flags[0] | flags[1])
+    flags = np.stack(_flags(da, db, c, tol), axis=1)
+    spreads_ok = ~flags[:, :2].any(axis=1)
     product = np.where(spreads_ok, da * db, 1.0)
     r, r_scale = np.abs(c) / product, scale / product  # C's roundoff, divided like C
     _check_rows(_OVERLAP, np.where(spreads_ok, np.abs(r - np.abs(overlap) / product), 0.0), r_scale)
     _check_rows(_PEARSON_MAX, np.where(spreads_ok, r - 1.0, 0.0), r_scale, error=ValidationError)
-    pearson = [
-        p if ok else None for p, ok in zip(np.minimum(r, 1.0).tolist(), spreads_ok.tolist())
-    ]
-    return _ScanBlock(first + keep.start, phis, c, pearson, np.stack(flags, axis=1))
+    pearson = np.where(spreads_ok, np.minimum(r, 1.0), np.nan)
+    return _ScanBlock(first + keep.start, phis, c, pearson, flags)
 
 
 def membership_scan(
@@ -257,7 +251,7 @@ def membership_scan(
     """
     tol = config.tolerances
     return (
-        (StateVector._wrap(phi), ClassificationResult(*flags, pearson, tol))
+        (StateVector._wrap(phi), ClassificationResult(*flags, None if any(flags[:2]) else r, tol))
         for block in _scan_blocks(a, b, config)
-        for phi, pearson, flags in zip(block.phis, block.pearson, block.flags.tolist())
+        for phi, r, flags in zip(block.phis, block.pearson.tolist(), block.flags.tolist())
     )

@@ -50,8 +50,9 @@ def scan_csv_rows(block) -> bytes:
     flags = np.where(block.flags, "1", "0").tolist()
     lines = []
     for index, values, pearson, row_flags in zip(
-        range(block.start, block.start + n), numbers.tolist(), block.pearson, flags
+        range(block.start, block.start + n), numbers.tolist(), block.pearson.tolist(), flags
     ):
-        r = "" if pearson is None else repr(pearson)
+        # an eigen flag leaves the Pearson field blank
+        r = "" if "1" in row_flags[:2] else repr(pearson)
         lines.append(f"{index},{','.join(map(repr, values))},{r},{','.join(row_flags)}\n")
     return "".join(lines).encode()

@@ -494,9 +494,13 @@ class TestScan:
         phis = np.concatenate([block.phis for block in blocks]).view(float)
         c = np.concatenate([block.c for block in blocks]).view(float).reshape(-1, 2)
         assert numbers.tobytes() == np.concatenate((phis, c), axis=1).tobytes()
-        pearson = [float(row[2 * dim + 3]) if row[2 * dim + 3] else None for row in rows]
-        assert pearson == [p for block in blocks for p in block.pearson]
-        assert eps_spread is None or None in pearson
+        # a blank Pearson field reads as NaN, as the block holds it on every eigen row
+        pearson = np.array([float(row[2 * dim + 3] or "nan") for row in rows])
+        assert pearson.tobytes() == np.concatenate([block.pearson for block in blocks]).tobytes()
+        blank = [not row[2 * dim + 3] for row in rows]
+        eigen = np.concatenate([block.flags[:, :2].any(axis=1) for block in blocks])
+        assert blank == eigen.tolist()
+        assert eps_spread is None or any(blank)
 
     @pytest.mark.parametrize("dim", [3, 64])
     def test_samples_past_the_philox_counters_exit_2(self, tmp_path, rng, capsys, dim):

@@ -1,3 +1,6 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -259,3 +262,36 @@ class TestFloatRange:
         # ||s l3||_F^2 = 2 s^2: 4 * 2 * (4e153)^2 ~ 1.3e308 still fits
         with np.errstate(all="raise"):
             moments._require_in_float_range(s * l3, s * l4)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("huge", ["A", "B", "AB"])
+    def test_every_pair_function_refuses_such_a_pair(self, dim, huge):
+        # ||F||_F^2 = 0.998 * the largest float: before the check, sum_relations
+        # warned of an overflow in a matmul and find raised a bare OverflowError
+        rng = np.random.default_rng(3)
+        a, b = rand_hermitian(rng, dim), rand_hermitian(rng, dim)
+        phi = rand_state(rng, dim)
+        size = np.sqrt(0.998 * sys.float_info.max)
+        if "A" in huge:
+            a = size / np.linalg.norm(a.matrix) * a
+        if "B" in huge:
+            b = size / np.linalg.norm(b.matrix) * b
+        calls = [
+            lambda: ul.evaluate(a, b, phi),
+            lambda: ul.hr_bound(a, b, phi),
+            lambda: ul.schrodinger_bound(a, b, phi),
+            lambda: ul.sum_relations(a, b, phi),
+            lambda: ul.correlation(a, b, phi),
+            lambda: ul.correlation_record(a, b, phi),
+            lambda: ul.pearson(a, b, phi),
+            lambda: ul.decomposition(a, b, phi),
+            lambda: ul.correlation_properties_check(a, b, b, phi),
+            lambda: ul.classify(a, b, phi),
+        ]
+        if dim >= 3:  # find refuses d = 2 first, whatever the pair
+            calls.append(lambda: ul.find(a, b))
+        for call in calls:
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                with pytest.raises(OverflowError, match=rf"\|\|{huge[0]}\|\|_F\^2 ~ 10\^308"):
+                    call()

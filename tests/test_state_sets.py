@@ -11,6 +11,11 @@ def _rows(a, b, **config):
     return [(phi.amps.tobytes(), cls) for phi, cls in scan]
 
 
+# eps_spread per dimension at which some, not all, rows of the tests' random
+# pairs have an eigen flag, and so no Pearson value
+_MIXED_EPS = {2: 0.1, 3: 1.0, 8: 2.0, 64: 7.5}
+
+
 class TestClassify:
     def test_two_level_state_in_s_ab(self, l3, l4):
         cls = ul.classify(l3, l4, ul.two_level_state(1, 1))
@@ -182,17 +187,23 @@ class TestMembershipScan:
     def test_partition_does_not_change_a_row(self, rng, dim, total, cuts):
         # blocks hold 4096 // d rows (1365 at d = 3, 64 at d = 64): every cut
         # falls inside a block, some ranges cross block boundaries, and
-        # [2, 3) and [100, 101) are one-row ranges
+        # [2, 3) and [100, 101) are one-row ranges; at the second eps_spread
+        # some rows have an eigen flag and no Pearson value
         a, b = (rand_hermitian(rng, dim) for _ in range(2))
-        whole = _rows(a, b, samples=total, seed=8)
-        bounds = (0, *cuts, total)
-        parts = [
-            row
-            for lo, hi in zip(bounds, bounds[1:])
-            for row in _rows(a, b, samples=hi - lo, seed=8, start=lo)
-        ]
-        assert len(whole) == total
-        assert parts == whole
+        for eps_spread in (ul.DEFAULT_TOLERANCES.eps_spread, _MIXED_EPS[dim]):
+            tol = ul.Tolerances(eps_spread=eps_spread)
+            whole = _rows(a, b, samples=total, seed=8, tolerances=tol)
+            bounds = (0, *cuts, total)
+            parts = [
+                row
+                for lo, hi in zip(bounds, bounds[1:])
+                for row in _rows(a, b, samples=hi - lo, seed=8, start=lo, tolerances=tol)
+            ]
+            assert len(whole) == total
+            assert parts == whole
+            no_pearson = [cls.pearson is None for _, cls in whole]
+            assert no_pearson == [cls.eigen_a or cls.eigen_b for _, cls in whole]
+            assert any(no_pearson) == (eps_spread == _MIXED_EPS[dim]) and not all(no_pearson)
 
     def test_states_are_haar_distributed(self, l3, l4):
         # for Haar states at d = 3: E phi_k = 0, E|phi_k|^2 = 1/3 and
@@ -213,32 +224,52 @@ class TestScanKernel:
     def test_rows_agree_with_classify(self, dim, tol_zero):
         rng = np.random.default_rng(1000 + dim)
         a, b = (rand_hermitian(rng, dim) for _ in range(2))
-        tol = ul.Tolerances(tol_zero=tol_zero)
-        config = ul.ScanConfig(samples=300, seed=dim, tolerances=tol, start=50)
-        scanned = 0
-        for block in state_sets._scan_blocks(a, b, config):
-            for phi, c, pearson, flags in zip(block.phis, block.c, block.pearson, block.flags):
-                phi = ul.StateVector(phi)
-                cls = ul.classify(a, b, phi, tol)
-                scale = np.linalg.norm(a.matrix @ phi.amps) * np.linalg.norm(b.matrix @ phi.amps)
-                assert abs(c - ul.correlation(a, b, phi)) <= 1e-12 * max(1.0, scale)
-                assert pearson == pytest.approx(cls.pearson, rel=1e-12, abs=1e-12)
-                assert tuple(flags[:2]) == (cls.eigen_a, cls.eigen_b)
-                sets = (cls.in_s_ab, cls.in_s_comm, cls.in_s_anti)
-                for flag, expected, value in zip(flags[2:], sets, (abs(c), c.imag, c.real)):
-                    # a flag may differ only where its value rounds onto tol_zero
-                    assert flag == expected or tol_zero / 10 < abs(value) < tol_zero * 10
-                scanned += 1
-        assert scanned == 300
+        # at the second eps_spread some rows have an eigen flag and no Pearson value
+        for eps_spread in (ul.DEFAULT_TOLERANCES.eps_spread, _MIXED_EPS[dim]):
+            tol = ul.Tolerances(tol_zero=tol_zero, eps_spread=eps_spread)
+            config = ul.ScanConfig(samples=300, seed=dim, tolerances=tol, start=50)
+            scanned = no_pearson = 0
+            for block in state_sets._scan_blocks(a, b, config):
+                for phi, c, pearson, flags in zip(block.phis, block.c, block.pearson, block.flags):
+                    phi = ul.StateVector(phi)
+                    cls = ul.classify(a, b, phi, tol)
+                    scale = (np.linalg.norm(a.matrix @ phi.amps)
+                             * np.linalg.norm(b.matrix @ phi.amps))
+                    assert abs(c - ul.correlation(a, b, phi)) <= 1e-12 * max(1.0, scale)
+                    if cls.pearson is None:
+                        assert np.isnan(pearson)
+                        no_pearson += 1
+                    else:
+                        assert pearson == pytest.approx(cls.pearson, rel=1e-12, abs=1e-12)
+                    assert tuple(flags[:2]) == (cls.eigen_a, cls.eigen_b)
+                    sets = (cls.in_s_ab, cls.in_s_comm, cls.in_s_anti)
+                    for flag, expected, value in zip(flags[2:], sets, (abs(c), c.imag, c.real)):
+                        # a flag may differ only where its value rounds onto tol_zero
+                        assert flag == expected or tol_zero / 10 < abs(value) < tol_zero * 10
+                    scanned += 1
+            assert scanned == 300
+            assert (no_pearson > 0) == (eps_spread == _MIXED_EPS[dim]) and no_pearson < 300
 
     def test_membership_scan_yields_the_kernel_rows(self, l3, l4):
-        config = ul.ScanConfig(samples=20, seed=3, start=5)
-        (block,) = state_sets._scan_blocks(l3, l4, config)
-        rows = list(ul.membership_scan(l3, l4, config))
-        assert block.start == 5
-        assert [phi.amps.tobytes() for phi, _ in rows] == [phi.tobytes() for phi in block.phis]
-        assert [cls.pearson for _, cls in rows] == block.pearson
-        assert all(isinstance(cls.in_s_ab, bool) for _, cls in rows)
+        # at eps_spread 0.6 some rows have an eigen flag and no Pearson value
+        for eps_spread in (ul.DEFAULT_TOLERANCES.eps_spread, 0.6):
+            tol = ul.Tolerances(eps_spread=eps_spread)
+            config = ul.ScanConfig(samples=20, seed=3, start=5, tolerances=tol)
+            (block,) = state_sets._scan_blocks(l3, l4, config)
+            rows = list(ul.membership_scan(l3, l4, config))
+            assert block.start == 5
+            assert [phi.amps.tobytes() for phi, _ in rows] == [phi.tobytes() for phi in block.phis]
+            flags = [(cls.eigen_a, cls.eigen_b, cls.in_s_ab, cls.in_s_comm, cls.in_s_anti)
+                     for _, cls in rows]
+            assert flags == [tuple(row) for row in block.flags.tolist()]
+            # None in the results and NaN in the block exactly on the eigen rows
+            no_pearson = block.flags[:, :2].any(axis=1)
+            assert [cls.pearson is None for _, cls in rows] == no_pearson.tolist()
+            assert np.isnan(block.pearson).tolist() == no_pearson.tolist()
+            assert [cls.pearson for _, cls in rows if cls.pearson is not None] == (
+                block.pearson[~no_pearson].tolist())
+            assert no_pearson.any() == (eps_spread == 0.6)
+            assert all(isinstance(cls.in_s_ab, bool) for _, cls in rows)
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 64])
     def test_draw_of_a_range_is_the_same_rows_of_a_draw_from_zero(self, dim):
@@ -247,3 +278,41 @@ class TestScanKernel:
         for start, n in [(0, 1), (1, 1), (7, 13), (64, 64), (99, 51), (149, 1)]:
             part = state_sets._gaussian_rows(key, start, n, dim)
             assert np.array_equal(part, full[start : start + n])
+
+
+
+def _scan_counts(a, b, samples, tol, count):
+    """The sum of ``count(block)`` over the blocks of a seed-0 scan."""
+    config = ul.ScanConfig(samples=samples, seed=0, tolerances=tol)
+    return sum(count(block) for block in state_sets._scan_blocks(a, b, config))
+
+
+class TestCodimension:
+    """How fast the scan's counts near the zero sets fall with the tolerance.
+
+    The states within eps of a set of real codimension k are a share ~eps^k,
+    so from eps = 0.1 to 0.01 their count falls by 10^k: 10^1 for s_comm
+    (Im C = 0), 10^2 for s_ab (C = 0) and for r <= eps (orthogonal deviation
+    directions).  The bounds on k, [0.85, 1.15] and [1.6, 2.4], leave room
+    for the sampling noise of counts >= 150 and for the curvature of the
+    sets at eps = 0.1; they are not fitted to the seeds.
+    """
+
+    def test_s_comm_has_codimension_one_and_s_ab_two(self, l3, l4):
+        counts = np.array([
+            _scan_counts(l3, l4, 120_000, ul.Tolerances(tol_zero=eps),
+                         lambda block: block.flags.sum(axis=0))
+            for eps in (0.1, 0.01)
+        ])
+        assert counts[1, 2:4].min() >= 150
+        s_ab, s_comm = np.log10(counts[0, 2:4] / counts[1, 2:4])
+        assert 1.6 <= s_ab <= 2.4
+        assert 0.85 <= s_comm <= 1.15
+
+    def test_orthogonal_deviation_directions_have_codimension_two(self):
+        rng = np.random.default_rng(8)
+        a, b = (rand_hermitian(rng, 8) for _ in range(2))
+        counts = _scan_counts(a, b, 300_000, ul.DEFAULT_TOLERANCES, lambda block: np.array(
+            [np.count_nonzero(block.pearson <= eps) for eps in (0.1, 0.01)]))
+        assert counts[1] >= 150
+        assert 1.6 <= np.log10(counts[0] / counts[1]) <= 2.4

@@ -280,7 +280,6 @@ class TestScanKernel:
             assert np.array_equal(part, full[start : start + n])
 
 
-
 def _scan_counts(a, b, samples, tol, count):
     """The sum of ``count(block)`` over the blocks of a seed-0 scan."""
     config = ul.ScanConfig(samples=samples, seed=0, tolerances=tol)

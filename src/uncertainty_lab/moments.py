@@ -6,22 +6,23 @@ vector ``(F - <F> I)|phi>``; it must agree with the moment form
 either one is caught immediately.
 
 Every per-state function of a pair reads the numbers of (A, B, phi) from one
-shared, unchecked ``_StateMoments`` record, which computes each at most once,
-through a ``_Checked`` view of its own, which asserts each identity between
-two routes when the call first reads it: a call asserts its own identities,
-whatever calls came before.  ``_shared`` keeps the record of the last triple,
-keyed on the identities of A, B and phi (no ``__eq__``, read-only arrays; the
-slot keeps them alive, so no id is reused) and not on ``tol``, on which no
-number depends.  Its lazy fields (``_lazy``) take no lock, as threads racing
-on one only compute it twice; its norms are ``sqrt(<v|v>)``, and it forms no
-matrix product: <[A,B]> and <{A,B}> come from A(B|phi>) and B(A|phi>), each
-formed when first needed, so C alone costs one of them.  The pair's one
-product, [A,B], is formed by the commuting guard ``_require_noncommuting``,
-once per call; it scales A or B by an exact power of two first when its size
-lies outside (1e-60, 1e60) (``_sized``), so its verdict is scale-free.  The
-same sizes tell ``_require_in_float_range`` whether a pair's moments can leave
-the float range; every new record, ``find`` and the scans run it first, so
-each per-state function of a pair refuses such a pair with an OverflowError.
+shared, unchecked ``_StateMoments`` record, computed whole on construction and
+never written after, so threads share it read-only, through a ``_Checked``
+view of its own, which asserts each identity between two routes when the call
+first reads it: a call asserts its own identities, whatever calls came before.
+``_shared`` keeps the record of the last triple, keyed on the identities of A,
+B and phi (no ``__eq__``, read-only arrays; the slot keeps them alive, so no id
+is reused) and not on ``tol``, on which no number depends.  Its norms are
+``sqrt(<v|v>)``, and it forms no matrix product: <[A,B]> and <{A,B}> come from
+A(B|phi>) and B(A|phi>).  The pair's one product, [A,B], is formed by the
+commuting guard ``_require_noncommuting``, once per call; it scales A or B by
+an exact power of two first when its size lies outside (1e-60, 1e60)
+(``_sized``), so its verdict is scale-free.  The same sizes tell
+``_require_in_float_range`` whether a pair's moments can leave the float
+range; every new record, ``find`` and the scans run it first, so each
+per-state function of a pair refuses such a pair with an OverflowError.  The
+functions of one observable run its one-observable half,
+``_require_observable_in_float_range``, on F.
 
 Every internal check goes through ``_check``: a residual passes up to
 ``tol * max(1, scale)``, ``scale`` being the size of the compared terms
@@ -115,9 +116,9 @@ def _check_rows(
 
 class _lazy:
     """``functools.cached_property`` without its lock (Python 3.11 takes an
-    ``RLock`` on every first read): threads that first read a shared field at
-    once only compute it twice.  A non-data descriptor, so the value stored in
-    the instance ``__dict__`` on the first read shadows it on every later one."""
+    ``RLock`` on every first read), for the fields of the per-call ``_Checked``
+    views.  A non-data descriptor, so the value stored in the instance
+    ``__dict__`` on the first read shadows it on every later one."""
 
     def __init__(self, func):
         self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
@@ -134,20 +135,16 @@ class _Spread:
 
     def __init__(self, matrix: np.ndarray, amps: np.ndarray):
         _check_same_dim(matrix.shape[0], amps.shape[0])
-        self.matrix = matrix
-        self.amps = amps
         self.f_phi = matrix @ amps
         self.mean = complex(np.vdot(amps, self.f_phi)).real
         self.vec = self.f_phi - self.mean * amps
         self.norm = _norm(self.vec)
-        self.m2 = None  # <F^2>, formed on the first read of ``spread``
+        self.m2 = complex(np.vdot(amps, matrix @ self.f_phi)).real
 
     @property
     def spread(self) -> float:
         """The norm, after comparing its square with <F^2> - <F>^2 (variances,
         because the square root is ill-conditioned near eigenstates), on every read."""
-        if self.m2 is None:
-            self.m2 = complex(np.vdot(self.amps, self.matrix @ self.f_phi)).real
         residual = abs(self.norm**2 - (self.m2 - self.mean * self.mean))
         _check(_VARIANCE, residual, abs(self.m2))
         return self.norm
@@ -156,6 +153,7 @@ class _Spread:
 def expectation(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Expectation value <phi|F|phi>, guaranteed real for a valid observable."""
     _check_same_dim(f.dim, phi.dim)
+    _require_observable_in_float_range(f, "F")
     f_phi = f.matrix @ phi.amps
     val = complex(np.vdot(phi.amps, f_phi))
     size = _norm(f_phi)  # bounds |<F>|, so its roundoff scales with it
@@ -165,6 +163,7 @@ def expectation(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLER
 
 def deviation_vector(f: Observable, phi: StateVector) -> DeviationVector:
     """(F - <F> I)|phi>.  Always orthogonal to |phi> up to roundoff."""
+    _require_observable_in_float_range(f, "F")
     step = _Spread(f.matrix, phi.amps)
     return DeviationVector(vec=_freeze(step.vec), norm=step.norm)
 
@@ -172,6 +171,7 @@ def deviation_vector(f: Observable, phi: StateVector) -> DeviationVector:
 def std_dev(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Standard deviation of F in phi, computed as the deviation-vector norm
     and cross-checked against the moment form sqrt(<F^2> - <F>^2)."""
+    _require_observable_in_float_range(f, "F")
     return _Spread(f.matrix, phi.amps).spread
 
 
@@ -184,6 +184,7 @@ def orthogonal_unit(
     raw deviation vector; every consumer uses moduli of inner products, which
     are phase-invariant.
     """
+    _require_observable_in_float_range(f, "F")
     step = _Spread(f.matrix, phi.amps)
     if step.norm <= tol.eps_spread:
         return None
@@ -222,72 +223,49 @@ def _require_noncommuting(a: Observable, b: Observable, tol: Tolerances) -> None
         )
 
 
+def _require_observable_in_float_range(f: Observable, name: str) -> None:
+    """Raise OverflowError, calling F ``name``, when ``4 ||F||_F^2`` exceeds
+    the largest float.  ``||F||_F^2`` bounds <F^2>, and the factor 4 covers the sums of two
+    such terms that the routes form (AB + BA, A + B).  The size comes scaled
+    (``_sized``), so the check itself cannot overflow."""
+    _, size, exponent = _sized(f)
+    try:
+        math.ldexp(4.0 * size * size, 2 * exponent)
+    except OverflowError:
+        decades = 2.0 * (math.log10(size) + exponent * math.log10(2.0))
+        raise OverflowError(
+            f"||{name}||_F^2 ~ 10^{decades:.1f} is past a quarter of the largest float, "
+            f"{sys.float_info.max / 4:.3e}"
+        ) from None
+
+
 def _require_in_float_range(a: Observable, b: Observable) -> None:
-    """Raise OverflowError when ``4 ||F||_F^2`` exceeds the largest float for
-    F = A or B.  ``||F||_F^2`` bounds <F^2>, ``||A||_F ||B||_F`` (at most the
-    larger square) bounds |<AB>| and |C| of a unit state, and the factor 4
-    covers the sums of two such terms that the routes form (AB + BA, A + B).
-    The sizes come scaled (``_sized``), so the check itself cannot overflow."""
-    for name, f in (("A", a), ("B", b)):
-        _, size, exponent = _sized(f)
-        try:
-            math.ldexp(4.0 * size * size, 2 * exponent)
-        except OverflowError:
-            decades = 2.0 * (math.log10(size) + exponent * math.log10(2.0))
-            raise OverflowError(
-                f"||{name}||_F^2 ~ 10^{decades:.1f} is past a quarter of the largest float, "
-                f"{sys.float_info.max / 4:.3e}"
-            ) from None
+    """The range check for A, then for B: ``||A||_F ||B||_F`` (at most the
+    larger square) bounds |<AB>| and |C| of a unit state."""
+    _require_observable_in_float_range(a, "A")
+    _require_observable_in_float_range(b, "B")
 
 
 class _StateMoments:
-    """The numbers of (A, B, phi), unchecked: both one-observable steps run on
-    construction and every other value is computed when first read."""
+    """The numbers of (A, B, phi), unchecked, all computed on construction."""
 
     def __init__(self, a: Observable, b: Observable, phi: StateVector):
         _check_same_dim(a.dim, b.dim)
         _require_in_float_range(a, b)
-        self.amps = phi.amps
-        self.a = _Spread(a.matrix, phi.amps)
-        self.b = _Spread(b.matrix, phi.amps)
+        amps = phi.amps
+        self.a = _Spread(a.matrix, amps)
+        self.b = _Spread(b.matrix, amps)
         # ||A phi|| ||B phi||, as ||F phi||^2 = <F>^2 + dF^2 (see the module docstring)
         self.scale = math.hypot(self.a.mean, self.a.norm) * math.hypot(self.b.mean, self.b.norm)
-
-    @_lazy
-    def overlap(self) -> complex:
-        """<dev_A|dev_B>: the deviation form of C."""
-        return complex(np.vdot(self.a.vec, self.b.vec))
-
-    @_lazy
-    def ab(self) -> np.ndarray:
-        """A B|phi>, from the B|phi> already held."""
-        return self.a.matrix @ self.b.f_phi
-
-    @_lazy
-    def ba(self) -> np.ndarray:
-        """B A|phi>, from the A|phi> already held."""
-        return self.b.matrix @ self.a.f_phi
-
-    @_lazy
-    def c(self) -> complex:
-        """C = <AB> - <A><B> in moment form."""
-        return complex(np.vdot(self.amps, self.ab)) - self.a.mean * self.b.mean
-
-    @_lazy
-    def hr(self) -> float:
-        """|<[A,B]>| / 2, with [A,B]|phi> = AB|phi> - BA|phi>."""
-        return 0.5 * abs(complex(np.vdot(self.amps, self.ab - self.ba)))
-
-    @_lazy
-    def schrodinger(self) -> float:
-        """The bound from <{A,B}> = <AB> + <BA> and the commutator bound."""
-        anti_mean = complex(np.vdot(self.amps, self.ab + self.ba)).real
-        return math.hypot(0.5 * anti_mean - (self.a.mean * self.b.mean), self.hr)
-
-    @_lazy
-    def sum(self) -> _Spread:
-        """A + B in phi."""
-        return _Spread(self.a.matrix + self.b.matrix, self.amps)
+        self.overlap = complex(np.vdot(self.a.vec, self.b.vec))  # the deviation form of C
+        # A B|phi> and B A|phi>, from the F|phi> already held
+        ab, ba = a.matrix @ self.b.f_phi, b.matrix @ self.a.f_phi
+        self.c = complex(np.vdot(amps, ab)) - self.a.mean * self.b.mean  # the moment form
+        self.hr = 0.5 * abs(complex(np.vdot(amps, ab - ba)))  # |<[A,B]>| / 2
+        # the Schrodinger bound, from <{A,B}> = <AB> + <BA> and the commutator bound
+        anti_mean = complex(np.vdot(amps, ab + ba)).real
+        self.schrodinger = math.hypot(0.5 * anti_mean - (self.a.mean * self.b.mean), self.hr)
+        self.sum = _Spread(a.matrix + b.matrix, amps)
 
 
 @functools.lru_cache(maxsize=1)

@@ -6,7 +6,7 @@ import pytest
 
 import uncertainty_lab as ul
 from uncertainty_lab import finder
-from helpers import pauli_pair, rand_hermitian
+from helpers import oracle_corr, pauli_pair, rand_hermitian
 
 
 def fd_gradient(a, b, x, h=1e-6, cfg=None):
@@ -343,6 +343,42 @@ class TestFinderConfig:
             ul.FinderConfig(spread_floor=1e-7)
 
 
+def found_state_pairs():
+    """Every 5th non-commuting Gell-Mann pair at d = 3, 4 and every 4th of 12
+    seeded random pairs at each of d = 3..64."""
+    pairs = []
+    for dim in (3, 4):
+        basis = ul.gell_mann(dim).matrices
+        pairs += [(a, b) for i, a in enumerate(basis) for b in basis[i + 1:]
+                  if np.linalg.norm(a.matrix @ b.matrix - b.matrix @ a.matrix) > 1e-9]
+    pairs = pairs[::5]
+    rng = np.random.default_rng(5)
+    for d in (3, 4, 8, 16, 64):
+        pairs += [(rand_hermitian(rng, d), rand_hermitian(rng, d)) for _ in range(12)][::4]
+    assert len(pairs) == 21 + 15
+    return pairs
+
+
+def as_complex(x):
+    half = len(x) // 2
+    return x[:half] + 1j * x[half:]
+
+
+def tangent_jacobian(mat_a, mat_b, phi):
+    """An orthonormal basis Q of phi's orthogonal complement (no norm or phase
+    direction) and the 2 x 2(d-1) Jacobian of (Re C, Im C) at phi along
+    Q(s + i t): to first order dC = <delta|u> + <w|delta> with u = M phi,
+    w = M^dag phi and M = AB - <B> A - <A> B."""
+    a_phi, b_phi = mat_a @ phi, mat_b @ phi
+    mean_a, mean_b = np.vdot(phi, a_phi).real, np.vdot(phi, b_phi).real
+    shared = mean_b * a_phi + mean_a * b_phi
+    u, w = mat_a @ b_phi - shared, mat_b @ a_phi - shared
+    basis = np.linalg.svd(phi.conj()[None, :])[2][1:].conj().T
+    p, q = basis.conj().T @ u, (basis.conj().T @ w).conj()
+    dc = np.concatenate([p + q, -1j * p + 1j * q])
+    return basis, np.array([dc.real, dc.imag])
+
+
 class TestFind:
     def test_gell_mann_pair_converges(self, l3, l4):
         result = ul.find(l3, l4, ul.FinderConfig(seed=7))
@@ -451,20 +487,8 @@ class TestFind:
     def test_abstract_holds_at_found_states(self):
         # PAPER.md's abstract, at states that are not eigenstates: C = 0, every
         # lower bound on dA dB is zero, and the sum relations are Pythagorean.
-        # Every 5th non-commuting Gell-Mann pair at d = 3, 4 and every 4th of
-        # 12 seeded random pairs at each of d = 3..64.
-        pairs = []
-        for dim in (3, 4):
-            basis = ul.gell_mann(dim).matrices
-            pairs += [(a, b) for i, a in enumerate(basis) for b in basis[i + 1:]
-                      if np.linalg.norm(a.matrix @ b.matrix - b.matrix @ a.matrix) > 1e-9]
-        pairs = pairs[::5]
-        rng = np.random.default_rng(5)
-        for d in (3, 4, 8, 16, 64):
-            pairs += [(rand_hermitian(rng, d), rand_hermitian(rng, d)) for _ in range(12)][::4]
-        assert len(pairs) == 21 + 15
         tol = ul.DEFAULT_TOLERANCES
-        for a, b in pairs:
+        for a, b in found_state_pairs():
             phi = ul.find(a, b).state
             sizes = [np.linalg.norm(f.matrix @ phi.amps) for f in (a, b)]
             scale = max(1.0, sizes[0] * sizes[1])  # the scale of the checks (see moments)
@@ -474,6 +498,29 @@ class TestFind:
             assert ul.sum_relations(a, b, phi).degenerate is ul.Degeneracy.PYTHAGORAS
             flags = ul.classify(a, b, phi)
             assert flags.in_s_ab and not (flags.eigen_a or flags.eigen_b)
+
+    def test_s_ab_is_a_manifold_at_found_states(self):
+        # The README's local dimension 2d - 4: modulo norm and phase, the
+        # Jacobian of (Re C, Im C) has rank 2 at each found state (regular-value
+        # theorem, Lee Thm 5.12), so a step along its null space followed by
+        # Gauss-Newton steps back onto C = 0 gives a second zero-correlation
+        # state, a step away from the first.
+        h = 1e-2
+        for a, b in found_state_pairs():
+            phi = ul.find(a, b).state.amps
+            basis, jac = tangent_jacobian(a.matrix, b.matrix, phi)
+            _, sigma, rows = np.linalg.svd(jac)
+            assert sigma[1] / sigma[0] >= 1e-3
+            psi = phi + h * (basis @ as_complex(rows[2]))
+            psi /= np.linalg.norm(psi)
+            for _ in range(2):
+                c = oracle_corr(a.matrix, b.matrix, psi)
+                basis, jac = tangent_jacobian(a.matrix, b.matrix, psi)
+                step = np.linalg.lstsq(jac, -np.array([c.real, c.imag]), rcond=None)[0]
+                psi = psi + basis @ as_complex(step)
+                psi /= np.linalg.norm(psi)
+            assert ul.verify_candidate(a, b, ul.StateVector.normalized(psi))
+            assert np.arccos(min(1.0, abs(np.vdot(phi, psi)))) >= h / 2  # Fubini-Study
 
     def test_spread_at_eps_spread_never_counts_as_converged(self, l3, l4):
         # a tol whose eps_spread exceeds the floor: find must not report a

@@ -179,25 +179,37 @@ class TestLazyField:
 
     def test_keeps_the_docstring(self):
         assert self.Record.value.__doc__ == "The value, counted."
-        assert moments._StateMoments.c.__doc__.startswith("C = <AB> - <A><B>")
-
-    def test_correlation_forms_only_ab(self, rng):
-        a, b, phi = rand_hermitian(rng, 4), rand_hermitian(rng, 4), rand_state(rng, 4)
-        m = moments._StateMoments(a, b, phi)
-        m.c
-        assert "ab" in m.__dict__ and "ba" not in m.__dict__
-        m.hr
-        assert "ba" in m.__dict__
+        assert moments._Checked.c.__doc__.startswith("C in moment form, checked")
 
 
 class TestSharedRecord:
-    def test_cold_correlation_forms_only_ab_in_the_shared_record(self, rng):
+    def test_no_call_writes_to_the_shared_record(self, rng):
+        # the record and its three spreads are built whole, so threads share them read-only
         a, b, phi = rand_hermitian(rng, 4), rand_hermitian(rng, 4), rand_state(rng, 4)
-        ul.correlation(a, b, phi)
+        moments._shared.cache_clear()
         shared = moments._shared(a, b, phi)
-        assert "ab" in shared.__dict__ and "ba" not in shared.__dict__
-        ul.hr_bound(a, b, phi)
-        assert "ba" in shared.__dict__
+        parts = (shared, shared.a, shared.b, shared.sum)
+        before = [dict(vars(part)) for part in parts]
+        b2 = rand_hermitian(rng, 4)
+        for call in (
+            lambda: ul.evaluate(a, b, phi),
+            lambda: ul.hr_bound(a, b, phi),
+            lambda: ul.schrodinger_bound(a, b, phi),
+            lambda: ul.sum_relations(a, b, phi),
+            lambda: ul.correlation(a, b, phi),
+            lambda: ul.correlation_record(a, b, phi),
+            lambda: ul.pearson(a, b, phi),
+            lambda: ul.decomposition(a, b, phi),
+            lambda: ul.classify(a, b, phi),
+            lambda: ul.verify_candidate(a, b, phi),
+            # last, as it reads (a, b, phi) first and then puts other triples in the slot
+            lambda: ul.correlation_properties_check(a, b, b2, phi),
+        ):
+            assert moments._shared(a, b, phi) is shared
+            call()
+            for part, snapshot in zip(parts, before):
+                assert vars(part).keys() == snapshot.keys()
+                assert all(vars(part)[key] is value for key, value in snapshot.items())
 
     def test_one_slot_keyed_on_the_objects_not_on_tol(self, rng):
         a, b, phi = rand_hermitian(rng, 3), rand_hermitian(rng, 3), rand_state(rng, 3)
@@ -294,4 +306,26 @@ class TestFloatRange:
             with warnings.catch_warnings(), np.errstate(all="raise"):
                 warnings.simplefilter("error")
                 with pytest.raises(OverflowError, match=rf"\|\|{huge[0]}\|\|_F\^2 ~ 10\^308"):
+                    call()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_every_function_of_one_observable_refuses_such_an_observable(self, dim):
+        # before the check, std_dev warned of an overflow in a matmul and
+        # expectation judged its imaginary part against ||F phi|| = inf
+        rng = np.random.default_rng(5)
+        f, g, phi = rand_hermitian(rng, dim), rand_hermitian(rng, dim), rand_state(rng, dim)
+        huge = np.sqrt(0.998 * sys.float_info.max) / np.linalg.norm(f.matrix) * f
+        calls = [
+            lambda: ul.expectation(huge, phi),
+            lambda: ul.deviation_vector(huge, phi),
+            lambda: ul.std_dev(huge, phi),
+            lambda: ul.orthogonal_unit(huge, phi),
+            lambda: ul.is_eigenstate(huge, phi),
+            lambda: ul.sum_relation_n([huge, g], phi),
+            lambda: ul.sum_relation_n([g, huge], phi),
+        ]
+        for call in calls:
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                with pytest.raises(OverflowError, match=r"\|\|F\|\|_F\^2 ~ 10\^308"):
                     call()

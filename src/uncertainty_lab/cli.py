@@ -9,14 +9,17 @@ Subcommands:
 * ``demo``  -- self-checking walkthrough of the lambda_3/lambda_4 example;
 * ``basis`` -- emit a generalized Gell-Mann basis as JSON.
 
-Exit codes: 0 success, 1 failed demo golden check, 2 input or guard error or
-a value past the float range (for ``eval``, ``find`` and ``scan`` also a pair
+Exit codes: 0 success, 1 failed demo golden check, 2 input or guard error, a
+value past the float range (for ``eval``, ``find`` and ``scan`` also a pair
 for which 4 ||A||_F^2 or 4 ||B||_F^2 is, checked before any moment is
-computed), 3 finder did not converge, 4 an internal cross-check failed, 5
-stdout was closed before all output was written.  Every output artifact is
-accompanied by a run manifest (embedded in JSON output, sidecar file for
-CSV).  The environment variable UNCERTAINTY_LAB_SEED provides the default
-seed.
+computed) or a MemoryError, 3 finder did not converge, 4 an internal
+cross-check failed, 5 stdout was closed before all output was written.  Every
+output artifact is accompanied by a run manifest (embedded in JSON output,
+sidecar file for CSV).  The environment variable UNCERTAINTY_LAB_SEED
+provides the default seed, read on each call.
+
+``main`` may be called repeatedly in one process: it builds its parser once,
+on the first call (``_parser``), and each call parses its own flags.
 
 Each number of a scan's CSV is Python's shortest round-trip ``repr`` of the
 computed double, so ``float(field)`` gives that double back exactly; the
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
@@ -445,9 +449,16 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call, built by the first: parsing reads
+    it and writes only the new namespace, and each call resolves its seed
+    default and its ``--out`` check itself."""
+    return make_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "seed", -1) is None:
             args.seed = _default_seed()
@@ -466,6 +477,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except OverflowError as exc:
         print(f"error: a value left the float range: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"error: internal cross-check failed: {exc}", file=sys.stderr)

@@ -61,7 +61,7 @@ from .core import (
     _haar_amps,
     state_to_json_dict,
 )
-from .moments import _Checked, _require_in_float_range, _require_noncommuting
+from .moments import _Checked, _require_pair
 
 __all__ = ["FinderConfig", "FinderResult", "find", "gradient", "objective", "verify_candidate"]
 
@@ -306,8 +306,7 @@ def find(
             "zero-correlation states with nonzero spreads need dimension >= 3; "
             f"got dimension {a.dim}"
         )
-    _require_noncommuting(a, b, tol)
-    _require_in_float_range(a, b)
+    _require_pair(a, b, tol)
     best: tuple[_Point, int, int, bool] | None = None
     for restart in range(cfg.restarts):
         rng = np.random.default_rng((cfg.seed, restart))

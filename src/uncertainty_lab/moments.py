@@ -19,9 +19,10 @@ commuting guard ``_require_noncommuting``, once per call; it scales A or B by
 an exact power of two first when its size lies outside (1e-60, 1e60)
 (``_sized``), so its verdict is scale-free.  The same sizes tell
 ``_require_in_float_range`` whether a pair's moments can leave the float
-range; every new record, ``find`` and the scans run it first, so each
-per-state function of a pair refuses such a pair with an OverflowError.  The
-functions of one observable run its one-observable half,
+range; every new record runs it first, so each per-state function of a pair
+refuses such a pair with an OverflowError.  ``find`` and the scans run both
+checks as one, ``_require_pair``, which sizes A and B once.  The functions of
+one observable run its one-observable half,
 ``_require_observable_in_float_range``, on F.
 
 Every internal check goes through ``_check``: a residual passes up to
@@ -196,7 +197,10 @@ def is_eigenstate(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOL
     return std_dev(f, phi, tol) <= tol.eps_spread
 
 
-def _sized(f: Observable) -> tuple[Observable, float, int]:
+_Sized = tuple[Observable, float, int]
+
+
+def _sized(f: Observable) -> _Sized:
     """``(F 2^-k, ||F 2^-k||_F, k)``: ``k = 0`` when ``||F||_F`` lies in
     (1e-60, 1e60), else the power of two that brings F's largest |Re| or |Im|
     entry into [1/2, 1).  The scaling is exact, and the squares of the scaled
@@ -212,7 +216,12 @@ def _sized(f: Observable) -> tuple[Observable, float, int]:
 
 def _require_noncommuting(a: Observable, b: Observable, tol: Tolerances) -> None:
     """Raise CommutingPair when ||[A,B]||_F <= tol_zero ||A||_F ||B||_F (scale-free)."""
-    (a, size_a, _), (b, size_b, _) = _sized(a), _sized(b)
+    _refuse_commuting(_sized(a), _sized(b), tol)
+
+
+def _refuse_commuting(sized_a: _Sized, sized_b: _Sized, tol: Tolerances) -> None:
+    """``_require_noncommuting`` on the ``_sized`` A and B."""
+    (a, size_a, _), (b, size_b, _) = sized_a, sized_b
     # Both products: P - P^dag (P = AB) is [A,B] only for Hermitian A and B
     norm = _norm(commutator(a, b))
     if norm <= tol.tol_zero * size_a * size_b:
@@ -228,7 +237,12 @@ def _require_observable_in_float_range(f: Observable, name: str) -> None:
     the largest float.  ``||F||_F^2`` bounds <F^2>, and the factor 4 covers the sums of two
     such terms that the routes form (AB + BA, A + B).  The size comes scaled
     (``_sized``), so the check itself cannot overflow."""
-    _, size, exponent = _sized(f)
+    _refuse_past_range(_sized(f), name)
+
+
+def _refuse_past_range(sized: _Sized, name: str) -> None:
+    """``_require_observable_in_float_range`` on the ``_sized`` F."""
+    _, size, exponent = sized
     try:
         math.ldexp(4.0 * size * size, 2 * exponent)
     except OverflowError:
@@ -244,6 +258,15 @@ def _require_in_float_range(a: Observable, b: Observable) -> None:
     larger square) bounds |<AB>| and |C| of a unit state."""
     _require_observable_in_float_range(a, "A")
     _require_observable_in_float_range(b, "B")
+
+
+def _require_pair(a: Observable, b: Observable, tol: Tolerances) -> None:
+    """``_require_noncommuting``, then ``_require_in_float_range``, sizing A
+    and B once: the checks of ``find`` and the scans."""
+    sized_a, sized_b = _sized(a), _sized(b)
+    _refuse_commuting(sized_a, sized_b, tol)
+    _refuse_past_range(sized_a, "A")
+    _refuse_past_range(sized_b, "B")
 
 
 class _StateMoments:

@@ -48,8 +48,8 @@ from .moments import (
     _VARIANCE,
     _check_rows,
     _Checked,
-    _require_in_float_range,
     _require_noncommuting,
+    _require_pair,
 )
 
 __all__ = ["ClassificationResult", "ScanConfig", "classify", "membership_scan"]
@@ -168,8 +168,7 @@ def _scan_blocks(a: Observable, b: Observable, config: ScanConfig) -> Iterator[_
     pair, the seed and the sample range are checked once, eagerly, and the
     blocks stream lazily."""
     tol = config.tolerances
-    _require_noncommuting(a, b, tol)
-    _require_in_float_range(a, b)
+    _require_pair(a, b, tol)
     key = np.random.SeedSequence(config.seed).generate_state(2, np.uint64)
     dim = a.dim
     # A phi, B phi, A^dag phi and B^dag phi of a row phi, side by side

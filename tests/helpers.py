@@ -36,6 +36,14 @@ def oracle_corr(mat_a: np.ndarray, mat_b: np.ndarray, vec: np.ndarray) -> comple
     )
 
 
+def ks_distance(sample: np.ndarray, cdf) -> float:
+    """Kolmogorov-Smirnov distance between a sample and a continuous CDF."""
+    x = np.sort(sample)
+    n = len(x)
+    f = cdf(x)
+    return float(max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n)))
+
+
 def pauli_pair() -> tuple[ul.Observable, ul.Observable]:
     sx = ul.validate_observable(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
     sz = ul.validate_observable(np.diag([1.0, -1.0]).astype(complex))

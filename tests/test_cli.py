@@ -674,3 +674,166 @@ class TestBasis:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 5, err
         assert "Traceback" not in err
+
+
+class TestOutOfMemory:
+    """A MemoryError exits 2 with one ``error:`` line and leaves no output file.
+
+    The builders are patched to raise it: no test asks numpy for a size it
+    would have to refuse."""
+
+    def test_basis(self, tmp_path, capsys, monkeypatch):
+        def refused(dim):
+            raise MemoryError(f"Unable to allocate 149. GiB for the basis of dimension {dim}")
+
+        monkeypatch.setattr(cli, "gell_mann", refused)
+        out = tmp_path / "basis.json"
+        assert main(["basis", "--dim", "100000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 149. GiB for the basis of " \
+                      "dimension 100000\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_scan_in_a_late_block(self, files, tmp_path, capsys, monkeypatch):
+        # the first block is written to the temporary file before the second fails
+        real_rows, calls = state_sets._gaussian_rows, []
+
+        def refused_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise MemoryError()
+            return real_rows(*args)
+
+        monkeypatch.setattr(state_sets, "_gaussian_rows", refused_second)
+        out = tmp_path / "scan.csv"
+        assert main(["scan", files["l3"], files["l4"], "--samples", "3000",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert len(calls) == 2
+        assert not out.exists() and _temp_files(tmp_path) == []
+        assert not (tmp_path / "scan.csv.manifest.json").exists()
+
+
+class TestInProcess:
+    """``main`` called repeatedly in one process: one parser, independent calls."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts the parsers built from here on."""
+        real, built = cli.make_parser, []
+
+        def counted():
+            built.append(real())
+            return built[-1]
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "make_parser", counted)
+        yield built
+        cli._parser.cache_clear()
+
+    @staticmethod
+    def _manifest(capsys) -> dict:
+        return json.loads(capsys.readouterr().out)["manifest"]
+
+    def test_the_parser_is_built_once(self, files, tmp_path, capsys, builds):
+        assert main(["basis", "--dim", "2"]) == 0
+        with pytest.raises(SystemExit) as usage:
+            main(["eval", files["l3"], "--no-such-flag"])
+        assert usage.value.code == 2
+        assert main(["eval", files["l3"], files["l4"], files["phi2"]]) == 0
+        assert main(["scan", files["l3"], files["l4"], "--samples", "5",
+                     "--out", str(tmp_path / "scan.csv")]) == 0
+        assert len(builds) == 1
+        assert cli.make_parser() is not cli.make_parser()  # the public builder stays fresh
+
+    def test_no_flag_carries_into_the_next_call(self, files, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("UNCERTAINTY_LAB_SEED", raising=False)
+        triple = [files["l3"], files["l4"], files["phi2"]]
+        assert main(["eval", *triple, "--tol-zero", "0.5", "--seed", "9"]) == 0
+        first = self._manifest(capsys)
+        assert (first["tolerances"]["tol_zero"], first["seed"]) == (0.5, 9)
+        assert main(["eval", *triple]) == 0
+        second = self._manifest(capsys)
+        assert (second["tolerances"]["tol_zero"], second["seed"]) == (1e-10, 0)
+
+        assert main(["eval", *triple, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.startswith("dim,")
+        assert main(["eval", *triple]) == 0
+        assert self._manifest(capsys)["command"] == "eval"  # JSON again
+
+        out = str(tmp_path / "scan.csv")
+        manifests = []
+        for extra in (["--start", "9", "--seed", "4"], []):
+            assert main(["scan", files["l3"], files["l4"], "--samples", "5", "--out", out,
+                         *extra]) == 0
+            manifests.append(json.loads((tmp_path / "scan.csv.manifest.json").read_text()))
+        assert [(m["start"], m["seed"]) for m in manifests] == [(9, 4), (0, 0)]
+
+    def test_the_seed_variable_is_read_on_each_call(self, files, capsys, monkeypatch):
+        triple = [files["l3"], files["l4"], files["phi2"]]
+        seeds = []
+        for value in ("77", "78", None):
+            if value is None:
+                monkeypatch.delenv("UNCERTAINTY_LAB_SEED")
+            else:
+                monkeypatch.setenv("UNCERTAINTY_LAB_SEED", value)
+            assert main(["eval", *triple]) == 0
+            seeds.append(self._manifest(capsys)["seed"])
+        assert seeds == [77, 78, 0]
+        monkeypatch.setenv("UNCERTAINTY_LAB_SEED", "x")
+        assert main(["eval", *triple]) == 2
+        assert "UNCERTAINTY_LAB_SEED must be an integer" in capsys.readouterr().err
+
+    def test_threads_share_the_parser_and_keep_their_own_flags(self, files, tmp_path):
+        # 4 threads on 2 cores, switching every 10 us: each call's manifest
+        # must carry the flags of that call
+        triple = [files["l3"], files["l4"], files["phi2"]]
+        codes, interval = {}, sys.getswitchinterval()
+
+        def calls(worker):
+            for k in range(10):
+                seed = 100 * worker + k
+                out = str(tmp_path / f"eval{seed}.json")
+                codes[seed] = main(["eval", *triple, "--seed", str(seed),
+                                    "--tol-zero", f"{seed + 1}e-12", "--out", out])
+
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=calls, args=(w,)) for w in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(codes) == 40 and set(codes.values()) == {0}
+        for seed in codes:
+            manifest = json.loads((tmp_path / f"eval{seed}.json").read_text())["manifest"]
+            assert manifest["seed"] == seed
+            assert manifest["tolerances"]["tol_zero"] == float(f"{seed + 1}e-12")
+
+    def test_a_scan_after_other_subcommands_writes_a_fresh_process_bytes(
+        self, files, tmp_path, capsys
+    ):
+        l3, l4 = files["l3"], files["l4"]
+        assert main(["demo"]) == 0
+        assert main(["basis", "--dim", "3"]) == 0
+        assert main(["eval", l3, l4, files["phi2"], "--format", "csv", "--tol-zero", "0.5"]) == 0
+        assert main(["find", l3, l4, "--seed", "3", "--restarts", "2"]) == 0
+        assert main(["scan", l3, l4, "--samples", "300", "--seed", "2", "--start", "5",
+                     "--tol-zero", "0.05", "--out", str(tmp_path / "other.csv")]) == 0
+        capsys.readouterr()
+        argv = ["scan", l3, l4, "--samples", "3000", "--seed", "1"]
+        assert main([*argv, "--out", str(tmp_path / "warm.csv")]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "uncertainty_lab.cli", *argv, "--out", str(tmp_path / "cold.csv")],
+            capture_output=True, text=True, env=_module_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+        warm, cold = (json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())
+                      for name in ("warm", "cold"))
+        for manifest in (warm, cold):
+            del manifest["timestamp"], manifest["output"]
+        assert warm == cold

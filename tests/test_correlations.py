@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import uncertainty_lab as ul
-from helpers import oracle_corr, rand_hermitian, rand_state
+from helpers import ks_distance, oracle_corr, rand_hermitian, rand_state
 
 
 class TestCorrelation:
@@ -195,14 +195,6 @@ class TestCorrelationRecord:
             assert cls.eigen_a == (record.pearson is None)
 
 
-def _ks_distance(sample: np.ndarray, cdf) -> float:
-    """Kolmogorov-Smirnov distance between a sample and a continuous CDF."""
-    x = np.sort(sample)
-    n = len(x)
-    f = cdf(x)
-    return float(max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n)))
-
-
 @pytest.mark.parametrize("dim", [3, 8, 16])
 def test_pearson_square_follows_the_beta_law(dim):
     # GUE A, B are unitarily invariant, so for a Haar phi their deviation
@@ -215,5 +207,5 @@ def test_pearson_square_follows_the_beta_law(dim):
                               rand_state(rng, dim)).pearson
         for _ in range(n)
     ])
-    distance = _ks_distance(r**2, lambda x: 1.0 - (1.0 - x) ** (dim - 2))
+    distance = ks_distance(r**2, lambda x: 1.0 - (1.0 - x) ** (dim - 2))
     assert distance <= 1.95 / np.sqrt(n)  # the KS critical value at the 0.1% level

@@ -308,6 +308,28 @@ class TestFloatRange:
                 with pytest.raises(OverflowError, match=rf"\|\|{huge[0]}\|\|_F\^2 ~ 10\^308"):
                     call()
 
+    @pytest.mark.parametrize("huge", ["A", "B", "AB"])
+    def test_find_and_scans_refuse_a_commuting_pair_past_the_range_as_commuting(
+        self, huge, l3
+    ):
+        # lambda_3 and lambda_8 commute: the commuting guard speaks before the range check
+        l8 = ul.su3_lambda(8)
+        a = 1e155 * l3 if "A" in huge else l3
+        b = 1e155 * l8 if "B" in huge else l8
+        config = ul.ScanConfig(samples=1, seed=0)
+        for call in (lambda: ul.find(a, b), lambda: ul.membership_scan(a, b, config)):
+            with np.errstate(all="raise"), pytest.raises(ul.CommutingPair, match="commutes"):
+                call()
+
+    def test_find_and_scans_size_each_observable_once(self, l3, l4, monkeypatch):
+        real, sized = moments._sized, []
+        monkeypatch.setattr(moments, "_sized", lambda f: sized.append(f) or real(f))
+        for run in (lambda: ul.find(l3, l4),
+                    lambda: list(ul.membership_scan(l3, l4, ul.ScanConfig(samples=3000, seed=0)))):
+            sized.clear()
+            run()  # the scan spans three blocks at d = 3
+            assert len(sized) == 2 and sized[0] is l3 and sized[1] is l4
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_every_function_of_one_observable_refuses_such_an_observable(self, dim):
         # before the check, std_dev warned of an overflow in a matmul and

@@ -3,7 +3,7 @@ import pytest
 
 import uncertainty_lab as ul
 from uncertainty_lab import state_sets
-from helpers import pauli_pair, rand_hermitian, rand_state
+from helpers import ks_distance, pauli_pair, rand_hermitian, rand_state
 
 
 def _rows(a, b, **config):
@@ -278,6 +278,24 @@ class TestScanKernel:
         for start, n in [(0, 1), (1, 1), (7, 13), (64, 64), (99, 51), (149, 1)]:
             part = state_sets._gaussian_rows(key, start, n, dim)
             assert np.array_equal(part, full[start : start + n])
+
+    @pytest.mark.parametrize("dim", [3, 16, 32])
+    def test_rows_follow_the_haar_laws(self, dim):
+        # for a Haar phi in C^d and a fixed unit e, |<e|phi>|^2 ~ Beta(1, d - 1),
+        # P(|<e|phi>|^2 <= x) = 1 - (1 - x)^(d - 1), and arg phi_d is uniform;
+        # each KS distance is held to the 0.1% critical value
+        rng = np.random.default_rng(dim)
+        a, b = rand_hermitian(rng, dim), rand_hermitian(rng, dim)
+        e = rand_state(np.random.default_rng(4), dim).amps
+        n = 3000
+        phis = np.concatenate([
+            block.phis for block in state_sets._scan_blocks(a, b, ul.ScanConfig(samples=n, seed=5))
+        ])
+        assert phis.shape == (n, dim)
+        overlap = np.abs(phis @ e.conj()) ** 2
+        assert ks_distance(overlap, lambda x: 1.0 - (1.0 - x) ** (dim - 1)) <= 1.95 / np.sqrt(n)
+        phase = np.angle(phis[:, -1])
+        assert ks_distance(phase, lambda x: (x + np.pi) / (2.0 * np.pi)) <= 1.95 / np.sqrt(n)
 
 
 def _scan_counts(a, b, samples, tol, count):

@@ -62,6 +62,7 @@ from .core import (
 from .correlations import correlation, correlation_record
 from .finder import FinderConfig, find
 from .gellmann import gell_mann, su3_lambda, two_level_state, uniform_superposition
+from .moments import _is_eigen
 from .relations import REPORT_CSV_HEADER, evaluate, report_csv_row
 from .state_sets import ScanConfig, _rng_scheme, _ScanBlock, _scan_blocks, classify
 
@@ -176,15 +177,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate(a, b, phi, tol)
     record = correlation_record(a, b, phi, tol)
     try:
-        classification = classify(a, b, phi, tol)
-    except CommutingPair:
-        classification = None
+        cls = classify(a, b, phi, tol)
+        flags = (cls.eigen_a, cls.eigen_b, cls.in_s_ab, cls.in_s_comm, cls.in_s_anti)
+    except CommutingPair:  # a pair without sets, whose eigen flags follow the spread test
+        cls = None
+        flags = (_is_eigen(report.delta_a, tol), _is_eigen(report.delta_b, tol)) + (False,) * 3
     manifest = _manifest("eval", [args.observable_a, args.observable_b, args.state], args.seed, tol)
     if args.format == "csv":
-        cls = classification
-        flags = (False,) * 5 if cls is None else (
-            cls.eigen_a, cls.eigen_b, cls.in_s_ab, cls.in_s_comm, cls.in_s_anti
-        )
         row = report_csv_row(a.dim, args.seed, report, record.pearson, flags)
         _emit(REPORT_CSV_HEADER + "\n" + row, args.out)
         if args.out is not None:
@@ -193,7 +192,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         payload = {
             "uncertainty": report.to_json_dict(),
             "correlation": record.to_json_dict(),
-            "classification": None if classification is None else classification.to_json_dict(),
+            "classification": None if cls is None else cls.to_json_dict(),
             "manifest": manifest,
         }
         _emit(json.dumps(payload, indent=2), args.out)

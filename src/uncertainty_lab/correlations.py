@@ -79,7 +79,7 @@ def pearson(
     """|C(A,B)| / (dA * dB) in [0, 1]; the overlap modulus of the two
     normalized deviation directions.
 
-    Raises DegenerateSpread when either standard deviation is below
+    Raises DegenerateSpread when either standard deviation is at or below
     eps_spread: the coefficient is only defined for states where both
     observables actually spread out.
     """

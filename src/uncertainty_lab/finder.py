@@ -61,7 +61,7 @@ from .core import (
     _haar_amps,
     state_to_json_dict,
 )
-from .moments import _Checked, _require_pair
+from .moments import _Checked, _is_eigen, _is_zero, _require_pair
 
 __all__ = ["FinderConfig", "FinderResult", "find", "gradient", "objective", "verify_candidate"]
 
@@ -191,11 +191,11 @@ class _Objective:
 
 
 def _accepted(c_mod: float, d_a: float, d_b: float, floor: float, tol: Tolerances) -> bool:
-    """The acceptance rule of ``find`` and ``verify_candidate``: |C| at tol_zero
-    and both spreads at or above the floor and above eps_spread (which a
-    ``tol`` of its own may set above the floor)."""
+    """The acceptance rule of ``find`` and ``verify_candidate``: |C| zero by
+    the zero test, and both spreads at or above the floor and nonzero by the
+    spread test (which a ``tol`` of its own may set above the floor)."""
     low = min(d_a, d_b)
-    return c_mod <= tol.tol_zero and low >= floor and low > tol.eps_spread
+    return _is_zero(c_mod, tol) and low >= floor and not _is_eigen(low, tol)
 
 
 def _vector(a: Observable, x: Any) -> np.ndarray:

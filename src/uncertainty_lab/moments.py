@@ -14,16 +14,18 @@ first reads it: a call asserts its own identities, whatever calls came before.
 B and phi (no ``__eq__``, read-only arrays; the slot keeps them alive, so no id
 is reused) and not on ``tol``, on which no number depends.  Its norms are
 ``sqrt(<v|v>)``, and it forms no matrix product: <[A,B]> and <{A,B}> come from
-A(B|phi>) and B(A|phi>).  The pair's one product, [A,B], is formed by the
-commuting guard ``_require_noncommuting``, once per call; it scales A or B by
-an exact power of two first when its size lies outside (1e-60, 1e60)
-(``_sized``), so its verdict is scale-free.  The same sizes tell
-``_require_in_float_range`` whether a pair's moments can leave the float
-range; every new record runs it first, so each per-state function of a pair
-refuses such a pair with an OverflowError.  ``find`` and the scans run both
-checks as one, ``_require_pair``, which sizes A and B once.  The functions of
-one observable run its one-observable half,
-``_require_observable_in_float_range``, on F.
+A(B|phi>) and B(A|phi>).  Every new record sizes A and B once (``_sized``
+scales F by an exact power of two when ||F||_F lies outside (1e-60, 1e60)),
+refuses a pair whose moments can leave the float range (``_refuse_past_range``,
+an OverflowError) and keeps the sizes for ``classify``'s commuting guard
+``_refuse_commuting``, which forms the pair's one product, [A,B], on them, so
+its verdict is scale-free.  ``find`` and the scans run both checks, the guard
+first, as ``_require_pair``; functions of one observable check F's range.
+
+Every verdict is made by one of three tests: ``_is_eigen`` (a spread at or
+below eps_spread counts as zero), ``_is_zero`` (|x| at or below tol_zero) and
+``_is_tight`` (a slack dA dB - |C| at or below ``_TIGHT_SLACK``); ``_flags``
+gives the five class flags of ``classify`` and of the scans from the first two.
 
 Every internal check goes through ``_check``: a residual passes up to
 ``tol * max(1, scale)``, ``scale`` being the size of the compared terms
@@ -73,6 +75,9 @@ __all__ = [
 
 _TOL = 1e-10  # base tolerance of the internal checks; see the module docstring
 _SUM_TOL = 1e-9  # for sums of squares (decomposition, Pythagoras)
+# Equality detection for the product-of-spreads bound, looser than the
+# arithmetic tolerance to absorb the flop count of the evaluation.
+_TIGHT_SLACK = 1e-8
 
 # The identities that scans also assert, once per block of rows (state_sets)
 _VARIANCE = "variance: norm form = moment form"
@@ -115,6 +120,31 @@ def _check_rows(
     _check(identity, float(residuals[worst]), float(scales[worst]), tol, error)
 
 
+def _is_eigen(spread, tol: Tolerances):
+    """The spread test: the spread counts as zero, phi as an eigenstate (elementwise on arrays)."""
+    return spread <= tol.eps_spread
+
+
+def _is_zero(x, tol: Tolerances):
+    """The zero test: |x| counts as zero (elementwise on arrays)."""
+    return abs(x) <= tol.tol_zero
+
+
+def _is_tight(slack: float) -> bool:
+    """The tight test: the slack dA dB - |C| of a report counts as zero."""
+    return slack <= _TIGHT_SLACK
+
+
+def _flags(spread_a, spread_b, c, tol: Tolerances) -> tuple:
+    """(eigen_a, eigen_b, in_s_ab, in_s_comm, in_s_anti) of one state, or of
+    a block of states when the arguments are arrays: the spread test on each
+    spread, and the zero test on C, Im C and Re C where neither flag is set."""
+    eigen_a, eigen_b = _is_eigen(spread_a, tol), _is_eigen(spread_b, tol)
+    neither = (eigen_a | eigen_b) ^ True  # "not" for a bool and for a bool array alike
+    return (eigen_a, eigen_b, neither & _is_zero(c, tol),
+            neither & _is_zero(c.imag, tol), neither & _is_zero(c.real, tol))
+
+
 class _lazy:
     """``functools.cached_property`` without its lock (Python 3.11 takes an
     ``RLock`` on every first read), for the fields of the per-call ``_Checked``
@@ -154,7 +184,7 @@ class _Spread:
 def expectation(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Expectation value <phi|F|phi>, guaranteed real for a valid observable."""
     _check_same_dim(f.dim, phi.dim)
-    _require_observable_in_float_range(f, "F")
+    _refuse_past_range(_sized(f), "F")
     f_phi = f.matrix @ phi.amps
     val = complex(np.vdot(phi.amps, f_phi))
     size = _norm(f_phi)  # bounds |<F>|, so its roundoff scales with it
@@ -164,7 +194,7 @@ def expectation(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLER
 
 def deviation_vector(f: Observable, phi: StateVector) -> DeviationVector:
     """(F - <F> I)|phi>.  Always orthogonal to |phi> up to roundoff."""
-    _require_observable_in_float_range(f, "F")
+    _refuse_past_range(_sized(f), "F")
     step = _Spread(f.matrix, phi.amps)
     return DeviationVector(vec=_freeze(step.vec), norm=step.norm)
 
@@ -172,7 +202,7 @@ def deviation_vector(f: Observable, phi: StateVector) -> DeviationVector:
 def std_dev(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Standard deviation of F in phi, computed as the deviation-vector norm
     and cross-checked against the moment form sqrt(<F^2> - <F>^2)."""
-    _require_observable_in_float_range(f, "F")
+    _refuse_past_range(_sized(f), "F")
     return _Spread(f.matrix, phi.amps).spread
 
 
@@ -185,16 +215,16 @@ def orthogonal_unit(
     raw deviation vector; every consumer uses moduli of inner products, which
     are phase-invariant.
     """
-    _require_observable_in_float_range(f, "F")
+    _refuse_past_range(_sized(f), "F")
     step = _Spread(f.matrix, phi.amps)
-    if step.norm <= tol.eps_spread:
+    if _is_eigen(step.norm, tol):
         return None
     return _freeze(step.vec / step.norm)
 
 
 def is_eigenstate(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """True when the spread of F in phi is numerically zero (eps_spread)."""
-    return std_dev(f, phi, tol) <= tol.eps_spread
+    return _is_eigen(std_dev(f, phi, tol), tol)
 
 
 _Sized = tuple[Observable, float, int]
@@ -214,13 +244,9 @@ def _sized(f: Observable) -> _Sized:
     return f, _norm(f.matrix), exponent
 
 
-def _require_noncommuting(a: Observable, b: Observable, tol: Tolerances) -> None:
-    """Raise CommutingPair when ||[A,B]||_F <= tol_zero ||A||_F ||B||_F (scale-free)."""
-    _refuse_commuting(_sized(a), _sized(b), tol)
-
-
 def _refuse_commuting(sized_a: _Sized, sized_b: _Sized, tol: Tolerances) -> None:
-    """``_require_noncommuting`` on the ``_sized`` A and B."""
+    """Raise CommutingPair when ||[A,B]||_F <= tol_zero ||A||_F ||B||_F, on
+    the ``_sized`` A and B (scale-free)."""
     (a, size_a, _), (b, size_b, _) = sized_a, sized_b
     # Both products: P - P^dag (P = AB) is [A,B] only for Hermitian A and B
     norm = _norm(commutator(a, b))
@@ -232,16 +258,11 @@ def _refuse_commuting(sized_a: _Sized, sized_b: _Sized, tol: Tolerances) -> None
         )
 
 
-def _require_observable_in_float_range(f: Observable, name: str) -> None:
-    """Raise OverflowError, calling F ``name``, when ``4 ||F||_F^2`` exceeds
-    the largest float.  ``||F||_F^2`` bounds <F^2>, and the factor 4 covers the sums of two
-    such terms that the routes form (AB + BA, A + B).  The size comes scaled
-    (``_sized``), so the check itself cannot overflow."""
-    _refuse_past_range(_sized(f), name)
-
-
 def _refuse_past_range(sized: _Sized, name: str) -> None:
-    """``_require_observable_in_float_range`` on the ``_sized`` F."""
+    """Raise OverflowError, calling F ``name``, when ``4 ||F||_F^2`` exceeds the
+    largest float: ``||F||_F^2`` bounds <F^2>, ``||A||_F ||B||_F`` (at most the larger
+    square) bounds |<AB>| and |C|, and 4 covers the sums of two such terms (AB + BA,
+    A + B).  The size comes ``_sized``, so the check itself cannot overflow."""
     _, size, exponent = sized
     try:
         math.ldexp(4.0 * size * size, 2 * exponent)
@@ -253,16 +274,9 @@ def _refuse_past_range(sized: _Sized, name: str) -> None:
         ) from None
 
 
-def _require_in_float_range(a: Observable, b: Observable) -> None:
-    """The range check for A, then for B: ``||A||_F ||B||_F`` (at most the
-    larger square) bounds |<AB>| and |C| of a unit state."""
-    _require_observable_in_float_range(a, "A")
-    _require_observable_in_float_range(b, "B")
-
-
 def _require_pair(a: Observable, b: Observable, tol: Tolerances) -> None:
-    """``_require_noncommuting``, then ``_require_in_float_range``, sizing A
-    and B once: the checks of ``find`` and the scans."""
+    """The checks of ``find`` and the scans, sizing A and B once: the
+    commuting guard, then the range check of A and that of B."""
     sized_a, sized_b = _sized(a), _sized(b)
     _refuse_commuting(sized_a, sized_b, tol)
     _refuse_past_range(sized_a, "A")
@@ -270,11 +284,13 @@ def _require_pair(a: Observable, b: Observable, tol: Tolerances) -> None:
 
 
 class _StateMoments:
-    """The numbers of (A, B, phi), unchecked, all computed on construction."""
+    """The numbers of (A, B, phi) and the sizes of A and B, unchecked, computed on construction."""
 
     def __init__(self, a: Observable, b: Observable, phi: StateVector):
         _check_same_dim(a.dim, b.dim)
-        _require_in_float_range(a, b)
+        self.sized = _sized(a), _sized(b)
+        _refuse_past_range(self.sized[0], "A")
+        _refuse_past_range(self.sized[1], "B")
         amps = phi.amps
         self.a = _Spread(a.matrix, amps)
         self.b = _Spread(b.matrix, amps)
@@ -322,9 +338,9 @@ class _Checked:
     @_lazy
     def pearson(self) -> float | None:
         """|C| / (dA dB), checked against |<dev_A|dev_B>| / (dA dB), the
-        overlap of the deviation directions; None when either spread is below
-        eps_spread."""
-        if not min(self.spreads) > self.tol.eps_spread:
+        overlap of the deviation directions; None when the spread test finds
+        either spread zero."""
+        if _is_eigen(min(self.spreads), self.tol):
             return None
         product = math.prod(self.spreads)
         r, scale = abs(self.c) / product, self.n.scale / product  # C's roundoff, divided like C
@@ -369,9 +385,9 @@ class _Checked:
         da, db = self.spreads
         squares = da**2 + db**2
         sos = self.n.sum.spread
-        if not min(da, db) > self.tol.eps_spread:
+        if _is_eigen(min(da, db), self.tol):
             kind = "eigenstate_trivial"
-        elif abs(self.n.overlap) <= self.tol.tol_zero:
+        elif _is_zero(self.n.overlap, self.tol):
             residual = abs(sos**2 - squares)
             _check("orthogonal deviations: d(A+B)^2 = dA^2 + dB^2", residual, squares, _SUM_TOL)
             kind = "pythagoras"

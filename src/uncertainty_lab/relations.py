@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .core import DEFAULT_TOLERANCES, Observable, StateVector, Tolerances
-from .moments import _check, _Checked, _shared, std_dev
+from .moments import _check, _Checked, _is_tight, _shared, std_dev
 
 __all__ = [
     "Degeneracy",
@@ -36,11 +36,6 @@ __all__ = [
     "sum_relation_n",
     "sum_relations",
 ]
-
-# Equality detection for the product-of-spreads bound, looser than the
-# arithmetic tolerance to absorb the flop count of the evaluation.
-_TIGHT_SLACK = 1e-8
-
 
 @dataclass(frozen=True)
 class UncertaintyReport:
@@ -112,7 +107,7 @@ def evaluate(
         general_bound=general,
         slack_hr=product - hr,
         slack_general=product - general,
-        tight=(product - general) <= _TIGHT_SLACK,
+        tight=_is_tight(product - general),
     )
 
 

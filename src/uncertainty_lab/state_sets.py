@@ -18,7 +18,8 @@ are excluded from all three sets by definition.
 states at a time with one batched kernel.  It asserts the identities that
 ``classify`` asserts, in the same order, once per block over all of the
 block's rows in the scan's range, so a failing check raises before any row
-of its block is yielded.  Both decide membership by one rule, ``_flags``.
+of its block is yielded.  Both take their flags from ``moments._flags``,
+built on the spread and zero tests behind every verdict of the package.
 
 Scan sample ``i`` is a pure function of ``(seed, i)``: its amplitudes come
 from the counter-based generator Philox-4x64 (Salmon et al., "Parallel Random
@@ -48,7 +49,8 @@ from .moments import (
     _VARIANCE,
     _check_rows,
     _Checked,
-    _require_noncommuting,
+    _flags,
+    _refuse_commuting,
     _require_pair,
 )
 
@@ -88,19 +90,6 @@ class ScanConfig:
             raise ValidationError(f"tolerances must be a Tolerances, got {self.tolerances!r}")
 
 
-def _flags(spread_a, spread_b, c, tol: Tolerances) -> tuple:
-    """(eigen_a, eigen_b, in_s_ab, in_s_comm, in_s_anti) of one state, or of
-    a block of states when the arguments are arrays."""
-    spreads_ok = (spread_a > tol.eps_spread) & (spread_b > tol.eps_spread)
-    return (
-        spread_a <= tol.eps_spread,
-        spread_b <= tol.eps_spread,
-        spreads_ok & (abs(c) <= tol.tol_zero),
-        spreads_ok & (abs(c.imag) <= tol.tol_zero),
-        spreads_ok & (abs(c.real) <= tol.tol_zero),
-    )
-
-
 def classify(
     a: Observable, b: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> ClassificationResult:
@@ -112,7 +101,7 @@ def classify(
     s_ab => s_comm and s_anti hold structurally even at tolerance boundaries.
     """
     m = _Checked(a, b, phi, tol)
-    _require_noncommuting(a, b, tol)
+    _refuse_commuting(*m.n.sized, tol)
     spread_a, spread_b = m.spreads
     m.check_commutator()
     return ClassificationResult(*_flags(spread_a, spread_b, m.c, tol), m.pearson, tol)

@@ -1,16 +1,20 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import uncertainty_lab as ul
 from uncertainty_lab import cli, state_sets
@@ -88,6 +92,25 @@ class TestEval:
         doc = json.loads(capsys.readouterr().out)
         assert doc["classification"] is None
         assert doc["uncertainty"]["tight"] is True
+
+    @pytest.mark.parametrize("amps, flags", [([1, 0, 0], "1,1,0,0,0"), (None, "0,0,0,0,0")])
+    def test_commuting_pair_csv_row_keeps_the_eigen_flags(
+        self, files, tmp_path, capsys, amps, flags
+    ):
+        # lambda_3 and lambda_8 commute: no state is in a set, but (1, 0, 0) is
+        # an eigenstate of both, and the Pearson field is blank exactly then
+        l8 = tmp_path / "l8.json"
+        l8.write_text(json.dumps(ul.observable_to_json_dict(ul.su3_lambda(8))))
+        state = files["phi2"]
+        if amps is not None:
+            state = str(tmp_path / "e1.json")
+            Path(state).write_text(json.dumps(ul.state_to_json_dict(ul.StateVector(amps))))
+        assert main(["eval", files["l3"], str(l8), state, "--format", "csv"]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        assert ",".join(row[-5:]) == flags
+        assert (row[7] == "") == (flags[0] == "1")
+        assert main(["eval", files["l3"], str(l8), state]) == 0
+        assert json.loads(capsys.readouterr().out)["classification"] is None
 
     def test_dimension_mismatch_exits_2(self, files, capsys):
         assert main(["eval", files["sx"], files["l4"], files["phi2"]]) == 2
@@ -415,7 +438,7 @@ class TestScan:
         assert (manifest["start"], manifest["samples"]) == (9, 5)
         assert manifest["rng"]["generator"].startswith("Philox-4x64")
         assert manifest["rng"]["counter_stride"] == 2  # ceil(2 * 3 / 4)
-        assert manifest["tool_version"] == ul.__version__ == "0.10.0"
+        assert manifest["tool_version"] == ul.__version__ == "0.10.1"
 
     def test_manifest_counts_and_hashes_the_written_body(self, files, tmp_path):
         # a loose tol_zero puts many rows in s_comm and s_anti, some in s_ab;
@@ -837,3 +860,94 @@ class TestInProcess:
         for manifest in (warm, cold):
             del manifest["timestamp"], manifest["output"]
         assert warm == cold
+
+
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+_TOKENS = ["NaN", "Infinity", "-Infinity", "1e400", str(10**400), "true", "null", '"0.5"', "[]"]
+# each flag's values: about half of the draws valid, the rest NaN, +-inf, 0,
+# negative, huge or no number at all; no count that scales the work is huge
+_FLOATS = st.sampled_from(["1e-10", "1e-3", "0.2"]) | st.sampled_from(
+    ["nan", "inf", "-inf", "0", "-0", "-1", "1e308", "1e-320", "x"])
+_COUNTS = st.sampled_from(["1", "3", "40"]) | st.sampled_from(["0", "-1", "nan", "inf", "1.5", "x"])
+_INTS = st.sampled_from(["0", "7", str(10**30)]) | st.sampled_from(
+    ["-1", "nan", "inf", "1.5", "x", str(2**256), str(10**400)])
+_FLAGS = {
+    "eval": {"--format": st.sampled_from(["json", "csv", "xml"])},
+    "find": {"--spread-floor": _FLOATS, "--restarts": _COUNTS, "--max-iters": _COUNTS},
+    "scan": {"--samples": _COUNTS, "--start": _INTS},
+}
+_COMMON = {"--tol-zero": _FLOATS, "--eps-spread": _FLOATS, "--seed": _INTS}
+
+
+@st.composite
+def _input(draw, kind, dim):
+    """The bytes of one input file, valid or mutated, or None for a directory."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    how = draw(st.just("valid") | st.sampled_from(
+        ["other_dim", "token", "dim", "shape", "type", "bytes", "empty", "dir"]))
+    if how == "other_dim":
+        dim = draw(st.integers(2, 8))
+    doc = (ul.observable_to_json_dict(rand_hermitian(rng, dim)) if kind == "observable"
+           else ul.state_to_json_dict(ul.haar_state(dim, rng)))
+    key = "entries" if kind == "observable" else "amps"
+    if how == "dim":
+        doc["dim"] = draw(st.sampled_from([-1, 0, 1, dim + 1, 10**30, 2.5, "3", None, True]))
+    elif how == "shape":
+        doc[key] = draw(st.sampled_from(
+            [doc[key][:-1], [doc[key]], [[*pair, 0.0] for pair in doc[key]], doc[key][0]]))
+    elif how == "type":
+        doc = draw(st.sampled_from([[], {}, "x", 3, None, {"dim": dim}, {key: doc[key]}]))
+    text = json.dumps(doc)
+    if how == "token":
+        numbers = list(_NUMBER.finditer(text))
+        hit = numbers[draw(st.integers(0, len(numbers) - 1))]
+        text = text[: hit.start()] + draw(st.sampled_from(_TOKENS)) + text[hit.end():]
+    data = text.encode()
+    if how == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3\x28", b"\x80\x80"])) + data[at:]
+    return {"empty": b"", "dir": None}.get(how, data)
+
+
+@st.composite
+def _runs(draw):
+    """(subcommand, the contents of its input files, its flags)."""
+    command = draw(st.sampled_from(["eval", "find", "scan"]))
+    dim = draw(st.integers(2, 8))
+    inputs = [draw(_input("observable", dim)) for _ in range(2)]
+    if command == "eval":
+        inputs.append(draw(_input("state", dim)))
+    flags = []
+    for flag, values in {**_FLAGS[command], **_COMMON}.items():
+        if flag == "--samples" or draw(st.booleans()):
+            flags += [flag, draw(values)]
+    return command, inputs, flags
+
+
+@given(_runs())
+@settings(max_examples=150, deadline=None)  # a stall of the machine is no failure
+def test_every_run_ends_in_a_documented_exit_code(run):
+    command, inputs, flags = run
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, data in enumerate(inputs):
+            path = os.path.join(tmp, f"in{k}.json")
+            if data is None:
+                os.mkdir(path)
+            else:
+                Path(path).write_bytes(data)
+            paths.append(path)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main([command, *paths, *flags, "--out", out])
+            except SystemExit as exc:  # a usage error, from argparse
+                code = exc.code
+        # 3 is find's own: a search that did not converge still writes its result
+        assert code in ((0, 2, 3, 4) if command == "find" else (0, 2, 4)), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        left = sorted(os.listdir(tmp))
+        assert not [name for name in left if name.endswith(".tmp")]
+        if code not in (0, 3):
+            assert left == sorted(f"in{k}.json" for k in range(len(inputs)))

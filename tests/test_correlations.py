@@ -199,13 +199,26 @@ class TestCorrelationRecord:
 def test_pearson_square_follows_the_beta_law(dim):
     # GUE A, B are unitarily invariant, so for a Haar phi their deviation
     # directions are independent uniform unit vectors in phi^perp = C^(d-1),
-    # and r^2 = |<u|v>|^2 ~ Beta(1, d - 2): P(r^2 <= x) = 1 - (1 - x)^(d - 2)
+    # and r^2 = |<u|v>|^2 ~ Beta(1, d - 2): P(r^2 <= x) = 1 - (1 - x)^(d - 2).
+    # x = Re C / (dA dB) is one real coordinate of a uniform unit vector in
+    # R^(2d-2), of density ~ (1 - x^2)^(d - 5/2), so x^2 ~ Beta(1/2, d - 3/2);
+    # so is Im C / (dA dB), and arg C is uniform
     rng = np.random.default_rng(11)
     n = 2000
-    r = np.array([
+    records = [
         ul.correlation_record(rand_hermitian(rng, dim), rand_hermitian(rng, dim),
-                              rand_state(rng, dim)).pearson
+                              rand_state(rng, dim))
         for _ in range(n)
-    ])
-    distance = ks_distance(r**2, lambda x: 1.0 - (1.0 - x) ** (dim - 2))
-    assert distance <= 1.95 / np.sqrt(n)  # the KS critical value at the 0.1% level
+    ]
+    r, c = np.array([rec.pearson for rec in records]), np.array([rec.c for rec in records])
+    bound = 1.95 / np.sqrt(n)  # the KS critical value at the 0.1% level
+    assert ks_distance(r**2, lambda x: 1.0 - (1.0 - x) ** (dim - 2)) <= bound
+    # P(|x| <= t): the density integrated by the trapezoid rule
+    grid = np.linspace(0.0, 1.0, 20001)
+    density = (1.0 - grid**2) ** (dim - 2.5)
+    cdf = np.concatenate(([0.0], np.cumsum(density[1:] + density[:-1])))
+    cdf /= cdf[-1]
+    for part in (c.real, c.imag):
+        x = r * np.abs(part) / np.abs(c)  # |Re C| / (dA dB), |Im C| / (dA dB)
+        assert ks_distance(x, lambda t: np.interp(t, grid, cdf)) <= bound
+    assert ks_distance(np.angle(c), lambda t: (t + np.pi) / (2.0 * np.pi)) <= bound

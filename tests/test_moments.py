@@ -256,7 +256,9 @@ class TestCommutingGuard:
     @pytest.mark.parametrize("s", [1e155, 1e300, 5e-324])
     def test_no_square_under_or_overflows(self, s, l3, l4):
         with np.errstate(all="raise"):
-            moments._require_noncommuting(s * l3, s * l4, ul.DEFAULT_TOLERANCES)
+            moments._refuse_commuting(
+                moments._sized(s * l3), moments._sized(s * l4), ul.DEFAULT_TOLERANCES
+            )
 
 
 class TestFloatRange:
@@ -265,15 +267,17 @@ class TestFloatRange:
     @pytest.mark.parametrize("s", [1e154, 1e155, 1e300])
     def test_refuses_squared_sizes_past_a_quarter_of_the_range(self, s, l3, l4):
         with np.errstate(all="raise"), pytest.raises(OverflowError, match=r"\|\|A\|\|_F\^2"):
-            moments._require_in_float_range(s * l3, l4)
+            moments._refuse_past_range(moments._sized(s * l3), "A")
         with np.errstate(all="raise"), pytest.raises(OverflowError, match=r"\|\|B\|\|_F\^2"):
-            moments._require_in_float_range(l3, s * l4)
+            moments._refuse_past_range(moments._sized(l3), "A")
+            moments._refuse_past_range(moments._sized(s * l4), "B")
 
     @pytest.mark.parametrize("s", [5e-324, 1e-200, 1.0, 1e150, 4e153])
     def test_passes_pairs_inside_the_range(self, s, l3, l4):
         # ||s l3||_F^2 = 2 s^2: 4 * 2 * (4e153)^2 ~ 1.3e308 still fits
         with np.errstate(all="raise"):
-            moments._require_in_float_range(s * l3, s * l4)
+            moments._refuse_past_range(moments._sized(s * l3), "A")
+            moments._refuse_past_range(moments._sized(s * l4), "B")
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("huge", ["A", "B", "AB"])
@@ -329,6 +333,17 @@ class TestFloatRange:
             sized.clear()
             run()  # the scan spans three blocks at d = 3
             assert len(sized) == 2 and sized[0] is l3 and sized[1] is l4
+
+    def test_a_fresh_classify_sizes_each_observable_once(self, l3, l4, phi2, monkeypatch):
+        # the record's range checks size A and B; the commuting guard reads those sizes
+        real, sized = moments._sized, []
+        monkeypatch.setattr(moments, "_sized", lambda f: sized.append(f) or real(f))
+        moments._shared.cache_clear()
+        ul.classify(l3, l4, phi2)
+        assert len(sized) == 2 and sized[0] is l3 and sized[1] is l4
+        with pytest.raises(ul.CommutingPair):
+            ul.classify(l3, ul.su3_lambda(8), phi2)
+        assert len(sized) == 4
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_every_function_of_one_observable_refuses_such_an_observable(self, dim):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import uncertainty_lab as ul
-from uncertainty_lab import state_sets
+from uncertainty_lab import moments, state_sets
 from helpers import ks_distance, pauli_pair, rand_hermitian, rand_state
 
 
@@ -333,3 +333,90 @@ class TestCodimension:
             [np.count_nonzero(block.pearson <= eps) for eps in (0.1, 0.01)]))
         assert counts[1] >= 150
         assert 1.6 <= np.log10(counts[0] / counts[1]) <= 2.4
+
+
+def _below(x: float) -> float:
+    """The largest float below ``x``."""
+    return float(np.nextafter(x, 0.0))
+
+
+class TestOneRule:
+    """Every site decides by one rule: at a tolerance equal to the value it
+    judges, each says zero, and one float below that value none does."""
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_every_eigen_site_agrees_at_eps_spread(self, dim):
+        rng = np.random.default_rng(60 + dim)
+        for _ in range(10):
+            a, b, phi = rand_hermitian(rng, dim), rand_hermitian(rng, dim), rand_state(rng, dim)
+            da, db = ul.std_dev(a, phi), ul.std_dev(b, phi)
+            for f, spread, which in ((a, da, "eigen_a"), (b, db, "eigen_b")):
+                # at eps_spread = the spread; then one float below the smaller spread
+                for eps, eigen in ((spread, True), (_below(min(da, db)), False)):
+                    tol = ul.Tolerances(eps_spread=eps)
+                    try:
+                        ul.pearson(a, b, phi, tol)
+                        degenerate = False
+                    except ul.DegenerateSpread:
+                        degenerate = True
+                    assert [
+                        ul.is_eigenstate(f, phi, tol),
+                        ul.orthogonal_unit(f, phi, tol) is None,
+                        ul.correlation_record(a, b, phi, tol).pearson is None,
+                        degenerate,
+                        ul.sum_relations(a, b, phi, tol).degenerate
+                        == ul.Degeneracy.EIGENSTATE_TRIVIAL,
+                        getattr(ul.classify(a, b, phi, tol), which),
+                    ] == [eigen] * 6
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_every_zero_site_agrees_at_tol_zero(self, dim):
+        # found states have |C| ~ 1e-13, far below the pair's commuting ratio
+        rng = np.random.default_rng(70 + dim)
+        for seed in range(3):
+            a, b = rand_hermitian(rng, dim), rand_hermitian(rng, dim)
+            phi = ul.find(a, b, ul.FinderConfig(seed=seed)).state
+            c = ul.correlation(a, b, phi)
+            for value in (abs(c), abs(c.imag), abs(c.real)):
+                for tol_zero in (value, _below(value)):
+                    cls = ul.classify(a, b, phi, ul.Tolerances(tol_zero=tol_zero))
+                    assert (cls.eigen_a, cls.eigen_b) == (False, False)
+                    assert (cls.in_s_ab, cls.in_s_comm, cls.in_s_anti) == (
+                        abs(c) <= tol_zero, abs(c.imag) <= tol_zero, abs(c.real) <= tol_zero)
+            # find's acceptance rule, in verify_candidate: |C| by the zero test,
+            # the smaller spread by the spread test
+            assert ul.verify_candidate(a, b, phi, ul.Tolerances(tol_zero=abs(c)))
+            assert not ul.verify_candidate(a, b, phi, ul.Tolerances(tol_zero=_below(abs(c))))
+            low = min(ul.std_dev(a, phi), ul.std_dev(b, phi))
+            assert not ul.verify_candidate(a, b, phi, ul.Tolerances(eps_spread=low))
+            assert ul.verify_candidate(a, b, phi, ul.Tolerances(eps_spread=_below(low)))
+            # the Pythagoras diagnosis judges the deviation form <dev_A|dev_B> of C
+            overlap = abs(np.vdot(ul.deviation_vector(a, phi).vec, ul.deviation_vector(b, phi).vec))
+            for tol_zero, kind in ((overlap, ul.Degeneracy.PYTHAGORAS),
+                                   (_below(overlap), ul.Degeneracy.NONE)):
+                tol = ul.Tolerances(tol_zero=tol_zero)
+                assert ul.sum_relations(a, b, phi, tol).degenerate == kind
+
+    def test_tight_follows_the_slack_constant(self, l3, l4, phi2, monkeypatch):
+        slack = ul.evaluate(l3, l4, phi2).slack_general
+        for constant, tight in ((slack, True), (_below(slack), False)):
+            monkeypatch.setattr(moments, "_TIGHT_SLACK", constant)
+            assert ul.evaluate(l3, l4, phi2).tight is tight
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_scan_rows_agree_at_tol_zero(self, dim):
+        # the symmetric and antisymmetric generators of (1, 2) have
+        # ||[A,B]|| / (||A|| ||B||) = sqrt(2), above any |C| <= dA dB <= 1, so
+        # no tol_zero below makes the pair commute
+        basis = ul.gell_mann(dim)
+        a, b = basis.symmetric(1, 2), basis.antisymmetric(1, 2)
+        (block,) = state_sets._scan_blocks(a, b, ul.ScanConfig(samples=12, seed=dim))
+        for i in range(12):
+            # the row's own values, as the kernel computed them
+            values = [np.abs(block.c)[i], np.abs(block.c.imag)[i], np.abs(block.c.real)[i]]
+            for tol_zero in [v for value in values for v in (float(value), _below(value))]:
+                config = ul.ScanConfig(samples=1, seed=dim, start=i,
+                                       tolerances=ul.Tolerances(tol_zero=tol_zero))
+                (row,) = state_sets._scan_blocks(a, b, config)
+                assert row.c[0] == block.c[i]  # no number of a row depends on tol
+                assert row.flags[0].tolist() == [False, False] + [v <= tol_zero for v in values]

@@ -14,9 +14,9 @@ value past the float range (for ``eval``, ``find`` and ``scan`` also a pair
 for which 4 ||A||_F^2 or 4 ||B||_F^2 is, checked before any moment is
 computed) or a MemoryError, 3 finder did not converge, 4 an internal
 cross-check failed, 5 stdout was closed before all output was written.  Every
-output artifact is accompanied by a run manifest (embedded in JSON output,
-sidecar file for CSV).  The environment variable UNCERTAINTY_LAB_SEED
-provides the default seed, read on each call.
+JSON output embeds a run manifest, a CSV ``--out`` a ``<out>.manifest.json``
+sidecar; ``eval --format csv`` to stdout prints the CSV alone.  The environment
+variable UNCERTAINTY_LAB_SEED gives the default seed, read on each call.
 
 ``main`` may be called repeatedly in one process: it builds its parser once,
 on the first call (``_parser``), and each call parses its own flags.

@@ -12,6 +12,7 @@ modulus.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -22,7 +23,8 @@ from .core import (
     StateVector,
     Tolerances,
 )
-from .moments import _check, _Checked
+from . import moments
+from .moments import _SUM_TOL, _Checked
 
 __all__ = [
     "CorrelationRecord",
@@ -96,8 +98,12 @@ def decomposition(
     information lost by using only the real part of C.
     """
     m = _Checked(a, b, phi, tol)
-    _nondegenerate(m, "decomposition")
-    return m.decomposition()
+    r = _nondegenerate(m, "decomposition")
+    denom = math.prod(m.spreads)
+    cov_term, imag_term = (m.c.real / denom) ** 2, (m.c.imag / denom) ** 2
+    residual = abs(cov_term + imag_term - r * r)
+    moments._check("decomposition terms sum to pearson^2", residual, 1.0, _SUM_TOL)
+    return cov_term, imag_term
 
 
 def correlation_properties_check(
@@ -125,7 +131,7 @@ def correlation_properties_check(
     holds = True
     for identity, residual, scale in checks:
         try:
-            _check(identity, residual, scale)
+            moments._check(identity, residual, scale)
         except ArithmeticError as exc:
             logger.warning("correlation identity violated: %s", exc)
             holds = False

@@ -52,7 +52,7 @@ class GellMannBasis:
 
     def _pair_offset(self, j: int, k: int) -> int:
         d = self.dim
-        if not (1 <= j < k <= d):
+        if not (_check_int("j", j, 1) < _check_int("k", k, 1) <= d):
             raise ValidationError(f"need 1 <= j < k <= {d}, got ({j}, {k})")
         return (j - 1) * d - (j - 1) * j // 2 + (k - j - 1)
 
@@ -66,7 +66,7 @@ class GellMannBasis:
 
     def diagonal(self, l: int) -> Observable:
         """sqrt(2/(l(l+1))) diag(1, ..., 1, -l, 0, ..., 0) with l ones."""
-        if not (1 <= l <= self.dim - 1):
+        if _check_int("l", l, 1) > self.dim - 1:
             raise ValidationError(f"need 1 <= l <= {self.dim - 1}, got {l}")
         return self.matrices[self.dim * (self.dim - 1) + l - 1]
 

@@ -8,8 +8,10 @@ either one is caught immediately.
 Every per-state function of a pair reads the numbers of (A, B, phi) from one
 shared, unchecked ``_StateMoments`` record, computed whole on construction and
 never written after, so threads share it read-only, through a ``_Checked``
-view of its own, which asserts each identity between two routes when the call
-first reads it: a call asserts its own identities, whatever calls came before.
+view of its own.  It holds the reads several functions share (the spreads, C,
+r, the Schrodinger bound), each checked by a second route on its first read;
+each report asserts its other identities itself, through ``moments._check``
+(one hook sees them all).  A call asserts its own identities, whatever came before.
 ``_shared`` keeps the record of the last triple, keyed on the identities of A,
 B and phi (no ``__eq__``, read-only arrays; the slot keeps them alive, so no id
 is reused) and not on ``tol``, on which no number depends.  Its norms are
@@ -82,7 +84,6 @@ _TIGHT_SLACK = 1e-8
 # The identities that scans also assert, once per block of rows (state_sets)
 _VARIANCE = "variance: norm form = moment form"
 _C_FORMS = "correlation: moment form = deviation form"
-_COMMUTATOR = "|<[A,B]>| = 2|Im C|"
 _OVERLAP = "pearson: |C| / (dA dB) = direction overlap"
 _PEARSON_MAX = "pearson <= 1"
 
@@ -354,46 +355,3 @@ class _Checked:
         bound = self.n.schrodinger
         _check("Schrodinger bound = |C|", abs(bound - abs(self.c)), self.n.scale)
         return bound
-
-    def check_commutator(self) -> None:
-        c = self.c
-        _check(_COMMUTATOR, abs(2.0 * self.n.hr - 2.0 * abs(c.imag)), self.n.scale)
-
-    def check_bound_chain(self) -> None:
-        product = math.prod(self.spreads)
-        hr, sch, gen, scale = self.n.hr, self.schrodinger, abs(self.c), self.n.scale
-        _check("commutator bound <= Schrodinger bound", hr - sch, scale)
-        _check("Schrodinger bound = |C| in the bound chain", abs(sch - gen), scale)
-        _check("commutator bound <= dA dB", hr - product, scale)
-        _check("|C| <= dA dB", gen - product, scale)
-
-    def decomposition(self) -> tuple[float, float]:
-        """((Re C / dA dB)^2, (Im C / dA dB)^2), checked to sum to pearson^2;
-        only for nondegenerate spreads."""
-        r = self.pearson
-        denom = math.prod(self.spreads)
-        cov_term, imag_term = (self.c.real / denom) ** 2, (self.c.imag / denom) ** 2
-        residual = abs(cov_term + imag_term - r * r)
-        _check("decomposition terms sum to pearson^2", residual, 1.0, _SUM_TOL)
-        return cov_term, imag_term
-
-    def sum_relations(self) -> tuple[float, str]:
-        """d(A+B) and the degeneracy of the triangle relations, after asserting
-        them: ``eigenstate_trivial`` when either spread vanishes,
-        ``pythagoras`` (with d(A+B)^2 = dA^2 + dB^2 asserted) when the
-        deviation vectors are orthogonal, ``none`` otherwise."""
-        da, db = self.spreads
-        squares = da**2 + db**2
-        sos = self.n.sum.spread
-        if _is_eigen(min(da, db), self.tol):
-            kind = "eigenstate_trivial"
-        elif _is_zero(self.n.overlap, self.tol):
-            residual = abs(sos**2 - squares)
-            _check("orthogonal deviations: d(A+B)^2 = dA^2 + dB^2", residual, squares, _SUM_TOL)
-            kind = "pythagoras"
-        else:
-            kind = "none"
-        _check("triangle inequality dA + dB >= d(A+B)", sos - (da + db), da + db)
-        residual = 0.5 * sos**2 - squares
-        _check("squared triangle inequality dA^2 + dB^2 >= d(A+B)^2 / 2", residual, squares)
-        return sos, kind

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .core import DEFAULT_TOLERANCES, Observable, StateVector, Tolerances
-from .moments import _check, _Checked, _is_tight, _shared, std_dev
+from . import moments
+from .moments import _SUM_TOL, _Checked, _is_eigen, _is_tight, _is_zero, _shared, std_dev
 
 __all__ = [
     "Degeneracy",
@@ -94,16 +95,19 @@ def evaluate(
 ) -> UncertaintyReport:
     """Evaluate every bound for (A, B, phi) and assert the chain between them."""
     m = _Checked(a, b, phi, tol)
-    m.check_bound_chain()
     delta_a, delta_b = m.spreads
     product = delta_a * delta_b
-    general, hr = abs(m.c), m.n.hr
+    hr, sch, general, scale = m.n.hr, m.schrodinger, abs(m.c), m.n.scale
+    moments._check("commutator bound <= Schrodinger bound", hr - sch, scale)
+    moments._check("Schrodinger bound = |C| in the bound chain", abs(sch - general), scale)
+    moments._check("commutator bound <= dA dB", hr - product, scale)
+    moments._check("|C| <= dA dB", general - product, scale)
     return UncertaintyReport(
         delta_a=delta_a,
         delta_b=delta_b,
         product=product,
         hr_bound=hr,
-        schrodinger_bound=m.schrodinger,
+        schrodinger_bound=sch,
         general_bound=general,
         slack_hr=product - hr,
         slack_general=product - general,
@@ -122,14 +126,26 @@ def sum_relations(
     which case d(A+B)^2 = dA^2 + dB^2 is additionally asserted.
     """
     m = _Checked(a, b, phi, tol)
-    spread_of_sum, degenerate = m.sum_relations()
-    delta_a, delta_b = m.spreads
+    da, db = m.spreads
+    squares = da**2 + db**2
+    sos = m.n.sum.spread
+    if _is_eigen(min(da, db), tol):
+        degenerate = Degeneracy.EIGENSTATE_TRIVIAL
+    elif _is_zero(m.n.overlap, tol):
+        identity = "orthogonal deviations: d(A+B)^2 = dA^2 + dB^2"
+        moments._check(identity, abs(sos**2 - squares), squares, _SUM_TOL)
+        degenerate = Degeneracy.PYTHAGORAS
+    else:
+        degenerate = Degeneracy.NONE
+    moments._check("triangle inequality dA + dB >= d(A+B)", sos - (da + db), da + db)
+    residual = 0.5 * sos**2 - squares
+    moments._check("squared triangle inequality dA^2 + dB^2 >= d(A+B)^2 / 2", residual, squares)
     return SumRelationReport(
-        sum_of_spreads=delta_a + delta_b,
-        spread_of_sum=spread_of_sum,
-        quad_lhs=delta_a**2 + delta_b**2,
-        quad_rhs=0.5 * spread_of_sum**2,
-        degenerate=Degeneracy(degenerate),
+        sum_of_spreads=da + db,
+        spread_of_sum=sos,
+        quad_lhs=squares,
+        quad_rhs=0.5 * sos**2,
+        degenerate=degenerate,
     )
 
 
@@ -145,7 +161,7 @@ def sum_relation_n(
         total = total + obs
         lhs += std_dev(obs, phi, tol)
     rhs = std_dev(total, phi, tol)
-    _check("n-term triangle inequality", rhs - lhs, lhs)
+    moments._check("n-term triangle inequality", rhs - lhs, lhs)
     return lhs, rhs
 
 

@@ -13,13 +13,15 @@ classified into three (overlapping) sets:
 relative to the zero tolerance recorded in the result.  Eigenstates of A or B
 are excluded from all three sets by definition.
 
-``classify`` judges one state from its view of the moments record.  A scan
-(``membership_scan`` and the CLI ``scan``) judges a block of Haar-random
-states at a time with one batched kernel.  It asserts the identities that
-``classify`` asserts, in the same order, once per block over all of the
-block's rows in the scan's range, so a failing check raises before any row
-of its block is yielded.  Both take their flags from ``moments._flags``,
-built on the spread and zero tests behind every verdict of the package.
+``classify`` judges one state from its ``moments._Checked`` view, which holds
+the checked reads that several functions share, and asserts the commutator
+identity itself, through ``moments._check``.  A scan (``membership_scan`` and
+the CLI ``scan``) judges a block of Haar-random states at a time with one
+batched kernel.  It asserts the identities that ``classify`` asserts, in the
+same order, once per block over all of the block's rows in the scan's range,
+so a failing check raises before any row of its block is yielded.  Both take
+their flags from ``moments._flags``, built on the spread and zero tests behind
+every verdict of the package.
 
 Scan sample ``i`` is a pure function of ``(seed, i)``: its amplitudes come
 from the counter-based generator Philox-4x64 (Salmon et al., "Parallel Random
@@ -41,9 +43,9 @@ import numpy as np
 
 from .core import (DEFAULT_TOLERANCES, Observable, StateVector, Tolerances, ValidationError,
                    _check_int)
+from . import moments
 from .moments import (
     _C_FORMS,
-    _COMMUTATOR,
     _OVERLAP,
     _PEARSON_MAX,
     _VARIANCE,
@@ -55,6 +57,7 @@ from .moments import (
 )
 
 __all__ = ["ClassificationResult", "ScanConfig", "classify", "membership_scan"]
+_COMMUTATOR = "|<[A,B]>| = 2|Im C|"  # asserted by classify and, once per block, by the scans
 
 
 @dataclass(frozen=True)
@@ -103,8 +106,9 @@ def classify(
     m = _Checked(a, b, phi, tol)
     _refuse_commuting(*m.n.sized, tol)
     spread_a, spread_b = m.spreads
-    m.check_commutator()
-    return ClassificationResult(*_flags(spread_a, spread_b, m.c, tol), m.pearson, tol)
+    c = m.c
+    moments._check(_COMMUTATOR, abs(2.0 * m.n.hr - 2.0 * abs(c.imag)), m.n.scale)
+    return ClassificationResult(*_flags(spread_a, spread_b, c, tol), m.pearson, tol)
 
 
 _BLOCK_AMPLITUDES = 4096  # a scan block holds max(1, 4096 // d) samples

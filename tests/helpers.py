@@ -8,6 +8,7 @@ deviation-vector route, so that tests compare two independent computations.
 import numpy as np
 
 import uncertainty_lab as ul
+from uncertainty_lab import moments
 
 
 def rand_hermitian(rng: np.random.Generator, dim: int) -> ul.Observable:
@@ -42,6 +43,29 @@ def ks_distance(sample: np.ndarray, cdf) -> float:
     n = len(x)
     f = cdf(x)
     return float(max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n)))
+
+
+def ks_two_sample(x: np.ndarray, y: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance between the empirical CDFs of two samples."""
+    x, y = np.sort(x), np.sort(y)
+    points = np.concatenate((x, y))
+    fx = np.searchsorted(x, points, side="right") / len(x)
+    fy = np.searchsorted(y, points, side="right") / len(y)
+    return float(np.max(np.abs(fx - fy)))
+
+
+def recorded_checks(monkeypatch) -> list:
+    """The identities passed to ``moments._check`` from now on, in order; each
+    check still runs."""
+    seen = []
+    check = moments._check
+
+    def record(identity, *args):
+        seen.append(identity)
+        check(identity, *args)
+
+    monkeypatch.setattr(moments, "_check", record)
+    return seen
 
 
 def pauli_pair() -> tuple[ul.Observable, ul.Observable]:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import uncertainty_lab as ul
-from helpers import ks_distance, oracle_corr, rand_hermitian, rand_state
+from helpers import (ks_distance, ks_two_sample, oracle_corr, rand_hermitian, rand_state,
+                     recorded_checks)
 
 
 class TestCorrelation:
@@ -139,6 +140,17 @@ class TestDecomposition:
 
 
 class TestPropertiesCheck:
+    def test_identities_go_through_the_check_hook(self, monkeypatch, l3, l4, l5, phi2):
+        recorded = recorded_checks(monkeypatch)
+        identities = ["conjugate symmetry C(A,B) = conj(C(B,A))",
+                      "additivity C(A, B1+B2) = C(A,B1) + C(A,B2)"]
+        assert ul.correlation_properties_check(l3, l4, l5, phi2)
+        assert recorded[-3:] == identities + ["pearson symmetry r(A,B) = r(B,A)"]
+        recorded.clear()
+        # (1, 0, 0) is an eigenvector of lambda3: no pearson coefficient to compare
+        assert ul.correlation_properties_check(l3, l4, l5, ul.StateVector([1.0, 0.0, 0.0]))
+        assert recorded[-2:] == identities and identities[0] not in recorded[:-2]
+
     def test_random_triples(self, rng):
         for _ in range(5):
             a, b1, b2 = (rand_hermitian(rng, 4) for _ in range(3))
@@ -222,3 +234,26 @@ def test_pearson_square_follows_the_beta_law(dim):
         x = r * np.abs(part) / np.abs(c)  # |Re C| / (dA dB), |Im C| / (dA dB)
         assert ks_distance(x, lambda t: np.interp(t, grid, cdf)) <= bound
     assert ks_distance(np.angle(c), lambda t: (t + np.pi) / (2.0 * np.pi)) <= bound
+
+
+@pytest.mark.parametrize("dim", [3, 8, 16])
+def test_arg_c_is_independent_of_r(dim):
+    # the draws of test_pearson_square_follows_the_beta_law: the deviation
+    # directions u, v are independent uniform unit vectors, so <u|v> has a
+    # phase uniform on the circle and independent of its modulus r
+    rng = np.random.default_rng(11)
+    n = 2000
+    records = [
+        ul.correlation_record(rand_hermitian(rng, dim), rand_hermitian(rng, dim),
+                              rand_state(rng, dim))
+        for _ in range(n)
+    ]
+    r, c = np.array([rec.pearson for rec in records]), np.array([rec.c for rec in records])
+    low = r <= np.median(r)
+    halves = np.angle(c[low]), np.angle(c[~low])
+    m = n // 2
+    assert all(len(half) == m for half in halves)
+    for half in halves:  # the KS critical value at the 0.1% level, for m draws
+        assert ks_distance(half, lambda t: (t + np.pi) / (2.0 * np.pi)) <= 1.95 / np.sqrt(m)
+    # the two-sample KS critical value at the 0.1% level, for m and m draws
+    assert ks_two_sample(*halves) <= 1.95 * np.sqrt(2.0 / m)

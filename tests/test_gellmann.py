@@ -96,6 +96,21 @@ class TestGellMannBasis:
         with pytest.raises(ul.ValidationError):
             basis.diagonal(3)
 
+    @pytest.mark.parametrize("accessor, indices", [
+        ("symmetric", (1.5, 2)), ("symmetric", (True, 2)), ("symmetric", (1, "2")),
+        ("antisymmetric", (1, 2.0)), ("diagonal", (1.0,)), ("diagonal", (True,)),
+    ])
+    def test_accessors_refuse_non_integer_indices(self, accessor, indices):
+        with pytest.raises(ul.ValidationError, match="must be an integer"):
+            getattr(ul.gell_mann(3), accessor)(*indices)
+
+    def test_accessors_take_numpy_integers(self):
+        basis = ul.gell_mann(3)
+        one, two = np.int64(1), np.int64(2)
+        assert basis.symmetric(one, two) is basis.symmetric(1, 2)
+        assert basis.antisymmetric(one, np.int32(3)) is basis.antisymmetric(1, 3)
+        assert basis.diagonal(one) is basis.diagonal(1)
+
     def test_dimension_guard(self):
         with pytest.raises(ul.ValidationError):
             ul.gell_mann(1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import uncertainty_lab as ul
-from helpers import rand_hermitian, rand_state
+from helpers import rand_hermitian, rand_state, recorded_checks
 
 
 class TestHrBound:
@@ -153,6 +153,12 @@ class TestSumRelations:
 
 
 class TestSumRelationN:
+    def test_asserts_its_identity_through_the_check_hook(self, monkeypatch, l3, l4, phi2):
+        recorded = recorded_checks(monkeypatch)
+        ul.sum_relation_n([l3, l4], phi2)
+        variance = "variance: norm form = moment form"
+        assert recorded == [variance] * 3 + ["n-term triangle inequality"]
+
     def test_copies_of_same_observable(self, rng):
         a = rand_hermitian(rng, 3)
         phi = rand_state(rng, 3)

@@ -24,7 +24,7 @@ from .core import (
     Tolerances,
 )
 from . import moments
-from .moments import _SUM_TOL, _Checked
+from .moments import _SUM_TOL, _c, _is_eigen, _pearson, _shared, _spreads
 
 __all__ = [
     "CorrelationRecord",
@@ -62,17 +62,23 @@ def correlation(a: Observable, b: Observable, phi: StateVector) -> complex:
     The same number is the inner product of the two deviation vectors, so both
     routes are evaluated and compared before the moment form is returned.
     """
-    return _Checked(a, b, phi).c
+    return _c(_shared(a, b, phi))
 
 
-def _nondegenerate(m: _Checked, what: str) -> float:
-    r = m.pearson
-    if r is None:
+def _nondegenerate(
+    a: Observable, b: Observable, phi: StateVector, tol: Tolerances, what: str
+) -> tuple[tuple[float, float], complex, float]:
+    """(spreads, C, r), read in that order; DegenerateSpread, before C is
+    read, when the spread test finds either spread zero."""
+    n = _shared(a, b, phi)
+    spreads = _spreads(n)
+    if _is_eigen(min(spreads), tol):
         raise DegenerateSpread(
-            f"{what} undefined: spreads ({m.spreads[0]:.3e}, {m.spreads[1]:.3e}) "
-            f"must both exceed eps_spread = {m.tol.eps_spread:.3e}"
+            f"{what} undefined: spreads ({spreads[0]:.3e}, {spreads[1]:.3e}) "
+            f"must both exceed eps_spread = {tol.eps_spread:.3e}"
         )
-    return r
+    c = _c(n)
+    return spreads, c, _pearson(n, spreads, c, tol)
 
 
 def pearson(
@@ -85,7 +91,7 @@ def pearson(
     eps_spread: the coefficient is only defined for states where both
     observables actually spread out.
     """
-    return _nondegenerate(_Checked(a, b, phi, tol), "pearson coefficient")
+    return _nondegenerate(a, b, phi, tol, "pearson coefficient")[2]
 
 
 def decomposition(
@@ -97,10 +103,9 @@ def decomposition(
     The two terms sum to pearson^2; dropping the second one is exactly the
     information lost by using only the real part of C.
     """
-    m = _Checked(a, b, phi, tol)
-    r = _nondegenerate(m, "decomposition")
-    denom = math.prod(m.spreads)
-    cov_term, imag_term = (m.c.real / denom) ** 2, (m.c.imag / denom) ** 2
+    spreads, c, r = _nondegenerate(a, b, phi, tol, "decomposition")
+    denom = math.prod(spreads)
+    cov_term, imag_term = (c.real / denom) ** 2, (c.imag / denom) ** 2
     residual = abs(cov_term + imag_term - r * r)
     moments._check("decomposition terms sum to pearson^2", residual, 1.0, _SUM_TOL)
     return cov_term, imag_term
@@ -116,18 +121,19 @@ def correlation_properties_check(
     rule of the internal cross-checks.  Returns True when all hold; otherwise
     logs each violation and returns False.
     """
-    m_ab = _Checked(a, b1, phi)
-    m_ba = _Checked(b1, a, phi)
-    m_ab2 = _Checked(a, b2, phi)
-    m_sum = _Checked(a, b1 + b2, phi)
-    additivity = abs(m_sum.c - (m_ab.c + m_ab2.c))
-    scale = m_ab.n.scale
+    n_ab, n_ba = _shared(a, b1, phi), _shared(b1, a, phi)
+    n_ab2, n_sum = _shared(a, b2, phi), _shared(a, b1 + b2, phi)
+    c_sum, c_ab, c_ab2, c_ba = _c(n_sum), _c(n_ab), _c(n_ab2), _c(n_ba)
+    scale = n_ab.scale
     checks = [
-        ("conjugate symmetry C(A,B) = conj(C(B,A))", abs(m_ab.c - m_ba.c.conjugate()), scale),
-        ("additivity C(A, B1+B2) = C(A,B1) + C(A,B2)", additivity, scale + m_ab2.n.scale),
+        ("conjugate symmetry C(A,B) = conj(C(B,A))", abs(c_ab - c_ba.conjugate()), scale),
+        ("additivity C(A, B1+B2) = C(A,B1) + C(A,B2)", abs(c_sum - (c_ab + c_ab2)),
+         scale + n_ab2.scale),
     ]
-    if m_ab.pearson is not None:
-        checks.append(("pearson symmetry r(A,B) = r(B,A)", abs(m_ab.pearson - m_ba.pearson), 1.0))
+    r_ab = _pearson(n_ab, _spreads(n_ab), c_ab, DEFAULT_TOLERANCES)
+    if r_ab is not None:
+        r_ba = _pearson(n_ba, _spreads(n_ba), c_ba, DEFAULT_TOLERANCES)
+        checks.append(("pearson symmetry r(A,B) = r(B,A)", abs(r_ab - r_ba), 1.0))
     holds = True
     for identity, residual, scale in checks:
         try:
@@ -142,8 +148,9 @@ def correlation_record(
     a: Observable, b: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> CorrelationRecord:
     """Full correlation record; pearson/transition_prob absent on degenerate spreads."""
-    m = _Checked(a, b, phi, tol)
-    c, r = m.c, m.pearson
+    n = _shared(a, b, phi)
+    c = _c(n)
+    r = _pearson(n, _spreads(n), c, tol)
     return CorrelationRecord(
         c=c,
         cov_real=c.real,

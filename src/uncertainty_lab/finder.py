@@ -61,7 +61,7 @@ from .core import (
     _haar_amps,
     state_to_json_dict,
 )
-from .moments import _Checked, _is_eigen, _is_zero, _require_pair
+from .moments import _c, _is_eigen, _is_zero, _require_pair, _shared, _spreads
 
 __all__ = ["FinderConfig", "FinderResult", "find", "gradient", "objective", "verify_candidate"]
 
@@ -117,7 +117,7 @@ _Point = namedtuple("_Point", "parts v s mean_a mean_b c var_a var_b")
 class _Objective:
     """f(x), its parts, residual and gradient from products with the stacked [I; A; B].
 
-    Not read from the checked per-state view ``moments._Checked``: with its
+    Not read from the checked shared ``moments`` record: with its
     state validation and cross-checks an evaluation measured ~5x dearer,
     and the median find-sweep op took ~2.2x as long.
     """
@@ -338,9 +338,9 @@ def verify_candidate(
     triple.
     """
     spread_floor = _check_real("spread_floor", spread_floor, DEFAULT_TOLERANCES.eps_spread)
-    m = _Checked(a, b, state, tol)
-    if not _accepted(abs(m.c), *m.spreads, spread_floor, tol):
+    n = _shared(a, b, state)
+    if not _accepted(abs(_c(n)), *_spreads(n), spread_floor, tol):
         return False
-    triple = (state.amps, m.n.a.vec / m.n.a.norm, m.n.b.vec / m.n.b.norm)
+    triple = (state.amps, n.a.vec / n.a.norm, n.b.vec / n.b.norm)
     gram = np.array([[np.vdot(u, v) for v in triple] for u in triple])
     return bool(np.max(np.abs(gram - np.eye(3))) <= _GRAM_TOL)

@@ -7,11 +7,12 @@ either one is caught immediately.
 
 Every per-state function of a pair reads the numbers of (A, B, phi) from one
 shared, unchecked ``_StateMoments`` record, computed whole on construction and
-never written after, so threads share it read-only, through a ``_Checked``
-view of its own.  It holds the reads several functions share (the spreads, C,
-r, the Schrodinger bound), each checked by a second route on its first read;
-each report asserts its other identities itself, through ``moments._check``
-(one hook sees them all).  A call asserts its own identities, whatever came before.
+never written after, so threads share it read-only.  The reads several
+functions share (the spreads, C, r, the Schrodinger bound) are checked by a
+second route in ``_spreads``, ``_c``, ``_pearson`` and ``_schrodinger``; a call
+reads each once and passes the checked values on, and each report asserts its
+other identities itself, through ``moments._check`` (one hook sees them all).
+A call asserts its own identities, whatever came before.
 ``_shared`` keeps the record of the last triple, keyed on the identities of A,
 B and phi (no ``__eq__``, read-only arrays; the slot keeps them alive, so no id
 is reused) and not on ``tol``, on which no number depends.  Its norms are
@@ -146,22 +147,6 @@ def _flags(spread_a, spread_b, c, tol: Tolerances) -> tuple:
             neither & _is_zero(c.imag, tol), neither & _is_zero(c.real, tol))
 
 
-class _lazy:
-    """``functools.cached_property`` without its lock (Python 3.11 takes an
-    ``RLock`` on every first read), for the fields of the per-call ``_Checked``
-    views.  A non-data descriptor, so the value stored in the instance
-    ``__dict__`` on the first read shadows it on every later one."""
-
-    def __init__(self, func):
-        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 class _Spread:
     """One observable in phi: F|phi>, <F>, the deviation vector with its norm, and <F^2>."""
 
@@ -263,7 +248,7 @@ def _refuse_past_range(sized: _Sized, name: str) -> None:
     """Raise OverflowError, calling F ``name``, when ``4 ||F||_F^2`` exceeds the
     largest float: ``||F||_F^2`` bounds <F^2>, ``||A||_F ||B||_F`` (at most the larger
     square) bounds |<AB>| and |C|, and 4 covers the sums of two such terms (AB + BA,
-    A + B).  The size comes ``_sized``, so the check itself cannot overflow."""
+    A + B).  The size comes from ``_sized``, so the check itself cannot overflow."""
     _, size, exponent = sized
     try:
         math.ldexp(4.0 * size * size, 2 * exponent)
@@ -314,44 +299,33 @@ def _shared(a: Observable, b: Observable, phi: StateVector) -> _StateMoments:
     return _StateMoments(a, b, phi)
 
 
-class _Checked:
-    """One call's view of the shared record of (A, B, phi): each value is
-    checked against its second route when the call first reads it."""
+def _spreads(n: _StateMoments) -> tuple[float, float]:
+    """(dA, dB), each checked against its moment form."""
+    return n.a.spread, n.b.spread
 
-    def __init__(
-        self, a: Observable, b: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES
-    ):
-        self.n = _shared(a, b, phi)
-        self.tol = tol
 
-    @_lazy
-    def spreads(self) -> tuple[float, float]:
-        """(dA, dB), each checked against its moment form."""
-        return self.n.a.spread, self.n.b.spread
+def _c(n: _StateMoments) -> complex:
+    """C in moment form, checked against the deviation form."""
+    _check(_C_FORMS, abs(n.c - n.overlap), n.scale)
+    return n.c
 
-    @_lazy
-    def c(self) -> complex:
-        """C in moment form, checked against the deviation form."""
-        n = self.n
-        _check(_C_FORMS, abs(n.c - n.overlap), n.scale)
-        return n.c
 
-    @_lazy
-    def pearson(self) -> float | None:
-        """|C| / (dA dB), checked against |<dev_A|dev_B>| / (dA dB), the
-        overlap of the deviation directions; None when the spread test finds
-        either spread zero."""
-        if _is_eigen(min(self.spreads), self.tol):
-            return None
-        product = math.prod(self.spreads)
-        r, scale = abs(self.c) / product, self.n.scale / product  # C's roundoff, divided like C
-        _check(_OVERLAP, abs(r - abs(self.n.overlap) / product), scale)
-        _check(_PEARSON_MAX, r - 1.0, scale, _TOL, ValidationError)
-        return min(r, 1.0)
+def _pearson(
+    n: _StateMoments, spreads: tuple[float, float], c: complex, tol: Tolerances
+) -> float | None:
+    """|C| / (dA dB) from the checked ``spreads`` and ``c``, checked against
+    |<dev_A|dev_B>| / (dA dB), the overlap of the deviation directions; None
+    when the spread test finds either spread zero."""
+    if _is_eigen(min(spreads), tol):
+        return None
+    product = math.prod(spreads)
+    r, scale = abs(c) / product, n.scale / product  # C's roundoff, divided like C
+    _check(_OVERLAP, abs(r - abs(n.overlap) / product), scale)
+    _check(_PEARSON_MAX, r - 1.0, scale, _TOL, ValidationError)
+    return min(r, 1.0)
 
-    @_lazy
-    def schrodinger(self) -> float:
-        """The Schrodinger bound, checked against |C|."""
-        bound = self.n.schrodinger
-        _check("Schrodinger bound = |C|", abs(bound - abs(self.c)), self.n.scale)
-        return bound
+
+def _schrodinger(n: _StateMoments, c: complex) -> float:
+    """The Schrodinger bound, checked against |C| (``c``, already checked)."""
+    _check("Schrodinger bound = |C|", abs(n.schrodinger - abs(c)), n.scale)
+    return n.schrodinger

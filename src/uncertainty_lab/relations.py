@@ -23,7 +23,8 @@ from typing import Any, Sequence
 
 from .core import DEFAULT_TOLERANCES, Observable, StateVector, Tolerances
 from . import moments
-from .moments import _SUM_TOL, _Checked, _is_eigen, _is_tight, _is_zero, _shared, std_dev
+from .moments import (_SUM_TOL, _c, _is_eigen, _is_tight, _is_zero, _schrodinger, _shared,
+                      _spreads, std_dev)
 
 __all__ = [
     "Degeneracy",
@@ -37,6 +38,7 @@ __all__ = [
     "sum_relation_n",
     "sum_relations",
 ]
+
 
 @dataclass(frozen=True)
 class UncertaintyReport:
@@ -87,17 +89,19 @@ def schrodinger_bound(a: Observable, b: Observable, phi: StateVector) -> float:
     Computed from <{A,B}> and <[A,B]>, read off A(B|phi>) and B(A|phi>),
     then cross-checked against |C(A,B)|, to which it is identically equal.
     """
-    return _Checked(a, b, phi).schrodinger
+    n = _shared(a, b, phi)
+    return _schrodinger(n, _c(n))
 
 
 def evaluate(
     a: Observable, b: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> UncertaintyReport:
     """Evaluate every bound for (A, B, phi) and assert the chain between them."""
-    m = _Checked(a, b, phi, tol)
-    delta_a, delta_b = m.spreads
+    n = _shared(a, b, phi)
+    delta_a, delta_b = _spreads(n)
     product = delta_a * delta_b
-    hr, sch, general, scale = m.n.hr, m.schrodinger, abs(m.c), m.n.scale
+    c = _c(n)
+    hr, sch, general, scale = n.hr, _schrodinger(n, c), abs(c), n.scale
     moments._check("commutator bound <= Schrodinger bound", hr - sch, scale)
     moments._check("Schrodinger bound = |C| in the bound chain", abs(sch - general), scale)
     moments._check("commutator bound <= dA dB", hr - product, scale)
@@ -125,13 +129,13 @@ def sum_relations(
     spread), ``pythagoras`` when the deviation vectors are orthogonal, in
     which case d(A+B)^2 = dA^2 + dB^2 is additionally asserted.
     """
-    m = _Checked(a, b, phi, tol)
-    da, db = m.spreads
+    n = _shared(a, b, phi)
+    da, db = _spreads(n)
     squares = da**2 + db**2
-    sos = m.n.sum.spread
+    sos = n.sum.spread
     if _is_eigen(min(da, db), tol):
         degenerate = Degeneracy.EIGENSTATE_TRIVIAL
-    elif _is_zero(m.n.overlap, tol):
+    elif _is_zero(n.overlap, tol):
         identity = "orthogonal deviations: d(A+B)^2 = dA^2 + dB^2"
         moments._check(identity, abs(sos**2 - squares), squares, _SUM_TOL)
         degenerate = Degeneracy.PYTHAGORAS

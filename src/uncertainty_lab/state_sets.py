@@ -13,15 +13,16 @@ classified into three (overlapping) sets:
 relative to the zero tolerance recorded in the result.  Eigenstates of A or B
 are excluded from all three sets by definition.
 
-``classify`` judges one state from its ``moments._Checked`` view, which holds
-the checked reads that several functions share, and asserts the commutator
-identity itself, through ``moments._check``.  A scan (``membership_scan`` and
-the CLI ``scan``) judges a block of Haar-random states at a time with one
-batched kernel.  It asserts the identities that ``classify`` asserts, in the
-same order, once per block over all of the block's rows in the scan's range,
-so a failing check raises before any row of its block is yielded.  Both take
-their flags from ``moments._flags``, built on the spread and zero tests behind
-every verdict of the package.
+``classify`` judges one state from the shared ``moments`` record, reading the
+checked spreads, C and Pearson coefficient that several functions share, and
+asserts the commutator identity itself, through ``moments._check``.  A scan
+(``membership_scan`` and the CLI ``scan``) judges a block of Haar-random
+states at a time with one batched kernel.  It asserts the identities that
+``classify`` asserts, in the same order, once per block over all of the
+block's rows in the scan's range, so a failing check raises before any row of
+its block is yielded; an empty range has no block.  Both take their flags from
+``moments._flags``, built on the spread and zero tests behind every verdict of
+the package.
 
 Scan sample ``i`` is a pure function of ``(seed, i)``: its amplitudes come
 from the counter-based generator Philox-4x64 (Salmon et al., "Parallel Random
@@ -49,11 +50,14 @@ from .moments import (
     _OVERLAP,
     _PEARSON_MAX,
     _VARIANCE,
+    _c,
     _check_rows,
-    _Checked,
     _flags,
+    _pearson,
     _refuse_commuting,
     _require_pair,
+    _shared,
+    _spreads,
 )
 
 __all__ = ["ClassificationResult", "ScanConfig", "classify", "membership_scan"]
@@ -103,12 +107,11 @@ def classify(
     cross-checked against each other.  Deciding on Im C makes the inclusion
     s_ab => s_comm and s_anti hold structurally even at tolerance boundaries.
     """
-    m = _Checked(a, b, phi, tol)
-    _refuse_commuting(*m.n.sized, tol)
-    spread_a, spread_b = m.spreads
-    c = m.c
-    moments._check(_COMMUTATOR, abs(2.0 * m.n.hr - 2.0 * abs(c.imag)), m.n.scale)
-    return ClassificationResult(*_flags(spread_a, spread_b, c, tol), m.pearson, tol)
+    n = _shared(a, b, phi)
+    _refuse_commuting(*n.sized, tol)
+    spreads, c = _spreads(n), _c(n)
+    moments._check(_COMMUTATOR, abs(2.0 * n.hr - 2.0 * abs(c.imag)), n.scale)
+    return ClassificationResult(*_flags(*spreads, c, tol), _pearson(n, spreads, c, tol), tol)
 
 
 _BLOCK_AMPLITUDES = 4096  # a scan block holds max(1, 4096 // d) samples
@@ -181,7 +184,8 @@ def _scan_blocks(a: Observable, b: Observable, config: ScanConfig) -> Iterator[_
             keep = slice(max(config.start - first, 0), min(stop - first, rows))
             yield _scan_block(_gaussian_rows(key, first, rows, dim), operators, first, keep, tol)
 
-    return blocks()
+    # with no samples, range() above would still give the block holding ``start``
+    return blocks() if config.samples else iter(())
 
 
 def _scan_block(

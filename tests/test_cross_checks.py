@@ -16,7 +16,7 @@ import pytest
 
 import uncertainty_lab as ul
 from uncertainty_lab import cli, moments
-from helpers import rand_hermitian, rand_state
+from helpers import rand_hermitian, rand_state, recorded_checks
 
 VARIANCE = "variance: norm form = moment form"
 C_FORMS = "correlation: moment form = deviation form"
@@ -79,15 +79,7 @@ def test_non_hermitian_input_fails_a_scan(nilpotent, l4, tmp_path, monkeypatch, 
 
 @pytest.fixture
 def recorded(monkeypatch):
-    seen = []
-    original = moments._check
-
-    def record(identity, residual, tol, *args):
-        seen.append(identity)
-        original(identity, residual, tol, *args)
-
-    monkeypatch.setattr(moments, "_check", record)
-    return seen
+    return recorded_checks(monkeypatch)
 
 
 def test_each_function_asserts_its_identities_once(recorded, l3, l4, phi2):
@@ -107,6 +99,30 @@ def test_each_function_asserts_its_identities_once(recorded, l3, l4, phi2):
         recorded.clear()
         func(l3, phi2) if func is ul.std_dev else func(l3, l4, phi2)
         assert recorded == identities, func.__name__
+
+
+def test_an_eigenstate_asserts_what_each_function_reads(recorded, l3, l4):
+    # (1, 0, 0) is an eigenvector of lambda3: no Pearson coefficient, so no
+    # Pearson checks, and pearson and decomposition raise before reading C
+    phi = ul.StateVector([1.0, 0.0, 0.0])
+    expected = {
+        ul.correlation: [C_FORMS],
+        ul.schrodinger_bound: [C_FORMS, SCHRODINGER],
+        ul.correlation_record: [C_FORMS, VARIANCE, VARIANCE],
+        ul.evaluate: [VARIANCE, VARIANCE, C_FORMS, SCHRODINGER] + CHAIN,
+        ul.classify: [VARIANCE, VARIANCE, C_FORMS, COMMUTATOR],
+        ul.sum_relations: [VARIANCE] * 3 + TRIANGLES,
+        ul.verify_candidate: [C_FORMS, VARIANCE, VARIANCE],
+    }
+    for func, identities in expected.items():
+        recorded.clear()
+        func(l3, l4, phi)
+        assert recorded == identities, func.__name__
+    for func in (ul.pearson, ul.decomposition):
+        recorded.clear()
+        with pytest.raises(ul.DegenerateSpread):
+            func(l3, l4, phi)
+        assert recorded == [VARIANCE, VARIANCE], func.__name__
 
 
 def test_each_scan_block_asserts_the_classify_identities_once(recorded, l3, l4):

@@ -155,33 +155,6 @@ class TestIsEigenstate:
         assert ul.is_eigenstate(ul.identity(4), rand_state(rng, 4))
 
 
-class TestLazyField:
-    class Record:
-        def __init__(self):
-            self.calls = 0
-
-        @moments._lazy
-        def value(self):
-            """The value, counted."""
-            self.calls += 1
-            return 42
-
-    def test_computes_once_and_stores_in_the_instance_dict(self):
-        rec = self.Record()
-        assert "value" not in rec.__dict__
-        assert rec.value == 42 and rec.value == 42
-        assert rec.calls == 1
-        assert rec.__dict__["value"] == 42
-
-    def test_read_on_the_class_returns_the_descriptor(self):
-        assert isinstance(self.Record.value, moments._lazy)
-        assert self.Record.__dict__["value"] is self.Record.value
-
-    def test_keeps_the_docstring(self):
-        assert self.Record.value.__doc__ == "The value, counted."
-        assert moments._Checked.c.__doc__.startswith("C in moment form, checked")
-
-
 class TestSharedRecord:
     def test_no_call_writes_to_the_shared_record(self, rng):
         # the record and its three spreads are built whole, so threads share them read-only

@@ -182,12 +182,14 @@ class TestMembershipScan:
             (int, 3), (int, 5), (int, 2)]
 
     @pytest.mark.parametrize(
-        "dim, total, cuts", [(3, 1500, (1, 2, 1370)), (64, 200, (37, 100, 101))]
+        "dim, total, cuts",
+        [(3, 1500, (1, 2, 1370)), (64, 200, (37, 100, 101)), (3, 1500, (1, 2, 2, 1370))],
     )
     def test_partition_does_not_change_a_row(self, rng, dim, total, cuts):
         # blocks hold 4096 // d rows (1365 at d = 3, 64 at d = 64): every cut
-        # falls inside a block, some ranges cross block boundaries, and
-        # [2, 3) and [100, 101) are one-row ranges; at the second eps_spread
+        # falls inside a block, some ranges cross block boundaries,
+        # [2, 3) and [100, 101) are one-row ranges and [2, 2), off a block
+        # boundary, is empty; at the second eps_spread
         # some rows have an eigen flag and no Pearson value
         a, b = (rand_hermitian(rng, dim) for _ in range(2))
         for eps_spread in (ul.DEFAULT_TOLERANCES.eps_spread, _MIXED_EPS[dim]):

@@ -13,10 +13,11 @@ Exit codes: 0 success, 1 failed demo golden check, 2 input or guard error, a
 value past the float range (for ``eval``, ``find`` and ``scan`` also a pair
 for which 4 ||A||_F^2 or 4 ||B||_F^2 is, checked before any moment is
 computed) or a MemoryError, 3 finder did not converge, 4 an internal
-cross-check failed, 5 stdout was closed before all output was written.  Every
-JSON output embeds a run manifest, a CSV ``--out`` a ``<out>.manifest.json``
-sidecar; ``eval --format csv`` to stdout prints the CSV alone.  The environment
-variable UNCERTAINTY_LAB_SEED gives the default seed, read on each call.
+cross-check failed, 5 stdout did not take all output (a closed pipe or a write
+error).  Every JSON output embeds a run manifest, a CSV ``--out`` a
+``<out>.manifest.json`` sidecar; ``eval --format csv`` to stdout prints the CSV
+alone.  The environment variable UNCERTAINTY_LAB_SEED gives the default seed,
+read on each call.
 
 ``main`` may be called repeatedly in one process: it builds its parser once,
 on the first call (``_parser``), and each call parses its own flags.
@@ -464,11 +465,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "scan" and args.out is None:
             raise CliError("scan requires --out for the CSV body")
         code = _DISPATCH[args.command](args)
-        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        sys.stdout.flush()  # a closed pipe or a failed write surfaces here, not at exit
         return code
-    except BrokenPipeError:
-        # the reader stopped early; stdout goes to devnull so the exit flush cannot fail again
+    except OSError as exc:
+        # only stdout can raise it here (input and --out errors are CliError); it goes to
+        # devnull so the exit flush cannot fail again, and a closed pipe stays silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
         return 5
     except (CliError, ValueError) as exc:
         # every library input or guard error is a ValueError

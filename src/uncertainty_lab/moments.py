@@ -16,8 +16,9 @@ A call asserts its own identities, whatever came before.
 ``_shared`` keeps the record of the last triple, keyed on the identities of A,
 B and phi (no ``__eq__``, read-only arrays; the slot keeps them alive, so no id
 is reused) and not on ``tol``, on which no number depends.  Its norms are
-``sqrt(<v|v>)``, and it forms no matrix product: <[A,B]> and <{A,B}> come from
-A(B|phi>) and B(A|phi>).  Every new record sizes A and B once (``_sized``
+``sqrt(<v|v>)``, and it forms no d x d array: as in a scan, <F^2>, <AB>, <BA>
+and A + B's moments are inner products of F|phi> and F^dag|phi> (formed as
+(F^T conj(phi))^*).  Every new record sizes A and B once (``_sized``
 scales F by an exact power of two when ||F||_F lies outside (1e-60, 1e60)),
 refuses a pair whose moments can leave the float range (``_refuse_past_range``,
 an OverflowError) and keeps the sizes for ``classify``'s commuting guard
@@ -148,15 +149,19 @@ def _flags(spread_a, spread_b, c, tol: Tolerances) -> tuple:
 
 
 class _Spread:
-    """One observable in phi: F|phi>, <F>, the deviation vector with its norm, and <F^2>."""
+    """One observable in phi: F|phi>, F^dag|phi>, <F>, <F^2>, the deviation vector and its norm."""
 
-    def __init__(self, matrix: np.ndarray, amps: np.ndarray):
-        _check_same_dim(matrix.shape[0], amps.shape[0])
-        self.f_phi = matrix @ amps
-        self.mean = complex(np.vdot(amps, self.f_phi)).real
-        self.vec = self.f_phi - self.mean * amps
+    def __init__(self, f_phi: np.ndarray, adj_phi: np.ndarray, amps: np.ndarray):
+        self.f_phi, self.adj_phi = f_phi, adj_phi
+        self.mean = complex(np.vdot(amps, f_phi)).real
+        self.vec = f_phi - self.mean * amps
         self.norm = _norm(self.vec)
-        self.m2 = complex(np.vdot(amps, matrix @ self.f_phi)).real
+        self.m2 = complex(np.vdot(adj_phi, f_phi)).real  # <F^2> = <F^dag phi|F phi>
+
+    @classmethod
+    def of(cls, matrix: np.ndarray, amps: np.ndarray) -> _Spread:
+        _check_same_dim(matrix.shape[0], amps.shape[0])
+        return cls(matrix @ amps, (matrix.T @ amps.conj()).conj(), amps)
 
     @property
     def spread(self) -> float:
@@ -181,7 +186,7 @@ def expectation(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLER
 def deviation_vector(f: Observable, phi: StateVector) -> DeviationVector:
     """(F - <F> I)|phi>.  Always orthogonal to |phi> up to roundoff."""
     _refuse_past_range(_sized(f), "F")
-    step = _Spread(f.matrix, phi.amps)
+    step = _Spread.of(f.matrix, phi.amps)
     return DeviationVector(vec=_freeze(step.vec), norm=step.norm)
 
 
@@ -189,7 +194,7 @@ def std_dev(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCE
     """Standard deviation of F in phi, computed as the deviation-vector norm
     and cross-checked against the moment form sqrt(<F^2> - <F>^2)."""
     _refuse_past_range(_sized(f), "F")
-    return _Spread(f.matrix, phi.amps).spread
+    return _Spread.of(f.matrix, phi.amps).spread
 
 
 def orthogonal_unit(
@@ -202,7 +207,7 @@ def orthogonal_unit(
     are phase-invariant.
     """
     _refuse_past_range(_sized(f), "F")
-    step = _Spread(f.matrix, phi.amps)
+    step = _Spread.of(f.matrix, phi.amps)
     if _is_eigen(step.norm, tol):
         return None
     return _freeze(step.vec / step.norm)
@@ -278,19 +283,19 @@ class _StateMoments:
         _refuse_past_range(self.sized[0], "A")
         _refuse_past_range(self.sized[1], "B")
         amps = phi.amps
-        self.a = _Spread(a.matrix, amps)
-        self.b = _Spread(b.matrix, amps)
+        self.a = _Spread.of(a.matrix, amps)
+        self.b = _Spread.of(b.matrix, amps)
         # ||A phi|| ||B phi||, as ||F phi||^2 = <F>^2 + dF^2 (see the module docstring)
         self.scale = math.hypot(self.a.mean, self.a.norm) * math.hypot(self.b.mean, self.b.norm)
         self.overlap = complex(np.vdot(self.a.vec, self.b.vec))  # the deviation form of C
-        # A B|phi> and B A|phi>, from the F|phi> already held
-        ab, ba = a.matrix @ self.b.f_phi, b.matrix @ self.a.f_phi
-        self.c = complex(np.vdot(amps, ab)) - self.a.mean * self.b.mean  # the moment form
-        self.hr = 0.5 * abs(complex(np.vdot(amps, ab - ba)))  # |<[A,B]>| / 2
+        # <AB> = <A^dag phi|B phi> and <BA> = <B^dag phi|A phi>, from the vectors already held
+        ab = complex(np.vdot(self.a.adj_phi, self.b.f_phi))
+        ba = complex(np.vdot(self.b.adj_phi, self.a.f_phi))
+        self.c = ab - self.a.mean * self.b.mean  # the moment form
+        self.hr = 0.5 * abs(ab - ba)  # |<[A,B]>| / 2
         # the Schrodinger bound, from <{A,B}> = <AB> + <BA> and the commutator bound
-        anti_mean = complex(np.vdot(amps, ab + ba)).real
-        self.schrodinger = math.hypot(0.5 * anti_mean - (self.a.mean * self.b.mean), self.hr)
-        self.sum = _Spread(a.matrix + b.matrix, amps)
+        self.schrodinger = math.hypot(0.5 * (ab + ba).real - (self.a.mean * self.b.mean), self.hr)
+        self.sum = _Spread(self.a.f_phi + self.b.f_phi, self.a.adj_phi + self.b.adj_phi, amps)
 
 
 @functools.lru_cache(maxsize=1)

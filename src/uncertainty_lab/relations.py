@@ -86,7 +86,7 @@ def hr_bound(a: Observable, b: Observable, phi: StateVector) -> float:
 def schrodinger_bound(a: Observable, b: Observable, phi: StateVector) -> float:
     """sqrt((<AB+BA>/2 - <A><B>)^2 + (|<[A,B]>|/2)^2).
 
-    Computed from <{A,B}> and <[A,B]>, read off A(B|phi>) and B(A|phi>),
+    Computed from <{A,B}> and <[A,B]>, read off <A^dag phi|B phi> and <B^dag phi|A phi>,
     then cross-checked against |C(A,B)|, to which it is identically equal.
     """
     n = _shared(a, b, phi)

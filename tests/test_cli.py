@@ -699,6 +699,20 @@ class TestBasis:
         assert "Traceback" not in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["basis", "--dim", "3"], ["demo"]])
+def test_a_failed_write_to_stdout_exits_5_with_one_error_line(argv):
+    # every write to /dev/full fails with ENOSPC
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "uncertainty_lab.cli", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=_module_env(), timeout=120,
+        )
+    assert proc.returncode == 5, proc.stderr
+    assert [line.startswith("error: ") for line in proc.stderr.splitlines()] == [True]
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
 class TestOutOfMemory:
     """A MemoryError exits 2 with one ``error:`` line and leaves no output file.
 

@@ -69,6 +69,44 @@ class TestCorrelation:
             ul.correlation(l3, l4, ul.StateVector([1.0, 0.0]))
 
 
+def _gamma(n: int, u: float) -> float:
+    return n * u / (1.0 - n * u)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps, reason="long double is no wider"
+)
+def test_c_is_within_its_rounding_bound_of_a_long_double_reference():
+    # The library forms C = <A^dag phi|B phi> - <A><B>, with <F> = Re <phi|F phi>.
+    # Its error bound (Higham, Accuracy and Stability of Numerical Algorithms,
+    # ch. 3), with u the unit roundoff, gamma_n = n u / (1 - n u), N = ||A||_F ||B||_F
+    # and ||phi|| = 1, in the standard model of complex arithmetic:
+    # - a complex product errs by at most sqrt(2) gamma_2 <= gamma_3 relatively and a
+    #   complex sum by u (Lemma 3.5), so a length-d inner product, in any order, errs
+    #   by at most gamma_(d+2) |x|^T |y|, and F|phi> (or F^dag|phi>) by a vector of
+    #   norm at most gamma_(d+2) || |F| |phi| || <= gamma_(d+2) ||F||_F;
+    # - <A^dag phi|B phi>, from two such products and one inner product, errs by at
+    #   most ((1 + gamma_(d+2))^3 - 1) N <= gamma_(3d+6) N, as ||F phi|| <= ||F||_F;
+    # - <A> errs by at most ((1 + gamma_(d+2))^2 - 1) ||A||_F <= gamma_(2d+4) ||A||_F,
+    #   so the product <A><B>, rounded once, by gamma_(4d+9) N;
+    # - the last subtraction adds at most u (|<AB>| + |<A><B>|) <= 2u (1 + gamma_(4d+9)) N.
+    # Summed with Lemma 3.3, |fl(C) - C| <= gamma_(7d+17) N.  The reference is the same
+    # formula on the same (exactly widened) inputs in long double, which errs by at most
+    # gamma_(7d+17) N in long double's own unit roundoff.
+    u, u_long = np.finfo(np.float64).eps / 2, np.finfo(np.longdouble).eps / 2
+    rng = np.random.default_rng(2025)
+    for d in range(2, 65):
+        for _ in range(2):
+            a, b, phi = rand_hermitian(rng, d), rand_hermitian(rng, d), rand_state(rng, d)
+            wa, wb, wphi = (x.astype(np.clongdouble) for x in (a.matrix, b.matrix, phi.amps))
+            mean_a, mean_b = np.vdot(wphi, wa @ wphi).real, np.vdot(wphi, wb @ wphi).real
+            reference = np.vdot(wa.conj().T @ wphi, wb @ wphi) - mean_a * mean_b
+            error = float(abs(np.clongdouble(ul.correlation(a, b, phi)) - reference))
+            size = np.linalg.norm(a.matrix) * np.linalg.norm(b.matrix)
+            bound = (_gamma(7 * d + 17, u) + _gamma(7 * d + 17, float(u_long))) * size
+            assert error <= bound, (d, error, bound)
+
+
 class TestPearson:
     def test_self_pearson_is_one(self, rng):
         for d in (2, 3, 5):

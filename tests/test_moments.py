@@ -203,7 +203,7 @@ class TestSpreadNorm:
         for d in range(2, 65):
             for _ in range(20):
                 f, phi = rand_hermitian(rng, d), rand_state(rng, d)
-                step = moments._Spread(f.matrix, phi.amps)
+                step = moments._Spread.of(f.matrix, phi.amps)
                 assert step.norm == pytest.approx(np.linalg.norm(step.vec), rel=1e-15, abs=0)
 
 

@@ -9,6 +9,10 @@ class TestHrBound:
     def test_uniform_state_kills_commutator_bound(self, l3, l4, phi2):
         assert ul.hr_bound(l3, l4, phi2) <= 1e-12
 
+    def test_readme_line_holds_exactly(self, l3, l4, phi2):
+        # <AB> and <BA> are each the one product s^2 (s = 1/sqrt(3)), so they cancel to 0.0
+        assert ul.hr_bound(l3, l4, phi2) == 0.0
+
     def test_self_pair(self, rng):
         a = rand_hermitian(rng, 4)
         assert ul.hr_bound(a, a, rand_state(rng, 4)) <= 1e-12

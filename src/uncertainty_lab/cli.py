@@ -20,7 +20,9 @@ alone.  The environment variable UNCERTAINTY_LAB_SEED gives the default seed,
 read on each call.
 
 ``main`` may be called repeatedly in one process: it builds its parser once,
-on the first call (``_parser``), and each call parses its own flags.
+on the first call (``_parser``), and each call parses its own flags.  A call
+that exits 5 on a failed write drops what stdout did not take and leaves
+stdout as it found it, so the next call writes (or fails) on its own.
 
 Each number of a scan's CSV is Python's shortest round-trip ``repr`` of the
 computed double, so ``float(field)`` gives that double back exactly; the
@@ -468,9 +470,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.flush()  # a closed pipe or a failed write surfaces here, not at exit
         return code
     except OSError as exc:
-        # only stdout can raise it here (input and --out errors are CliError); it goes to
-        # devnull so the exit flush cannot fail again, and a closed pipe stays silent
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # only stdout can raise it here (input and --out errors are CliError): what it
+        # could not take is drained into devnull, so no later flush (the next call's, or
+        # the one at exit) fails on it and a closed pipe stays silent; then fd 1 is put back
+        fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+        saved = os.dup(fd)
+        try:
+            os.dup2(devnull, fd)
+            sys.stdout.flush()
+        finally:
+            os.dup2(saved, fd)
+            os.close(saved)
+            os.close(devnull)
         if not isinstance(exc, BrokenPipeError):
             print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
         return 5

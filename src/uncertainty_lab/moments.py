@@ -1,12 +1,28 @@
-"""First and second moments of an observable in a pure state.
+"""First and second moments of observables in a pure state, in one algebra.
 
 The standard deviation of ``F`` in ``phi`` is the norm of the deviation
 vector ``(F - <F> I)|phi>``; it must agree with the moment form
 ``sqrt(<F^2> - <F>^2)``, and both routes are computed here so drift in
 either one is caught immediately.
 
+The moment algebra of a pair is written once, in ``_Moments``: from phi,
+A|phi>, B|phi>, A^dag|phi> and B^dag|phi> it forms the means, deviation
+vectors and spreads, <F^2> = <F^dag phi|F phi>, <AB> = <A^dag phi|B phi> and
+<BA>, C in both forms, |<[A,B]>| / 2, the Schrodinger bound and the pair scale
+||A phi|| ||B phi||, and it holds the variance, C-forms and commutator checks.
+It runs on one state (``_shared``) and on a block of states (the scans of
+``state_sets``), a state per column of (d, n) arrays, where a per-state
+number broadcasts as a Python float does against a (d,) vector.  Only four
+primitives differ, so each side rounds as it would alone: the inner product,
+norm and hypot (``_STATE``: ``complex(np.vdot)``, ``sqrt(<v|v>)``,
+``math.hypot``; ``state_sets._COLUMNS``: a column ``einsum``,
+``np.linalg.norm(axis=0)``, ``np.hypot``) and the check (``_check`` or
+``_check_rows``), which the caller passes each time a check runs, so a hook
+set on either module attribute sees it.
+
 Every per-state function of a pair reads the numbers of (A, B, phi) from one
-shared, unchecked ``_StateMoments`` record, computed whole on construction and
+shared, unchecked record, ``_shared``: the algebra of the state, with the
+sizes of A and B and the spread of A + B, computed whole on construction and
 never written after, so threads share it read-only.  The reads several
 functions share (the spreads, C, r, the Schrodinger bound) are checked by a
 second route in ``_spreads``, ``_c``, ``_pearson`` and ``_schrodinger``; a call
@@ -15,16 +31,18 @@ other identities itself, through ``moments._check`` (one hook sees them all).
 A call asserts its own identities, whatever came before.
 ``_shared`` keeps the record of the last triple, keyed on the identities of A,
 B and phi (no ``__eq__``, read-only arrays; the slot keeps them alive, so no id
-is reused) and not on ``tol``, on which no number depends.  Its norms are
-``sqrt(<v|v>)``, and it forms no d x d array: as in a scan, <F^2>, <AB>, <BA>
-and A + B's moments are inner products of F|phi> and F^dag|phi> (formed as
-(F^T conj(phi))^*).  Every new record sizes A and B once (``_sized``
-scales F by an exact power of two when ||F||_F lies outside (1e-60, 1e60)),
-refuses a pair whose moments can leave the float range (``_refuse_past_range``,
-an OverflowError) and keeps the sizes for ``classify``'s commuting guard
-``_refuse_commuting``, which forms the pair's one product, [A,B], on them, so
-its verdict is scale-free.  ``find`` and the scans run both checks, the guard
-first, as ``_require_pair``; functions of one observable check F's range.
+is reused) and not on ``tol``, on which no number depends.  It forms no d x d
+array: F^dag|phi> is formed as (F^T conj(phi))^*, which copies no matrix, and
+the moments of A + B come from A|phi> + B|phi> and A^dag|phi> + B^dag|phi>.
+Every new record sizes A and B once (``_sized`` scales F by an exact power of
+two when ||F||_F lies outside (1e-60, 1e60)), refuses a pair whose moments can
+leave the float range (``_refuse_past_range``, an OverflowError) and keeps the
+sizes for ``classify``'s commuting guard ``_refuse_commuting``, which forms
+the pair's one product, [A,B], on them, so its verdict is scale-free.
+``find`` and the scans run both checks, the guard first, as
+``_require_pair``; functions of one observable check F's range.
+``deviation_vector`` and ``orthogonal_unit`` form F|phi> alone; ``std_dev``
+forms F^dag|phi> and <F^2> too.
 
 Every verdict is made by one of three tests: ``_is_eigen`` (a spread at or
 below eps_spread counts as zero), ``_is_zero`` (|x| at or below tol_zero) and
@@ -39,7 +57,11 @@ for the variance, ``||A phi|| ||B phi||`` (which bounds ``|<AB>|``, ``|C|``,
 ``dA dB`` for the Pearson checks (as ``r = |C| / (dA dB)`` divides the
 roundoff of ``C``; the overlap is judged as ``|<dev_A|dev_B>| / (dA dB)``
 here and in the scan), the spreads for the triangle relations, 1 for the
-decomposition.  No check thus depends on the units of the observables.
+decomposition.  At a scale of 1 or more the limit is relative, so it does not
+depend on the units of the observables there.  Below 1 it is the absolute
+``tol``, so the checks lose sight of defects as the observables shrink: a
+relative error of 1e-3 in C's moment form fails the C-forms check at scale
+1e-2 but passes at 1e-4.  This is a known gap.
 ``_check_rows`` applies the rule to a block of rows (the scans of
 ``state_sets``), through ``_check`` on the row nearest to failing.
 ``expectation`` judges its imaginary part by the same rule, with the user's
@@ -48,10 +70,12 @@ decomposition.  No check thus depends on the units of the observables.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -88,6 +112,7 @@ _VARIANCE = "variance: norm form = moment form"
 _C_FORMS = "correlation: moment form = deviation form"
 _OVERLAP = "pearson: |C| / (dA dB) = direction overlap"
 _PEARSON_MAX = "pearson <= 1"
+_COMMUTATOR = "|<[A,B]>| = 2|Im C|"
 
 
 @dataclass(frozen=True)
@@ -148,28 +173,69 @@ def _flags(spread_a, spread_b, c, tol: Tolerances) -> tuple:
             neither & _is_zero(c.imag, tol), neither & _is_zero(c.real, tol))
 
 
-class _Spread:
-    """One observable in phi: F|phi>, F^dag|phi>, <F>, <F^2>, the deviation vector and its norm."""
+# The primitives the moment algebra runs on (see the module docstring), and those of one
+# state: (d,) vectors and Python numbers
+_Primitives = collections.namedtuple("_Primitives", "inner norm hypot")
+_STATE = _Primitives(lambda x, y: complex(np.vdot(x, y)), _norm, math.hypot)
 
-    def __init__(self, f_phi: np.ndarray, adj_phi: np.ndarray, amps: np.ndarray):
-        self.f_phi, self.adj_phi = f_phi, adj_phi
-        self.mean = complex(np.vdot(amps, f_phi)).real
+
+class _Spread:
+    """One observable F in phi, from F|phi>: <F>, the deviation vector
+    (F - <F> I)|phi> and its norm."""
+
+    def __init__(self, f_phi: np.ndarray, amps: np.ndarray, ops: _Primitives = _STATE):
+        self.mean = ops.inner(amps, f_phi).real
         self.vec = f_phi - self.mean * amps
-        self.norm = _norm(self.vec)
-        self.m2 = complex(np.vdot(adj_phi, f_phi)).real  # <F^2> = <F^dag phi|F phi>
+        self.norm = ops.norm(self.vec)
 
     @classmethod
     def of(cls, matrix: np.ndarray, amps: np.ndarray) -> _Spread:
         _check_same_dim(matrix.shape[0], amps.shape[0])
-        return cls(matrix @ amps, (matrix.T @ amps.conj()).conj(), amps)
+        return cls(matrix @ amps, amps)
 
-    @property
-    def spread(self) -> float:
-        """The norm, after comparing its square with <F^2> - <F>^2 (variances,
-        because the square root is ill-conditioned near eigenstates), on every read."""
-        residual = abs(self.norm**2 - (self.m2 - self.mean * self.mean))
-        _check(_VARIANCE, residual, abs(self.m2))
+
+class _Variance(_Spread):
+    """A ``_Spread`` with <F^2>, read from F|phi> and F^dag|phi>, for the variance check."""
+
+    def __init__(self, f_phi: np.ndarray, adj_phi: np.ndarray, amps: np.ndarray,
+                 ops: _Primitives = _STATE):
+        _Spread.__init__(self, f_phi, amps, ops)
+        self.m2 = ops.inner(adj_phi, f_phi).real  # <F^2> = <F^dag phi|F phi>
+
+    def spread(self, check: Callable) -> float:
+        """The norm, after ``check`` compares its square with <F^2> - <F>^2
+        (variances, because the square root is ill-conditioned near eigenstates)."""
+        check(_VARIANCE, abs(self.norm**2 - (self.m2 - self.mean * self.mean)), abs(self.m2))
         return self.norm
+
+
+class _Moments:
+    """The moment algebra of (A, B) in phi, unchecked, computed on
+    construction from phi, A|phi>, B|phi>, A^dag|phi> and B^dag|phi> with the
+    primitives ``ops``; its methods run the checks it holds with ``check``."""
+
+    def __init__(self, amps: np.ndarray, a_phi: np.ndarray, b_phi: np.ndarray,
+                 adj_a: np.ndarray, adj_b: np.ndarray, ops: _Primitives = _STATE):
+        self.a, self.b = _Variance(a_phi, adj_a, amps, ops), _Variance(b_phi, adj_b, amps, ops)
+        mean_ab = self.a.mean * self.b.mean
+        # ||A phi|| ||B phi||, as ||F phi||^2 = <F>^2 + dF^2 (see the module docstring)
+        self.scale = ops.hypot(self.a.mean, self.a.norm) * ops.hypot(self.b.mean, self.b.norm)
+        self.overlap = ops.inner(self.a.vec, self.b.vec)  # the deviation form of C
+        # <AB> = <A^dag phi|B phi> and <BA> = <B^dag phi|A phi>
+        ab, ba = ops.inner(adj_a, b_phi), ops.inner(adj_b, a_phi)
+        self.c = ab - mean_ab  # the moment form
+        self.hr = 0.5 * abs(ab - ba)  # |<[A,B]>| / 2
+        # the Schrodinger bound, from <{A,B}> = <AB> + <BA> and the commutator bound
+        self.schrodinger = ops.hypot(0.5 * (ab + ba).real - mean_ab, self.hr)
+
+    def correlation(self, check: Callable):
+        """C in moment form, checked against the deviation form."""
+        check(_C_FORMS, abs(self.c - self.overlap), self.scale)
+        return self.c
+
+    def commutator(self, check: Callable, c) -> None:
+        """Check |<[A,B]>| = 2|Im C| on ``c``, C already checked."""
+        check(_COMMUTATOR, abs(2.0 * self.hr - 2.0 * abs(c.imag)), self.scale)
 
 
 def expectation(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
@@ -194,7 +260,9 @@ def std_dev(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCE
     """Standard deviation of F in phi, computed as the deviation-vector norm
     and cross-checked against the moment form sqrt(<F^2> - <F>^2)."""
     _refuse_past_range(_sized(f), "F")
-    return _Spread.of(f.matrix, phi.amps).spread
+    _check_same_dim(f.dim, phi.dim)
+    amps = phi.amps
+    return _Variance(f.matrix @ amps, (f.matrix.T @ amps.conj()).conj(), amps).spread(_check)
 
 
 def orthogonal_unit(
@@ -274,49 +342,35 @@ def _require_pair(a: Observable, b: Observable, tol: Tolerances) -> None:
     _refuse_past_range(sized_b, "B")
 
 
-class _StateMoments:
-    """The numbers of (A, B, phi) and the sizes of A and B, unchecked, computed on construction."""
-
-    def __init__(self, a: Observable, b: Observable, phi: StateVector):
-        _check_same_dim(a.dim, b.dim)
-        self.sized = _sized(a), _sized(b)
-        _refuse_past_range(self.sized[0], "A")
-        _refuse_past_range(self.sized[1], "B")
-        amps = phi.amps
-        self.a = _Spread.of(a.matrix, amps)
-        self.b = _Spread.of(b.matrix, amps)
-        # ||A phi|| ||B phi||, as ||F phi||^2 = <F>^2 + dF^2 (see the module docstring)
-        self.scale = math.hypot(self.a.mean, self.a.norm) * math.hypot(self.b.mean, self.b.norm)
-        self.overlap = complex(np.vdot(self.a.vec, self.b.vec))  # the deviation form of C
-        # <AB> = <A^dag phi|B phi> and <BA> = <B^dag phi|A phi>, from the vectors already held
-        ab = complex(np.vdot(self.a.adj_phi, self.b.f_phi))
-        ba = complex(np.vdot(self.b.adj_phi, self.a.f_phi))
-        self.c = ab - self.a.mean * self.b.mean  # the moment form
-        self.hr = 0.5 * abs(ab - ba)  # |<[A,B]>| / 2
-        # the Schrodinger bound, from <{A,B}> = <AB> + <BA> and the commutator bound
-        self.schrodinger = math.hypot(0.5 * (ab + ba).real - (self.a.mean * self.b.mean), self.hr)
-        self.sum = _Spread(self.a.f_phi + self.b.f_phi, self.a.adj_phi + self.b.adj_phi, amps)
-
-
 @functools.lru_cache(maxsize=1)
-def _shared(a: Observable, b: Observable, phi: StateVector) -> _StateMoments:
+def _shared(a: Observable, b: Observable, phi: StateVector) -> _Moments:
     """The record of the last triple asked for (see the module docstring)."""
-    return _StateMoments(a, b, phi)
+    _check_same_dim(a.dim, b.dim)
+    sized = _sized(a), _sized(b)
+    _refuse_past_range(sized[0], "A")
+    _refuse_past_range(sized[1], "B")
+    _check_same_dim(a.dim, phi.dim)
+    amps, conj = phi.amps, phi.amps.conj()
+    a_phi, b_phi = a.matrix @ amps, b.matrix @ amps
+    adj_a, adj_b = (a.matrix.T @ conj).conj(), (b.matrix.T @ conj).conj()
+    n = _Moments(amps, a_phi, b_phi, adj_a, adj_b)
+    # the sizes, for classify's commuting guard, and the spread of A + B, for sum_relations
+    n.sized, n.sum = sized, _Variance(a_phi + b_phi, adj_a + adj_b, amps)
+    return n
 
 
-def _spreads(n: _StateMoments) -> tuple[float, float]:
-    """(dA, dB), each checked against its moment form."""
-    return n.a.spread, n.b.spread
+def _spreads(n: _Moments) -> tuple[float, float]:
+    """(dA, dB) of one state, each checked against its moment form."""
+    return n.a.spread(_check), n.b.spread(_check)
 
 
-def _c(n: _StateMoments) -> complex:
-    """C in moment form, checked against the deviation form."""
-    _check(_C_FORMS, abs(n.c - n.overlap), n.scale)
-    return n.c
+def _c(n: _Moments) -> complex:
+    """C of one state in moment form, checked against the deviation form."""
+    return n.correlation(_check)
 
 
 def _pearson(
-    n: _StateMoments, spreads: tuple[float, float], c: complex, tol: Tolerances
+    n: _Moments, spreads: tuple[float, float], c: complex, tol: Tolerances
 ) -> float | None:
     """|C| / (dA dB) from the checked ``spreads`` and ``c``, checked against
     |<dev_A|dev_B>| / (dA dB), the overlap of the deviation directions; None
@@ -330,7 +384,7 @@ def _pearson(
     return min(r, 1.0)
 
 
-def _schrodinger(n: _StateMoments, c: complex) -> float:
+def _schrodinger(n: _Moments, c: complex) -> float:
     """The Schrodinger bound, checked against |C| (``c``, already checked)."""
     _check("Schrodinger bound = |C|", abs(n.schrodinger - abs(c)), n.scale)
     return n.schrodinger

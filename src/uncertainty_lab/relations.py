@@ -132,7 +132,7 @@ def sum_relations(
     n = _shared(a, b, phi)
     da, db = _spreads(n)
     squares = da**2 + db**2
-    sos = n.sum.spread
+    sos = n.sum.spread(moments._check)
     if _is_eigen(min(da, db), tol):
         degenerate = Degeneracy.EIGENSTATE_TRIVIAL
     elif _is_zero(n.overlap, tol):

@@ -15,14 +15,18 @@ are excluded from all three sets by definition.
 
 ``classify`` judges one state from the shared ``moments`` record, reading the
 checked spreads, C and Pearson coefficient that several functions share, and
-asserts the commutator identity itself, through ``moments._check``.  A scan
+asserts the commutator identity, all through ``moments._check``.  A scan
 (``membership_scan`` and the CLI ``scan``) judges a block of Haar-random
-states at a time with one batched kernel.  It asserts the identities that
-``classify`` asserts, in the same order, once per block over all of the
-block's rows in the scan's range, so a failing check raises before any row of
-its block is yielded; an empty range has no block.  Both take their flags from
-``moments._flags``, built on the spread and zero tests behind every verdict of
-the package.
+states at a time, and runs the same moment algebra (``moments._Moments``) as
+the record: one matrix product gives A|phi>, B|phi>, A^dag|phi> and
+B^dag|phi> of every row, and the algebra runs on (d, n) views of it, a state
+per column, with the block primitives ``_COLUMNS`` and ``_check_rows``.  It
+asserts the identities that ``classify`` asserts, in the same order, once per
+block over all of the block's rows in the scan's range, so a failing check
+raises before any row of its block is yielded; an empty range has no block.
+Only the Pearson checks are the scan's own, masked to the rows where neither
+spread counts as zero.  Both take their flags from ``moments._flags``, built
+on the spread and zero tests behind every verdict of the package.
 
 Scan sample ``i`` is a pure function of ``(seed, i)``: its amplitudes come
 from the counter-based generator Philox-4x64 (Salmon et al., "Parallel Random
@@ -37,6 +41,7 @@ samples it takes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Iterator, NamedTuple
 
@@ -45,23 +50,10 @@ import numpy as np
 from .core import (DEFAULT_TOLERANCES, Observable, StateVector, Tolerances, ValidationError,
                    _check_int)
 from . import moments
-from .moments import (
-    _C_FORMS,
-    _OVERLAP,
-    _PEARSON_MAX,
-    _VARIANCE,
-    _c,
-    _check_rows,
-    _flags,
-    _pearson,
-    _refuse_commuting,
-    _require_pair,
-    _shared,
-    _spreads,
-)
+from .moments import (_OVERLAP, _PEARSON_MAX, _Moments, _Primitives, _c, _check_rows, _flags,
+                      _pearson, _refuse_commuting, _require_pair, _shared, _spreads)
 
 __all__ = ["ClassificationResult", "ScanConfig", "classify", "membership_scan"]
-_COMMUTATOR = "|<[A,B]>| = 2|Im C|"  # asserted by classify and, once per block, by the scans
 
 
 @dataclass(frozen=True)
@@ -110,7 +102,7 @@ def classify(
     n = _shared(a, b, phi)
     _refuse_commuting(*n.sized, tol)
     spreads, c = _spreads(n), _c(n)
-    moments._check(_COMMUTATOR, abs(2.0 * n.hr - 2.0 * abs(c.imag)), n.scale)
+    n.commutator(moments._check, c)
     return ClassificationResult(*_flags(*spreads, c, tol), _pearson(n, spreads, c, tol), tol)
 
 
@@ -154,9 +146,13 @@ def _rng_scheme(dim: int) -> dict[str, Any]:
     }
 
 
-def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """<x_i|y_i> for every row i."""
-    return np.einsum("ij,ij->i", x.conj(), y)
+def _coldot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x_j|y_j> for every column j."""
+    return np.einsum("ij,ij->j", x.conj(), y)
+
+
+# the primitives of a block, whose states are the columns of (d, n) arrays
+_COLUMNS = _Primitives(_coldot, functools.partial(np.linalg.norm, axis=0), np.hypot)
 
 
 def _scan_blocks(a: Observable, b: Observable, config: ScanConfig) -> Iterator[_ScanBlock]:
@@ -196,35 +192,26 @@ def _scan_block(
     The normalization and the product with ``operators`` run on the whole
     block, whatever ``keep`` is: a matrix product may round a row differently
     in a block of another size (a one-row block takes another BLAS route).
-    Every later step is row by row and runs on the ``keep`` rows only.
+    Every later step is row by row and runs on the ``keep`` rows only: the
+    moment algebra, on the rows as columns, and the masked Pearson checks.
     """
-    dim = raw.shape[1]
     phis = raw / np.linalg.norm(raw, axis=1)[:, None]
     products = (phis @ operators)[keep]
     phis = phis[keep]
-    a_phi, b_phi, adj_a, adj_b = products.reshape(-1, 4, dim).transpose(1, 0, 2)
     norm = np.linalg.norm(phis, axis=1)
     if not np.all(np.abs(norm - 1.0) <= tol.tol_norm):
         worst = float(norm[np.argmax(np.abs(norm - 1.0))])
         raise ValidationError(f"state is not normalized: ||amps|| = {worst!r}")
-    mean_a, mean_b = _rowdot(phis, a_phi).real, _rowdot(phis, b_phi).real
-    dev_a, dev_b = a_phi - mean_a[:, None] * phis, b_phi - mean_b[:, None] * phis
-    da, db = np.linalg.norm(dev_a, axis=1), np.linalg.norm(dev_b, axis=1)
-    a2, b2 = _rowdot(adj_a, a_phi).real, _rowdot(adj_b, b_phi).real  # <A^2> = <A^dag phi|A phi>
-    ab = _rowdot(adj_a, b_phi)  # <AB>
-    c, overlap = ab - mean_a * mean_b, _rowdot(dev_a, dev_b)  # C in moment and deviation form
-    hr = 0.5 * np.abs(ab - _rowdot(adj_b, a_phi))  # |<[A,B]>| / 2
-    # ||A phi|| ||B phi||, the scale of the pair checks (see moments)
-    scale = np.hypot(mean_a, da) * np.hypot(mean_b, db)
-    _check_rows(_VARIANCE, np.abs(da**2 - (a2 - mean_a * mean_a)), np.abs(a2))
-    _check_rows(_VARIANCE, np.abs(db**2 - (b2 - mean_b * mean_b)), np.abs(b2))
-    _check_rows(_C_FORMS, np.abs(c - overlap), scale)
-    _check_rows(_COMMUTATOR, np.abs(2.0 * hr - 2.0 * np.abs(c.imag)), scale)
+    # the moment algebra on (d, n) views: A phi, B phi, A^dag phi and B^dag phi of each row
+    n = _Moments(phis.T, *products.T.reshape(4, raw.shape[1], -1), _COLUMNS)
+    da, db, c = n.a.spread(_check_rows), n.b.spread(_check_rows), n.correlation(_check_rows)
+    n.commutator(_check_rows, c)
     flags = np.stack(_flags(da, db, c, tol), axis=1)
     spreads_ok = ~flags[:, :2].any(axis=1)
     product = np.where(spreads_ok, da * db, 1.0)
-    r, r_scale = np.abs(c) / product, scale / product  # C's roundoff, divided like C
-    _check_rows(_OVERLAP, np.where(spreads_ok, np.abs(r - np.abs(overlap) / product), 0.0), r_scale)
+    r, r_scale = np.abs(c) / product, n.scale / product  # C's roundoff, divided like C
+    _check_rows(_OVERLAP, np.where(spreads_ok, np.abs(r - np.abs(n.overlap) / product), 0.0),
+                r_scale)
     _check_rows(_PEARSON_MAX, np.where(spreads_ok, r - 1.0, 0.0), r_scale, error=ValidationError)
     pearson = np.where(spreads_ok, np.minimum(r, 1.0), np.nan)
     return _ScanBlock(first + keep.start, phis, c, pearson, flags)

@@ -713,6 +713,45 @@ def test_a_failed_write_to_stdout_exits_5_with_one_error_line(argv):
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
+_RERUN_AFTER_A_FAILED_WRITE = """
+import os, sys
+from uncertainty_lab.cli import main
+
+def stdout_to(path, flags):
+    fd = os.open(path, flags)
+    os.dup2(fd, 1)
+    os.close(fd)
+
+before = sorted(os.listdir("/proc/self/fd"))
+stdout_to("/dev/full", os.O_WRONLY)
+codes = [main(["basis", "--dim", "2"]), main(["basis", "--dim", "2"])]
+stdout_to(sys.argv[1], os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+codes.append(main(["basis", "--dim", "2"]))
+print(codes, sorted(os.listdir("/proc/self/fd")) == before, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")),
+                    reason="needs /dev/full and /proc/self/fd")
+def test_main_writes_again_after_a_failed_write_to_stdout(tmp_path, capsys):
+    # each failed call drops what stdout did not take, puts fd 1 back and closes
+    # every fd it opened, so the next call fails or writes on its own
+    out = tmp_path / "basis.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _RERUN_AFTER_A_FAILED_WRITE, str(out)],
+        stderr=subprocess.PIPE, text=True, env=_module_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines[-1] == "[5, 5, 0] True"
+    assert [line.startswith("error: cannot write to stdout: ") for line in lines[:-1]] == [True] * 2
+    assert main(["basis", "--dim", "2"]) == 0
+    written, fresh = (json.loads(text) for text in (out.read_text(), capsys.readouterr().out))
+    for doc in (written, fresh):
+        del doc["manifest"]["timestamp"]
+    assert written == fresh
+
+
 class TestOutOfMemory:
     """A MemoryError exits 2 with one ``error:`` line and leaves no output file.
 

@@ -197,6 +197,30 @@ class TestSharedRecord:
         assert moments._shared.cache_info()[:2] == (2, 3)
 
 
+class TestOneAlgebra:
+    def test_a_fault_in_the_algebra_fires_in_classify_and_in_a_scan(
+        self, l3, l4, phi2, monkeypatch
+    ):
+        # the per-state record and the scan block run one text: a defect in C's
+        # moment form there is caught by the C-forms check on both paths
+        init = moments._Moments.__init__
+
+        def faulty(self, *args):
+            init(self, *args)
+            self.c = self.c * (1 + 1e-3)
+
+        monkeypatch.setattr(moments._Moments, "__init__", faulty)
+        moments._shared.cache_clear()
+        fails = "^correlation: moment form = deviation form fails"
+        try:
+            with pytest.raises(ArithmeticError, match=fails):
+                ul.classify(l3, l4, phi2)
+            with pytest.raises(ArithmeticError, match=fails):
+                next(ul.membership_scan(l3, l4, ul.ScanConfig(samples=10, seed=1)))
+        finally:
+            moments._shared.cache_clear()  # the slot holds the faulty record
+
+
 class TestSpreadNorm:
     def test_matches_linalg_norm(self):
         rng = np.random.default_rng(1164)

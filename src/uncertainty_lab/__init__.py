@@ -9,7 +9,7 @@ vectors are orthogonal, i.e. for which the lower bound on the product of
 spreads is exactly zero.
 """
 
-__version__ = "0.10.1"
+__version__ = "0.10.2"
 
 from .core import (
     CommutingPair,

@@ -12,8 +12,8 @@ The search minimizes
     f(x) = |C_phi(A,B)|^2 + hinge(floor - dA)^2 + hinge(floor - dB)^2,   phi = x / ||x||
 
 over raw complex coordinates x.  f is invariant under scaling and global
-phase of x, so the unconstrained landscape is benign; x is renormalized after
-every accepted step purely for conditioning.  The penalty (rather than a
+phase of x, so the unconstrained landscape is benign; each evaluated point is
+normalized purely for conditioning.  The penalty (rather than a
 barrier) keeps f finite at random starts that violate the floor.  Convergence
 is declared on |C| <= tol_zero with both spreads at or above the floor (and
 above eps_spread), the one rule ``verify_candidate`` also applies -- the
@@ -25,16 +25,16 @@ while its hinge is active): k = 2 to 4 rows against 2d real unknowns.  Each
 step is the minimum-norm Gauss-Newton step dx = -J^T (J J^T)^-1 r, halved
 until f(x + t dx) < f + c t f'(x; dx); it converges quadratically near a
 zero of r, typically in 3 to 5 steps.  J is the real view of the complex
-rows ((re, im) columns interleaved); J J^T y = r is solved in closed form at
-k = 2, else by ``np.linalg.solve``, and by lstsq when det <= 0 or it raises.
+rows ((re, im) columns interleaved); J J^T y = r is solved on Python floats
+at k = 2, else by ``np.linalg.solve``, and by lstsq when det <= 0 or it raises.
 
 Each point costs one product with the stacked operator [I; A; B] (3d x d),
-which gives V = [x; Ax; Bx]; its 3 x 3 Gram matrix gives s = <x|x>, both
-means, C = <Ax|Bx>/s - <A><B> and both variances.  A step costs one more,
-of the deviations u_F = (F - <F>) x, whose products give every row of J.
-Each product takes at most three vectors, so no d x d matrix product is
-formed.  The point a step accepts is carried into the next step, not
-evaluated again.
+[x; Ax; Bx], kept over sqrt(s) as V = [phi; A phi; B phi]; its 3 x 3 Gram
+matrix gives s = <x|x>, both means, C = <Ax|Bx>/s - <A><B> and both
+variances.  A step costs one more, of the deviations u_F = (F - <F>) phi,
+whose products give every row of J.  Each product takes at most three
+vectors, so no d x d matrix product is formed.  The point a step accepts is
+carried into the next step, not evaluated again.
 """
 
 from __future__ import annotations
@@ -109,13 +109,13 @@ class FinderResult:
         return {**vars(self), "state": state_to_json_dict(self.state)}
 
 
-# One evaluation at phi = x/||x||: the parts, V = [x; Ax; Bx] and what its
-# 3 x 3 Gram matrix gives (s = <x|x>, both means, C and both variances).
+# One evaluation at phi = x/||x||: the parts, V = [phi; A phi; B phi] and what
+# the Gram matrix of [x; Ax; Bx] gives (s = <x|x>, both means, C and both variances).
 _Point = namedtuple("_Point", "parts v s mean_a mean_b c var_a var_b")
 
 
 class _Objective:
-    """f(x), its parts, residual and gradient from products with the stacked [I; A; B].
+    """f(x), its parts, residual and Jacobian from products with the stacked [I; A; B].
 
     Not read from the checked shared ``moments`` record: with its
     state validation and cross-checks an evaluation measured ~5x dearer,
@@ -131,63 +131,60 @@ class _Objective:
         self.floor = max(cfg.spread_floor, tol.eps_spread)
 
     def _point(self, x: np.ndarray) -> _Point:
-        """The point record at x, from one product V = [x; Ax; Bx] and its Gram <V_i|V_j>."""
+        """The point record at x, from one product [x; Ax; Bx] over sqrt(s) and its Gram."""
         v = (x @ self.ops_t).reshape(3, -1)
         (s, xa, xb), (_, aa, ab), (_, _, bb) = (v.conj() @ v.T).tolist()
         s = s.real
         if s == 0.0:
             raise ValidationError("objective and gradient are undefined at the zero vector")
         mean_a, mean_b = xa.real / s, xb.real / s
-        c = ab / s - mean_a * mean_b
-        var_a = max(aa.real / s - mean_a**2, 0.0)
-        var_b = max(bb.real / s - mean_b**2, 0.0)
-        d_a, d_b = math.sqrt(var_a), math.sqrt(var_b)
-        f = abs(c) ** 2 + max(self.floor - d_a, 0.0) ** 2 + max(self.floor - d_b, 0.0) ** 2
-        return _Point((f, abs(c), d_a, d_b), v, s, mean_a, mean_b, c, var_a, var_b)
+        c, var_a, var_b = ab / s - mean_a * mean_b, aa.real / s - mean_a**2, bb.real / s - mean_b**2
+        # clamp rounding below zero (a NaN stays); ** raises OverflowError past the float range
+        var_a, var_b = 0.0 if var_a < 0.0 else var_a, 0.0 if var_b < 0.0 else var_b
+        d_a, d_b, c_mod = math.sqrt(var_a), math.sqrt(var_b), abs(c)
+        h_a, h_b = self.floor - d_a, self.floor - d_b
+        f = c_mod**2 + (0.0 if h_a < 0.0 else h_a**2) + (0.0 if h_b < 0.0 else h_b**2)
+        return _Point((f, c_mod, d_a, d_b), v / math.sqrt(s), s, mean_a, mean_b, c, var_a, var_b)
 
-    def _rows(self, p: _Point) -> tuple[np.ndarray, np.ndarray]:
-        """Residual r and the complex rows w_j of its Jacobian, k <= 4.
+    def _rows(self, p: _Point) -> tuple[list[float], np.ndarray]:
+        """Residual r and the complex rows w_j of its Jacobian at phi = V_0, k <= 4.
 
         r = [Re C, Im C, h_A, h_B], a hinge row only while its hinge is active.
         By Wirtinger calculus, row j of the real Jacobian in (re x, im x) is
-        (Re w_j, Im w_j) for w_j = 2 dr_j/dxbar.  With u_F = (F - <F>) x,
+        (Re w_j, Im w_j) for w_j = 2 dr_j/dxbar.  With u_F = (F - <F>) phi,
 
-            s w_ReC = (A - <A>) u_B + (B - <B>) u_A - 2 Re C x,
-            s w_ImC = i ((B - <B>) u_A - (A - <A>) u_B) - 2 Im C x,
-            s w_hF  = -1/dF ((F - <F>) u_F - Var_F x),
+            w_ReC = (A - <A>) u_B + (B - <B>) u_A - 2 Re C phi,
+            w_ImC = i ((B - <B>) u_A - (A - <A>) u_B) - 2 Im C phi,
+            w_hF  = -1/dF ((F - <F>) u_F - Var_F phi),
 
-        so every row is a fixed combination, 1/s folded in, of the nine
-        vectors that one product of [x; u_A; u_B] with [I; A; B]^T gives.
+        so every row is a fixed combination of the nine vectors that one
+        product of [phi; u_A; u_B] with [I; A; B]^T gives.
         """
-        ma, mb, c, t = p.mean_a, p.mean_b, p.c, 1.0 / p.s
+        ma, mb, c = p.mean_a, p.mean_b, p.c
         _, _, d_a, d_b = p.parts
-        # rows x, Ax, Bx, u_A, A u_A, B u_A, u_B, A u_B, B u_B
-        z = ((p.v - np.array([[0.0], [ma], [mb]]) * p.v[0]) @ self.ops_t).reshape(9, -1)
+        # rows phi, A phi, B phi, u_A, A u_A, B u_A, u_B, A u_B, B u_B
+        z = ((p.v - np.multiply.outer((0.0, ma, mb), p.v[0])) @ self.ops_t).reshape(9, -1)
         r = [c.real, c.imag]
-        coef = [[-2.0 * t * c.real, 0.0, 0.0, -t * mb, 0.0, t, -t * ma, t, 0.0],
-                [-2.0 * t * c.imag, 0.0, 0.0, -1j * t * mb, 0.0, 1j * t, 1j * t * ma, -1j * t, 0.0]]
+        coef = [[-2.0 * c.real, 0.0, 0.0, -mb, 0.0, 1.0, -ma, 1.0, 0.0],
+                [-2.0 * c.imag, 0.0, 0.0, -1j * mb, 0.0, 1j, 1j * ma, -1j, 0.0]]
         for d_f, row in ((d_a, (-p.var_a, 0.0, 0.0, -ma, 1.0, 0.0, 0.0, 0.0, 0.0)),
                          (d_b, (-p.var_b, 0.0, 0.0, 0.0, 0.0, 0.0, -mb, 0.0, 1.0))):
             if self.floor - d_f > 0.0:
                 r.append(self.floor - d_f)
                 # dF is not differentiable at zero; its row is zero there
-                k = -t / d_f if d_f > 1e-30 else 0.0
+                k = -1.0 / d_f if d_f > 1e-30 else 0.0
                 coef.append([k * e for e in row])
-        return np.array(r), np.array(coef) @ z
+        return r, np.array(coef) @ z
 
     def parts(self, x: np.ndarray) -> _Parts:
         """(objective, |C|, dA, dB) in one pass."""
         return self._point(x).parts
 
     def residual(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Residual r with f = ||r||^2 and its k x 2d real Jacobian, k <= 4."""
-        r, w = self._rows(self._point(x))
-        return r, np.concatenate((w.real, w.imag), axis=1)
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        """Gradient 2 J^T r of the objective in the 2d real coordinates (re x, im x)."""
-        r, jac = self.residual(x)
-        return 2.0 * (r @ jac)
+        """Residual r with f = ||r||^2 and its k x 2d real Jacobian at x, k <= 4."""
+        p = self._point(x)
+        r, w = self._rows(p)  # r is scale invariant, so its rows at x are those at phi over ||x||
+        return np.array(r), np.concatenate((w.real, w.imag), axis=1) / math.sqrt(p.s)
 
 
 def _accepted(c_mod: float, d_a: float, d_b: float, floor: float, tol: Tolerances) -> bool:
@@ -214,47 +211,50 @@ def objective(
 def gradient(
     a: Observable, b: Observable, x: Any, cfg: FinderConfig | None = None
 ) -> np.ndarray:
-    """Analytic gradient of ``objective`` with respect to (re x, im x).
+    """Analytic gradient 2 J^T r of ``objective`` with respect to (re x, im x).
 
     Returned as a real vector of length 2d: the first d entries differentiate
     with respect to the real parts of x, the last d with respect to the
     imaginary parts.
     """
-    return _Objective(a, b, cfg or FinderConfig()).grad(_vector(a, x))
+    r, jac = _Objective(a, b, cfg or FinderConfig()).residual(_vector(a, x))
+    return 2.0 * (r @ jac)
 
 
 def _gauss_newton_step(obj: _Objective, p: _Point) -> _Point | None:
     """Minimum-norm step dx = -J^T (J J^T)^-1 r, halved to sufficient decrease.
 
     J is the float64 view of the rows W of ``_rows`` (the real Jacobian, its
-    (re, im) columns interleaved), so J J^T and J dx need no conjugate or
-    real-part copy.  k = 2 is solved in closed form on Python floats, k = 3, 4
-    by ``np.linalg.solve``; lstsq on J runs when det <= 0 or ``solve`` raises.
-    A trial step t dx is taken once f(x + t dx) < f + c t f'(x; dx), where
-    f'(x; dx) = 2 r.(J dx) is -2f whenever J dx = -r.  Returns the point at
-    the new x / ||x||, renormalized purely for conditioning, or None when no
-    step down to t = 2^-(_GN_HALVINGS - 1) passes the test.
+    (re, im) columns interleaved), and dx = J^T lam is lam.W.  At d <= 16 NumPy
+    calls set the cost, so k = 2 is solved in closed form on the Python floats
+    of r and J J^T, k = 3, 4 by ``np.linalg.solve``; lstsq on J runs when
+    det <= 0 or ``solve`` raises.  A trial step t dx is taken once f(x + t dx)
+    < f + c t f'(x; dx), where f'(x; dx) = 2 r.(J J^T lam) is -2f whenever
+    J J^T lam = -r.  Returns the point at x + t dx, which ``_point`` normalizes,
+    or None when no step down to t = 2^-(_GN_HALVINGS - 1) passes the test.
     """
     r, w = obj._rows(p)
     jac = w.view(np.float64)  # J, the (re, im) columns of each coordinate interleaved
-    gram, lam = jac @ jac.T, None  # dx = J^T lam, where J J^T lam = -r
+    gram, dx = jac @ jac.T, None  # dx = J^T lam, where J J^T lam = -r
     if len(r) == 2:
         (g00, g01), (_, g11) = gram.tolist()
-        (r0, r1), det = r.tolist(), g00 * g11 - g01 * g01
+        (r0, r1), det = r, g00 * g11 - g01 * g01
         if det > 0.0:
-            lam = np.array(((g01 * r1 - g11 * r0) / det, (g01 * r0 - g00 * r1) / det))
+            l0, l1 = (g01 * r1 - g11 * r0) / det, (g01 * r0 - g00 * r1) / det
+            dx = np.dot((l0, l1), w)
+            slope = 2.0 * (r0 * (g00 * l0 + g01 * l1) + r1 * (g01 * l0 + g11 * l1))
     else:
         with contextlib.suppress(np.linalg.LinAlgError):
             lam = -np.linalg.solve(gram, r)
-    dxr = -np.linalg.lstsq(jac, r, rcond=None)[0] if lam is None else lam @ jac
-    slope = 2.0 * float(r @ (jac @ dxr))
+            dx, slope = lam @ w, 2.0 * float(np.dot(r, gram @ lam))
+    if dx is None:
+        dxr = -np.linalg.lstsq(jac, r, rcond=None)[0]
+        dx, slope = dxr.view(np.complex128), 2.0 * float(np.dot(r, jac @ dxr))
     if not slope < 0.0:
         return None
-    f, x, dx = p.parts[0], p.v[0], dxr.view(np.complex128)
     for _ in range(_GN_HALVINGS):
-        y = x + dx
-        trial = obj._point(y / math.sqrt(np.vdot(y, y).real))
-        if trial.parts[0] < f + _ARMIJO_C * slope:
+        trial = obj._point(p.v[0] + dx)
+        if trial.parts[0] < p.parts[0] + _ARMIJO_C * slope:
             return trial
         # halve t: f'(x; t dx) = t f'(x; dx)
         dx, slope = 0.5 * dx, 0.5 * slope

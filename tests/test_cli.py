@@ -257,8 +257,8 @@ class TestFind:
         doc = json.loads(capsys.readouterr().out)
         assert doc["result"]["converged"] is True
         state = ul.state_from_json_dict(doc["result"]["state"])
-        l3 = ul.observable_from_json_dict(json.load(open(files["l3"])))
-        l4 = ul.observable_from_json_dict(json.load(open(files["l4"])))
+        l3 = ul.observable_from_json_dict(json.loads(Path(files["l3"]).read_text()))
+        l4 = ul.observable_from_json_dict(json.loads(Path(files["l4"]).read_text()))
         assert abs(ul.correlation(l3, l4, state)) <= 1e-10
 
     def test_emitted_state_accepted_by_eval(self, files, tmp_path, capsys):
@@ -438,7 +438,7 @@ class TestScan:
         assert (manifest["start"], manifest["samples"]) == (9, 5)
         assert manifest["rng"]["generator"].startswith("Philox-4x64")
         assert manifest["rng"]["counter_stride"] == 2  # ceil(2 * 3 / 4)
-        assert manifest["tool_version"] == ul.__version__ == "0.10.1"
+        assert manifest["tool_version"] == ul.__version__ == "0.10.2"
 
     def test_manifest_counts_and_hashes_the_written_body(self, files, tmp_path):
         # a loose tol_zero puts many rows in s_comm and s_anti, some in s_ab;

@@ -1,5 +1,5 @@
 import json
-import types
+import re
 
 import numpy as np
 import pytest
@@ -246,10 +246,9 @@ class _GivenRows:
         return finder._Point((0.0, 0.0, 1.0, 1.0), None, 1.0, 0.0, 0.0, 0j, 1.0, 1.0)
 
 
-def _step_from_zero(monkeypatch, r, w):
+def _step_from_zero(r, w):
     """The step dx that ``_gauss_newton_step`` tries first from x = 0, unnormalized, or None."""
-    # with x = 0 the first trial point is dx itself once the renormalization is a no-op
-    monkeypatch.setattr(finder, "math", types.SimpleNamespace(sqrt=lambda v: 1.0))
+    # with x = 0 the first trial point is dx itself: only ``_point`` normalizes
     obj = _GivenRows(r, w)
     start = finder._Point((1.0, 0.0, 1.0, 1.0), np.zeros((3, w.shape[1]), complex),
                           1.0, 0.0, 0.0, 0j, 1.0, 1.0)
@@ -272,7 +271,7 @@ class TestGaussNewtonSolve:
 
     @pytest.mark.parametrize("dim", [3, 8, 64])
     @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_step_matches_linalg_solve(self, dim, k, monkeypatch, lstsq_calls):
+    def test_step_matches_linalg_solve(self, dim, k, lstsq_calls):
         # k = 2 is the closed form, k = 3, 4 np.linalg.solve itself
         rng = np.random.default_rng(1400 + 10 * dim + k)
         for _ in range(25):
@@ -283,7 +282,7 @@ class TestGaussNewtonSolve:
             jac = np.concatenate((w.real, w.imag), axis=1)
             ref = -(np.linalg.solve(jac @ jac.T, r) @ jac)
             ref = ref[:dim] + 1j * ref[dim:]
-            dx = _step_from_zero(monkeypatch, r, w)
+            dx = _step_from_zero(r, w)
             assert np.max(np.abs(dx - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert not lstsq_calls
 
@@ -292,20 +291,98 @@ class TestGaussNewtonSolve:
         (2.0, (0.3, -1.2), True),   # parallel rows: det = 0
         (0.0, (0.0, 1.0), False),   # r orthogonal to the range of J: no descent
     ])
-    def test_singular_two_row_gram_takes_lstsq(self, monkeypatch, lstsq_calls, second, r, descends):
+    def test_singular_two_row_gram_takes_lstsq(self, lstsq_calls, second, r, descends):
         rng = np.random.default_rng(1414)
         v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         w = np.array([v, second * v])
         jac = w.view(np.float64)
         (g00, g01), (_, g11) = (jac @ jac.T).tolist()
         assert g00 * g11 - g01 * g01 <= 0.0
-        dx = _step_from_zero(monkeypatch, r, w)
+        dx = _step_from_zero(r, w)
         assert len(lstsq_calls) == 1
         if descends:
             # slope 2 r.(J dx) < 0: a descent direction for f = ||r||^2
             assert float(np.dot(r, jac @ dx.view(np.float64))) < 0.0
         else:
             assert dx is None
+
+
+def _recording_points(obj):
+    """Make obj record every point record its ``_point`` returns; returns the list."""
+    records, point = [], obj._point
+
+    def recording(x):
+        records.append(point(x))
+        return records[-1]
+
+    obj._point = recording
+    return records
+
+
+class TestGaussNewtonStep:
+    @pytest.mark.parametrize("dim", [3, 8, 64])
+    @pytest.mark.parametrize("hinges", [0, 1, 2])
+    def test_first_trial_is_the_normalized_pseudoinverse_step(self, dim, hinges):
+        # one whole step on a real objective from an unnormalized x: its first
+        # trial is normalize(x - J^+ r), with J^+ r from lstsq on the textbook
+        # Jacobian, and the step returns that trial whenever it is accepted
+        rng = np.random.default_rng(2700 + 10 * dim + hinges)
+        accepted_first = 0
+        for _ in range(8):
+            a, b = rand_hermitian(rng, dim), rand_hermitian(rng, dim)
+            x = 3.7 * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+            phi = ul.StateVector.normalized(x)
+            d_a, d_b = ul.std_dev(a, phi), ul.std_dev(b, phi)
+            cfg = ul.FinderConfig(spread_floor=(0.1, (d_a + d_b) / 2, 2.0 * max(d_a, d_b))[hinges])
+            _, r, jac = textbook_parts_and_rows(a.matrix, b.matrix, x, cfg)
+            assert len(r) == 2 + hinges
+            step = np.linalg.lstsq(jac, r, rcond=None)[0]
+            y = x - (step[:dim] + 1j * step[dim:])
+            obj = finder._Objective(a, b, cfg)
+            start = obj._point(x)
+            trials = _recording_points(obj)
+            accepted = finder._gauss_newton_step(obj, start)
+            first = trials[0].v[0]
+            assert np.linalg.norm(first - y / np.linalg.norm(y)) <= 1e-10 * np.linalg.norm(first)
+            accepted_first += accepted is trials[0]
+        assert accepted_first >= 4
+
+    def test_no_point_is_evaluated_twice(self, l3, l4, monkeypatch):
+        # _descend's promise: one _point call per start (P after D) and per
+        # trial (P after R), one _rows call (R) per step (S), on the point
+        # the start or the last step gave, and the trials at x + 2^-i dx
+        log = []
+
+        def logged(kind, fn):
+            def wrapper(*args):
+                log.append([kind, args[-1], None])
+                entry = log[-1]
+                entry[2] = fn(*args)
+                return entry[2]
+            return wrapper
+
+        monkeypatch.setattr(finder._Objective, "_point", logged("P", finder._Objective._point))
+        monkeypatch.setattr(finder._Objective, "_rows", logged("R", finder._Objective._rows))
+        monkeypatch.setattr(finder, "_gauss_newton_step", logged("S", finder._gauss_newton_step))
+        monkeypatch.setattr(finder, "_descend", logged("D", finder._descend))
+        rng = np.random.default_rng(2800)
+        pairs = [(l3, l4)] * 4 + [(rand_hermitian(rng, 8), rand_hermitian(rng, 8)) for _ in range(4)]
+        for seed, (a, b) in enumerate(pairs):
+            assert ul.find(a, b, ul.FinderConfig(seed=seed)).converged
+        kinds = "".join(kind for kind, _, _ in log)
+        assert re.fullmatch(r"(DP(SRP{0,%d})*)+" % finder._GN_HALVINGS, kinds), kinds
+        assert kinds.count("S") >= 2 * len(pairs)
+        for i in (i for i, kind in enumerate(kinds) if kind == "S"):
+            p, accepted = log[i][1], log[i][2]
+            assert p is log[i - 1][2] and log[i + 1][1] is p
+            trials = log[i + 2:i + 2 + len(re.match("P*", kinds[i + 2:])[0])]
+            moves = [y - p.v[0] for _, y, _ in trials]
+            for move, half in zip(moves, moves[1:]):
+                assert np.allclose(half, move / 2.0, rtol=1e-9, atol=1e-12)
+            if accepted is None:  # no descent direction, or no trial passed
+                assert len(trials) in (0, finder._GN_HALVINGS)
+            else:
+                assert trials and accepted is trials[-1][2]
 
 
 class TestFinderConfig:

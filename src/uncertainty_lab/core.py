@@ -127,9 +127,11 @@ class Observable:
     Hermiticity is enforced once here rather than re-checked by every
     downstream formula.  Supports ``+``, ``-``, unary ``-`` and real scaling,
     which preserve hermiticity; a result past the float range is refused.
+    Every instance is also sized once, at construction (``_hold``), for the
+    commuting guard and the range check of ``moments``.
     """
 
-    __slots__ = ("_matrix",)
+    __slots__ = ("_matrix", "_sized")
 
     def __init__(self, matrix: Any, tol: Tolerances = DEFAULT_TOLERANCES):
         arr = _as_complex_array(matrix, 2)
@@ -147,15 +149,36 @@ class Observable:
                 f"matrix is not Hermitian: max |M[i,j] - conj(M[j,i])| = {defect:.3e} "
                 f"> tol_herm * max(1, max |M[i,j]|) = {limit:.3e}"
             )
-        object.__setattr__(self, "_matrix", _freeze(arr))
+        self._hold(arr)
 
     @classmethod
     def _wrap(cls, matrix: np.ndarray) -> "Observable":
         # Fast path for matrices that are Hermitian by construction (sums,
         # real scalings of already-validated observables).
         obj = object.__new__(cls)
-        object.__setattr__(obj, "_matrix", _freeze(matrix))
+        obj._hold(matrix)
         return obj
+
+    def _hold(self, matrix: np.ndarray) -> None:
+        """Freeze ``matrix`` as F and set ``_sized`` to ``(F 2^-k, ||F 2^-k||_F, k)``,
+        with None for F 2^-k when k = 0: ``k = 0`` when ``||F||_F`` lies in
+        (1e-60, 1e60), else the power of two that brings F's largest |Re| or |Im|
+        entry into [1/2, 1) (0 for a zero matrix).  The scaling is exact, and the
+        squares of the scaled entries and size neither under- nor overflow."""
+        frozen = _freeze(matrix)
+        object.__setattr__(self, "_matrix", frozen)
+        scaled, size, exponent = None, _norm(frozen), 0
+        if not 1e-60 < size < 1e60:
+            parts = frozen.view(np.float64)
+            exponent = int(np.frexp(np.abs(parts).max())[1])
+            if exponent:  # a zero matrix keeps k = 0: its copy would be itself
+                scaled = Observable._wrap(np.ldexp(parts, -exponent).view(np.complex128))
+                size = scaled._sized[1]
+        object.__setattr__(self, "_sized", (scaled, size, exponent))
+
+    def __reduce__(self) -> tuple:
+        # rebuilt through _wrap, which re-freezes the buffer and sizes it again
+        return type(self)._wrap, (self._matrix,)
 
     @classmethod
     def _finite(cls, result: Callable[[], np.ndarray]) -> "Observable":
@@ -239,6 +262,9 @@ class StateVector:
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("StateVector is immutable")
+
+    def __reduce__(self) -> tuple:
+        return type(self)._wrap, (self._amps,)
 
     @property
     def amps(self) -> np.ndarray:

@@ -195,17 +195,22 @@ def _accepted(c_mod: float, d_a: float, d_b: float, floor: float, tol: Tolerance
     return _is_zero(c_mod, tol) and low >= floor and not _is_eigen(low, tol)
 
 
-def _vector(a: Observable, x: Any) -> np.ndarray:
+def _vector(a: Observable, x: Any) -> tuple[np.ndarray, int]:
+    """``(x 2^-k, k)``: k = 0 for the zero vector, else the power of two that
+    brings x's largest |Re| or |Im| into [1/2, 1), so that no square of the
+    point's product under- or overflows; f at x 2^-k is f at x."""
     vec = _as_complex_array(x, 1)
     _check_same_dim(a.dim, vec.shape[0])
-    return vec
+    parts = np.ascontiguousarray(vec).view(np.float64)
+    exponent = int(np.frexp(np.abs(parts).max())[1])
+    return np.ldexp(parts, -exponent).view(np.complex128), exponent
 
 
 def objective(
     a: Observable, b: Observable, x: Any, cfg: FinderConfig | None = None
 ) -> float:
     """Penalized squared-correlation objective at the normalization of x."""
-    return _Objective(a, b, cfg or FinderConfig()).parts(_vector(a, x))[0]
+    return _Objective(a, b, cfg or FinderConfig()).parts(_vector(a, x)[0])[0]
 
 
 def gradient(
@@ -217,8 +222,9 @@ def gradient(
     with respect to the real parts of x, the last d with respect to the
     imaginary parts.
     """
-    r, jac = _Objective(a, b, cfg or FinderConfig()).residual(_vector(a, x))
-    return 2.0 * (r @ jac)
+    vec, exponent = _vector(a, x)
+    r, jac = _Objective(a, b, cfg or FinderConfig()).residual(vec)
+    return np.ldexp(2.0 * (r @ jac), -exponent)  # f(x) = f(x 2^-k): the chain rule's 2^-k
 
 
 def _gauss_newton_step(obj: _Objective, p: _Point) -> _Point | None:

@@ -9,7 +9,8 @@ The moment algebra of a pair is written once, in ``_Moments``: from phi,
 A|phi>, B|phi>, A^dag|phi> and B^dag|phi> it forms the means, deviation
 vectors and spreads, <F^2> = <F^dag phi|F phi>, <AB> = <A^dag phi|B phi> and
 <BA>, C in both forms, |<[A,B]>| / 2, the Schrodinger bound and the pair scale
-||A phi|| ||B phi||, and it holds the variance, C-forms and commutator checks.
+||A phi|| ||B phi||, and it holds the variance, C-forms, commutator and
+Pearson checks.
 It runs on one state (``_shared``) and on a block of states (the scans of
 ``state_sets``), a state per column of (d, n) arrays, where a per-state
 number broadcasts as a Python float does against a (d,) vector.  Only four
@@ -22,8 +23,8 @@ set on either module attribute sees it.
 
 Every per-state function of a pair reads the numbers of (A, B, phi) from one
 shared, unchecked record, ``_shared``: the algebra of the state, with the
-sizes of A and B and the spread of A + B, computed whole on construction and
-never written after, so threads share it read-only.  The reads several
+spread of A + B, computed whole on construction and never written after, so
+threads share it read-only.  The reads several
 functions share (the spreads, C, r, the Schrodinger bound) are checked by a
 second route in ``_spreads``, ``_c``, ``_pearson`` and ``_schrodinger``; a call
 reads each once and passes the checked values on, and each report asserts its
@@ -34,11 +35,11 @@ B and phi (no ``__eq__``, read-only arrays; the slot keeps them alive, so no id
 is reused) and not on ``tol``, on which no number depends.  It forms no d x d
 array: F^dag|phi> is formed as (F^T conj(phi))^*, which copies no matrix, and
 the moments of A + B come from A|phi> + B|phi> and A^dag|phi> + B^dag|phi>.
-Every new record sizes A and B once (``_sized`` scales F by an exact power of
-two when ||F||_F lies outside (1e-60, 1e60)), refuses a pair whose moments can
-leave the float range (``_refuse_past_range``, an OverflowError) and keeps the
-sizes for ``classify``'s commuting guard ``_refuse_commuting``, which forms
-the pair's one product, [A,B], on them, so its verdict is scale-free.
+Each ``Observable`` sizes itself once, when it is built (``Observable._sized``).
+On those sizes every new record refuses a pair whose moments can leave the
+float range (``_refuse_past_range``, an OverflowError), and ``classify``'s
+commuting guard ``_refuse_commuting`` forms the pair's one product, [A,B], on
+the scaled A and B, so its verdict is scale-free.
 ``find`` and the scans run both checks, the guard first, as
 ``_require_pair``; functions of one observable check F's range.
 ``deviation_vector`` and ``orthogonal_unit`` form F|phi> alone; ``std_dev``
@@ -237,11 +238,21 @@ class _Moments:
         """Check |<[A,B]>| = 2|Im C| on ``c``, C already checked."""
         check(_COMMUTATOR, abs(2.0 * self.hr - 2.0 * abs(c.imag)), self.scale)
 
+    def pearson(self, check: Callable, product, c, keep=True):
+        """r = |C| / ``product`` (dA dB), from ``c`` (C, already checked),
+        checked against |<dev_A|dev_B>| / product, the overlap of the deviation
+        directions, and r <= 1, on the rows where ``keep`` holds (a residual
+        times False is 0, or NaN, which passes)."""
+        r, scale = abs(c) / product, self.scale / product  # C's roundoff, divided like C
+        check(_OVERLAP, keep * abs(r - abs(self.overlap) / product), scale)
+        check(_PEARSON_MAX, keep * (r - 1.0), scale, _TOL, ValidationError)
+        return r
+
 
 def expectation(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Expectation value <phi|F|phi>, guaranteed real for a valid observable."""
     _check_same_dim(f.dim, phi.dim)
-    _refuse_past_range(_sized(f), "F")
+    _refuse_past_range(f, "F")
     f_phi = f.matrix @ phi.amps
     val = complex(np.vdot(phi.amps, f_phi))
     size = _norm(f_phi)  # bounds |<F>|, so its roundoff scales with it
@@ -251,7 +262,7 @@ def expectation(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLER
 
 def deviation_vector(f: Observable, phi: StateVector) -> DeviationVector:
     """(F - <F> I)|phi>.  Always orthogonal to |phi> up to roundoff."""
-    _refuse_past_range(_sized(f), "F")
+    _refuse_past_range(f, "F")
     step = _Spread.of(f.matrix, phi.amps)
     return DeviationVector(vec=_freeze(step.vec), norm=step.norm)
 
@@ -259,7 +270,7 @@ def deviation_vector(f: Observable, phi: StateVector) -> DeviationVector:
 def std_dev(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Standard deviation of F in phi, computed as the deviation-vector norm
     and cross-checked against the moment form sqrt(<F^2> - <F>^2)."""
-    _refuse_past_range(_sized(f), "F")
+    _refuse_past_range(f, "F")
     _check_same_dim(f.dim, phi.dim)
     amps = phi.amps
     return _Variance(f.matrix @ amps, (f.matrix.T @ amps.conj()).conj(), amps).spread(_check)
@@ -274,7 +285,7 @@ def orthogonal_unit(
     raw deviation vector; every consumer uses moduli of inner products, which
     are phase-invariant.
     """
-    _refuse_past_range(_sized(f), "F")
+    _refuse_past_range(f, "F")
     step = _Spread.of(f.matrix, phi.amps)
     if _is_eigen(step.norm, tol):
         return None
@@ -286,29 +297,12 @@ def is_eigenstate(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOL
     return _is_eigen(std_dev(f, phi, tol), tol)
 
 
-_Sized = tuple[Observable, float, int]
-
-
-def _sized(f: Observable) -> _Sized:
-    """``(F 2^-k, ||F 2^-k||_F, k)``: ``k = 0`` when ``||F||_F`` lies in
-    (1e-60, 1e60), else the power of two that brings F's largest |Re| or |Im|
-    entry into [1/2, 1).  The scaling is exact, and the squares of the scaled
-    entries and size neither under- nor overflow."""
-    size = _norm(f.matrix)
-    if 1e-60 < size < 1e60:
-        return f, size, 0
-    parts = f.matrix.view(np.float64)
-    exponent = int(np.frexp(np.abs(parts).max())[1])  # 0 for a zero matrix
-    f = Observable._wrap(np.ldexp(parts, -exponent).view(np.complex128))
-    return f, _norm(f.matrix), exponent
-
-
-def _refuse_commuting(sized_a: _Sized, sized_b: _Sized, tol: Tolerances) -> None:
+def _refuse_commuting(a: Observable, b: Observable, tol: Tolerances) -> None:
     """Raise CommutingPair when ||[A,B]||_F <= tol_zero ||A||_F ||B||_F, on
-    the ``_sized`` A and B (scale-free)."""
-    (a, size_a, _), (b, size_b, _) = sized_a, sized_b
+    A and B as ``Observable._sized`` scales them (scale-free)."""
+    (scaled_a, size_a, _), (scaled_b, size_b, _) = a._sized, b._sized
     # Both products: P - P^dag (P = AB) is [A,B] only for Hermitian A and B
-    norm = _norm(commutator(a, b))
+    norm = _norm(commutator(scaled_a or a, scaled_b or b))
     if norm <= tol.tol_zero * size_a * size_b:
         ratio = norm / (size_a * size_b) if norm else 0.0
         raise CommutingPair(
@@ -317,12 +311,13 @@ def _refuse_commuting(sized_a: _Sized, sized_b: _Sized, tol: Tolerances) -> None
         )
 
 
-def _refuse_past_range(sized: _Sized, name: str) -> None:
+def _refuse_past_range(f: Observable, name: str) -> None:
     """Raise OverflowError, calling F ``name``, when ``4 ||F||_F^2`` exceeds the
     largest float: ``||F||_F^2`` bounds <F^2>, ``||A||_F ||B||_F`` (at most the larger
     square) bounds |<AB>| and |C|, and 4 covers the sums of two such terms (AB + BA,
-    A + B).  The size comes from ``_sized``, so the check itself cannot overflow."""
-    _, size, exponent = sized
+    A + B).  The size comes from ``Observable._sized``, so the check itself cannot
+    overflow."""
+    _, size, exponent = f._sized
     try:
         math.ldexp(4.0 * size * size, 2 * exponent)
     except OverflowError:
@@ -334,28 +329,25 @@ def _refuse_past_range(sized: _Sized, name: str) -> None:
 
 
 def _require_pair(a: Observable, b: Observable, tol: Tolerances) -> None:
-    """The checks of ``find`` and the scans, sizing A and B once: the
+    """The checks of ``find`` and the scans, on the sizes A and B hold: the
     commuting guard, then the range check of A and that of B."""
-    sized_a, sized_b = _sized(a), _sized(b)
-    _refuse_commuting(sized_a, sized_b, tol)
-    _refuse_past_range(sized_a, "A")
-    _refuse_past_range(sized_b, "B")
+    _refuse_commuting(a, b, tol)
+    _refuse_past_range(a, "A")
+    _refuse_past_range(b, "B")
 
 
 @functools.lru_cache(maxsize=1)
 def _shared(a: Observable, b: Observable, phi: StateVector) -> _Moments:
     """The record of the last triple asked for (see the module docstring)."""
     _check_same_dim(a.dim, b.dim)
-    sized = _sized(a), _sized(b)
-    _refuse_past_range(sized[0], "A")
-    _refuse_past_range(sized[1], "B")
+    _refuse_past_range(a, "A")
+    _refuse_past_range(b, "B")
     _check_same_dim(a.dim, phi.dim)
     amps, conj = phi.amps, phi.amps.conj()
     a_phi, b_phi = a.matrix @ amps, b.matrix @ amps
     adj_a, adj_b = (a.matrix.T @ conj).conj(), (b.matrix.T @ conj).conj()
     n = _Moments(amps, a_phi, b_phi, adj_a, adj_b)
-    # the sizes, for classify's commuting guard, and the spread of A + B, for sum_relations
-    n.sized, n.sum = sized, _Variance(a_phi + b_phi, adj_a + adj_b, amps)
+    n.sum = _Variance(a_phi + b_phi, adj_a + adj_b, amps)  # the spread of A + B, for sum_relations
     return n
 
 
@@ -377,11 +369,7 @@ def _pearson(
     when the spread test finds either spread zero."""
     if _is_eigen(min(spreads), tol):
         return None
-    product = math.prod(spreads)
-    r, scale = abs(c) / product, n.scale / product  # C's roundoff, divided like C
-    _check(_OVERLAP, abs(r - abs(n.overlap) / product), scale)
-    _check(_PEARSON_MAX, r - 1.0, scale, _TOL, ValidationError)
-    return min(r, 1.0)
+    return min(n.pearson(_check, math.prod(spreads), c), 1.0)
 
 
 def _schrodinger(n: _Moments, c: complex) -> float:

@@ -24,7 +24,7 @@ per column, with the block primitives ``_COLUMNS`` and ``_check_rows``.  It
 asserts the identities that ``classify`` asserts, in the same order, once per
 block over all of the block's rows in the scan's range, so a failing check
 raises before any row of its block is yielded; an empty range has no block.
-Only the Pearson checks are the scan's own, masked to the rows where neither
+The Pearson checks (``_Moments.pearson``) run there on the rows where neither
 spread counts as zero.  Both take their flags from ``moments._flags``, built
 on the spread and zero tests behind every verdict of the package.
 
@@ -50,8 +50,8 @@ import numpy as np
 from .core import (DEFAULT_TOLERANCES, Observable, StateVector, Tolerances, ValidationError,
                    _check_int)
 from . import moments
-from .moments import (_OVERLAP, _PEARSON_MAX, _Moments, _Primitives, _c, _check_rows, _flags,
-                      _pearson, _refuse_commuting, _require_pair, _shared, _spreads)
+from .moments import (_Moments, _Primitives, _c, _check_rows, _flags, _pearson, _refuse_commuting,
+                      _require_pair, _shared, _spreads)
 
 __all__ = ["ClassificationResult", "ScanConfig", "classify", "membership_scan"]
 
@@ -100,7 +100,7 @@ def classify(
     s_ab => s_comm and s_anti hold structurally even at tolerance boundaries.
     """
     n = _shared(a, b, phi)
-    _refuse_commuting(*n.sized, tol)
+    _refuse_commuting(a, b, tol)
     spreads, c = _spreads(n), _c(n)
     n.commutator(moments._check, c)
     return ClassificationResult(*_flags(*spreads, c, tol), _pearson(n, spreads, c, tol), tol)
@@ -193,7 +193,7 @@ def _scan_block(
     block, whatever ``keep`` is: a matrix product may round a row differently
     in a block of another size (a one-row block takes another BLAS route).
     Every later step is row by row and runs on the ``keep`` rows only: the
-    moment algebra, on the rows as columns, and the masked Pearson checks.
+    moment algebra, on the rows as columns, with its Pearson checks masked.
     """
     phis = raw / np.linalg.norm(raw, axis=1)[:, None]
     products = (phis @ operators)[keep]
@@ -208,11 +208,7 @@ def _scan_block(
     n.commutator(_check_rows, c)
     flags = np.stack(_flags(da, db, c, tol), axis=1)
     spreads_ok = ~flags[:, :2].any(axis=1)
-    product = np.where(spreads_ok, da * db, 1.0)
-    r, r_scale = np.abs(c) / product, n.scale / product  # C's roundoff, divided like C
-    _check_rows(_OVERLAP, np.where(spreads_ok, np.abs(r - np.abs(n.overlap) / product), 0.0),
-                r_scale)
-    _check_rows(_PEARSON_MAX, np.where(spreads_ok, r - 1.0, 0.0), r_scale, error=ValidationError)
+    r = n.pearson(_check_rows, np.where(spreads_ok, da * db, 1.0), c, spreads_ok)
     pearson = np.where(spreads_ok, np.minimum(r, 1.0), np.nan)
     return _ScanBlock(first + keep.start, phis, c, pearson, flags)
 

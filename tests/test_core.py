@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import re
 from pathlib import Path
 
@@ -374,3 +376,29 @@ def test_pyproject_version_is_the_package_version():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
     assert match is not None and match.group(1) == ul.__version__
+
+
+class TestPickleAndCopy:
+    """Both wrappers rebuild through ``_wrap``, which freezes a copy again."""
+
+    @staticmethod
+    def _round_trips(obj):
+        return pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-700])
+    def test_observable(self, l3, scale):
+        f = scale * l3
+        for g in self._round_trips(f):
+            assert type(g) is ul.Observable and g.matrix.tobytes() == f.matrix.tobytes()
+            assert not g.matrix.flags.writeable
+            assert g._sized[1:] == f._sized[1:]
+
+    def test_state(self, phi2):
+        for psi in self._round_trips(phi2):
+            assert type(psi) is ul.StateVector and psi.amps.tobytes() == phi2.amps.tobytes()
+            assert not psi.amps.flags.writeable
+
+    def test_finder_result(self, l3, l4):
+        result = ul.find(l3, l4)
+        for clone in self._round_trips(result):
+            assert clone.to_json_dict() == result.to_json_dict()

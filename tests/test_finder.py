@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,33 @@ class TestObjective:
     def test_zero_vector_rejected(self, l3, l4):
         with pytest.raises(ul.ValidationError):
             ul.objective(l3, l4, np.zeros(3, dtype=complex))
+
+    @pytest.mark.parametrize("pair", ["lambda3/lambda4", "d=8"])
+    def test_exact_at_every_power_of_two_scale(self, l3, l4, pair):
+        if pair == "d=8":
+            rng = np.random.default_rng(2028)
+            a, b = rand_hermitian(rng, 8), rand_hermitian(rng, 8)
+            x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        else:
+            a, b, x = l3, l4, np.array([1.0, 0.5, 0.2j])
+        value, grad = ul.objective(a, b, x), ul.gradient(a, b, x)
+        for j in (-1000, -540, -200, -1, 1, 200, 540, 1000):
+            scaled = np.ldexp(x.view(np.float64), j).view(np.complex128)
+            assert np.float64(ul.objective(a, b, scaled)).tobytes() == np.float64(value).tobytes()
+            assert np.ldexp(ul.gradient(a, b, scaled), j).tobytes() == grad.tobytes()
+
+    def test_finite_at_extreme_scales(self, l3, l4):
+        # at 1e-170 x the norm of x underflowed to zero, at 1e160 x its products overflowed
+        x = np.array([1.0, 0.5, 0.2j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (1e-170, 1e160):
+                assert ul.objective(l3, l4, s * x) == pytest.approx(ul.objective(l3, l4, x),
+                                                                    rel=1e-12)
+                assert np.isfinite(ul.gradient(l3, l4, s * x)).all()
+            for fn in (ul.objective, ul.gradient):
+                with pytest.raises(ul.ValidationError, match="undefined at the zero vector"):
+                    fn(l3, l4, np.zeros(3, dtype=complex))
 
     @pytest.mark.parametrize("fn", [ul.objective, ul.gradient])
     def test_malformed_point_rejected(self, l3, l4, fn):

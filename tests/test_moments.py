@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import uncertainty_lab as ul
-from uncertainty_lab import moments
+from uncertainty_lab import core, moments
 from helpers import oracle_std, rand_hermitian, rand_state
 
 
@@ -253,9 +253,7 @@ class TestCommutingGuard:
     @pytest.mark.parametrize("s", [1e155, 1e300, 5e-324])
     def test_no_square_under_or_overflows(self, s, l3, l4):
         with np.errstate(all="raise"):
-            moments._refuse_commuting(
-                moments._sized(s * l3), moments._sized(s * l4), ul.DEFAULT_TOLERANCES
-            )
+            moments._refuse_commuting(s * l3, s * l4, ul.DEFAULT_TOLERANCES)
 
 
 class TestFloatRange:
@@ -264,17 +262,17 @@ class TestFloatRange:
     @pytest.mark.parametrize("s", [1e154, 1e155, 1e300])
     def test_refuses_squared_sizes_past_a_quarter_of_the_range(self, s, l3, l4):
         with np.errstate(all="raise"), pytest.raises(OverflowError, match=r"\|\|A\|\|_F\^2"):
-            moments._refuse_past_range(moments._sized(s * l3), "A")
+            moments._refuse_past_range(s * l3, "A")
         with np.errstate(all="raise"), pytest.raises(OverflowError, match=r"\|\|B\|\|_F\^2"):
-            moments._refuse_past_range(moments._sized(l3), "A")
-            moments._refuse_past_range(moments._sized(s * l4), "B")
+            moments._refuse_past_range(l3, "A")
+            moments._refuse_past_range(s * l4, "B")
 
     @pytest.mark.parametrize("s", [5e-324, 1e-200, 1.0, 1e150, 4e153])
     def test_passes_pairs_inside_the_range(self, s, l3, l4):
         # ||s l3||_F^2 = 2 s^2: 4 * 2 * (4e153)^2 ~ 1.3e308 still fits
         with np.errstate(all="raise"):
-            moments._refuse_past_range(moments._sized(s * l3), "A")
-            moments._refuse_past_range(moments._sized(s * l4), "B")
+            moments._refuse_past_range(s * l3, "A")
+            moments._refuse_past_range(s * l4, "B")
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("huge", ["A", "B", "AB"])
@@ -322,25 +320,30 @@ class TestFloatRange:
             with np.errstate(all="raise"), pytest.raises(ul.CommutingPair, match="commutes"):
                 call()
 
-    def test_find_and_scans_size_each_observable_once(self, l3, l4, monkeypatch):
-        real, sized = moments._sized, []
-        monkeypatch.setattr(moments, "_sized", lambda f: sized.append(f) or real(f))
-        for run in (lambda: ul.find(l3, l4),
-                    lambda: list(ul.membership_scan(l3, l4, ul.ScanConfig(samples=3000, seed=0)))):
-            sized.clear()
-            run()  # the scan spans three blocks at d = 3
-            assert len(sized) == 2 and sized[0] is l3 and sized[1] is l4
+    def test_each_observable_is_sized_once_in_its_lifetime(self, l3, l4, monkeypatch):
+        # sizing takes the Frobenius norm of F; core's other norms are of vectors
+        real, sized = core._norm, []
 
-    def test_a_fresh_classify_sizes_each_observable_once(self, l3, l4, phi2, monkeypatch):
-        # the record's range checks size A and B; the commuting guard reads those sizes
-        real, sized = moments._sized, []
-        monkeypatch.setattr(moments, "_sized", lambda f: sized.append(f) or real(f))
-        moments._shared.cache_clear()
-        ul.classify(l3, l4, phi2)
-        assert len(sized) == 2 and sized[0] is l3 and sized[1] is l4
-        with pytest.raises(ul.CommutingPair):
-            ul.classify(l3, ul.su3_lambda(8), phi2)
-        assert len(sized) == 4
+        def norm(v):
+            if v.ndim == 2:
+                sized.append(v)
+            return real(v)
+
+        monkeypatch.setattr(core, "_norm", norm)
+        a, b = ul.validate_observable(l3.matrix), ul.validate_observable(l4.matrix)
+        assert len(sized) == 2 and sized[0] is a.matrix and sized[1] is b.matrix
+        states = (ul.uniform_superposition(3), ul.two_level_state(1, 1j),
+                  rand_state(np.random.default_rng(28), 3))
+        for phi in states:
+            for call in (ul.evaluate, ul.correlation_record, ul.classify, ul.sum_relations):
+                call(a, b, phi)
+        assert ul.find(a, b).converged
+        assert len(list(ul.membership_scan(a, b, ul.ScanConfig(samples=3000, seed=0)))) == 3000
+        assert len(sized) == 2  # the scan above spans three blocks at d = 3
+        tiny = 2**-700 * a  # its own norm, then that of its copy scaled by 2^699, a / 2
+        scaled, size, exponent = tiny._sized
+        assert len(sized) == 4 and sized[3] is scaled.matrix and exponent == -699
+        assert scaled._sized == (None, size, 0) and a._sized == (None, 2.0 * size, 0)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_every_function_of_one_observable_refuses_such_an_observable(self, dim):

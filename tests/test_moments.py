@@ -320,7 +320,8 @@ class TestFloatRange:
             with np.errstate(all="raise"), pytest.raises(ul.CommutingPair, match="commutes"):
                 call()
 
-    def test_each_observable_is_sized_once_in_its_lifetime(self, l3, l4, monkeypatch):
+    @staticmethod
+    def sizings(monkeypatch):
         # sizing takes the Frobenius norm of F; core's other norms are of vectors
         real, sized = core._norm, []
 
@@ -330,6 +331,31 @@ class TestFloatRange:
             return real(v)
 
         monkeypatch.setattr(core, "_norm", norm)
+        return sized
+
+    def test_find_and_scans_size_each_observable_once(self, l3, l4, monkeypatch):
+        sized = self.sizings(monkeypatch)
+        a, b = ul.validate_observable(l3.matrix), ul.validate_observable(l4.matrix)
+        assert len(sized) == 2 and sized[0] is a.matrix and sized[1] is b.matrix
+        assert ul.find(a, b).converged
+        assert len(list(ul.membership_scan(a, b, ul.ScanConfig(samples=3000, seed=0)))) == 3000
+        assert len(sized) == 2  # the scan above spans three blocks at d = 3
+
+    def test_a_fresh_classify_sizes_each_observable_once(self, l3, l4, phi2, monkeypatch):
+        # the record's range checks and the commuting guard read the sizes A and B hold
+        sized = self.sizings(monkeypatch)
+        moments._shared.cache_clear()
+        a, b = ul.validate_observable(l3.matrix), ul.validate_observable(l4.matrix)
+        ul.classify(a, b, phi2)
+        assert len(sized) == 2 and sized[0] is a.matrix and sized[1] is b.matrix
+        l8 = ul.validate_observable(ul.su3_lambda(8).matrix)
+        assert len(sized) == 2 + 8 + 1  # su3_lambda builds all 8 Gell-Mann matrices
+        with pytest.raises(ul.CommutingPair):
+            ul.classify(a, l8, phi2)
+        assert len(sized) == 11
+
+    def test_each_observable_is_sized_once_in_its_lifetime(self, l3, l4, monkeypatch):
+        sized = self.sizings(monkeypatch)
         a, b = ul.validate_observable(l3.matrix), ul.validate_observable(l4.matrix)
         assert len(sized) == 2 and sized[0] is a.matrix and sized[1] is b.matrix
         states = (ul.uniform_superposition(3), ul.two_level_state(1, 1j),
@@ -337,9 +363,7 @@ class TestFloatRange:
         for phi in states:
             for call in (ul.evaluate, ul.correlation_record, ul.classify, ul.sum_relations):
                 call(a, b, phi)
-        assert ul.find(a, b).converged
-        assert len(list(ul.membership_scan(a, b, ul.ScanConfig(samples=3000, seed=0)))) == 3000
-        assert len(sized) == 2  # the scan above spans three blocks at d = 3
+        assert len(sized) == 2
         tiny = 2**-700 * a  # its own norm, then that of its copy scaled by 2^699, a / 2
         scaled, size, exponent = tiny._sized
         assert len(sized) == 4 and sized[3] is scaled.matrix and exponent == -699

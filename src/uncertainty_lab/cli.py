@@ -27,7 +27,8 @@ stdout as it found it, so the next call writes (or fails) on its own.
 Each number of a scan's CSV is Python's shortest round-trip ``repr`` of the
 computed double, so ``float(field)`` gives that double back exactly; the
 vectorized formatter ``_floatrepr.write_reprs`` produces those same bytes for
-a block of rows at once.
+a whole block of rows in one call, whose scratch grows with the block, not
+with ``--samples``.
 
 Every ``--out`` file is written whole or not at all (``_write``): the bytes go
 to a temporary file beside it, which replaces it after the last byte.  A scan
@@ -225,46 +226,38 @@ def _scan_header(dim: int) -> str:
     return ",".join(["index", *amp_cols, "re_c", "im_c", "pearson", *_FLAG_COLUMNS])
 
 
-_CHUNK_VALUES = 4096  # numbers per call of write_reprs, which bounds its temporaries
-
-
-def _scan_csv(block: _ScanBlock) -> bytes:
+def _scan_csv(block: _ScanBlock) -> bytearray:
     """The CSV rows of a scan block.
 
-    A row buffer holds a few thousand numbers' rows at a time, NUL-padded:
-    the index and a comma, in whole words; per number a 32-byte slot, its
-    ``repr`` in the first 24 bytes and a comma in byte 24; then the flags
-    and a newline in 16 bytes.  The rows are the buffer's bytes without the
-    NULs.
+    A row buffer holds the block's rows, NUL-padded: the index and a comma,
+    in whole words; per number a 32-byte slot; then the flags and a newline
+    in 16 bytes.  Each number waits in the last word of its slot while one
+    ``write_reprs`` call for the whole block writes its ``repr`` into the
+    first 24 bytes, and a comma then takes its place.  The rows are the
+    buffer's bytes without the NULs.
     """
     n = len(block.c)
-    no_pearson = block.flags[:, :2].any(axis=1)  # NaN there, blanked below
-    numbers = np.concatenate(
-        (block.phis.view(float), block.c.view(float).reshape(n, 2), block.pearson[:, None]), axis=1
-    )
-    cols = numbers.shape[1]
     digits = len(str(block.start + n - 1))  # of the widest index
     index_width = (digits + 8) // 8 * 8
-    rows = -(-n // -(-n * cols // _CHUNK_VALUES))  # per chunk, in even chunks
-    buf = np.zeros((rows, index_width + 32 * cols + 16), np.uint8)
+    cols = 2 * block.phis.shape[1] + 3  # the amplitudes' parts, re_c, im_c, pearson
+    rows = bytearray(n * (index_width + 32 * cols + 16))
+    buf = np.frombuffer(rows, np.uint8).reshape(n, -1)
+    index = [str(i) for i in range(block.start, block.start + n)]
+    buf[:, :digits] = np.array(index, dtype=f"S{digits}").view(np.uint8).reshape(n, -1)
     buf[:, index_width - 1] = ord(",")
-    slots = buf[:, index_width : index_width + 32 * cols].view(WORD)
-    slots = slots.reshape(rows, cols, 4)
+    slots = buf[:, index_width : index_width + 32 * cols].view(WORD).reshape(n, cols, 4)
+    numbers = slots[..., 3].view(np.float64)
+    numbers[:, :-3] = block.phis.view(float)
+    numbers[:, -3:-1] = block.c.view(float).reshape(n, 2)
+    numbers[:, -1] = block.pearson
+    write_reprs(numbers, slots[..., :3])
     slots[..., 3] = ord(",")
+    slots[block.flags[:, :2].any(axis=1), -1, :3] = 0  # no pearson (NaN) on eigen rows
     tail = buf[:, -16:-6]
+    tail[:, ::2] = block.flags + ord("0")
     tail[:, 1::2] = ord(",")
     tail[:, -1] = ord("\n")
-    pieces = []
-    for first in range(0, n, rows):
-        stop = min(first + rows, n)
-        count = stop - first
-        index = [str(i) for i in range(block.start + first, block.start + stop)]
-        buf[:count, :digits] = np.array(index, dtype=f"S{digits}").view(np.uint8).reshape(count, -1)
-        write_reprs(numbers[first:stop], slots[:count, :, :3])
-        slots[:count, -1, :3][no_pearson[first:stop]] = 0
-        tail[:count, ::2] = block.flags[first:stop] + ord("0")
-        pieces.append(buf[:count].tobytes().translate(None, b"\0"))
-    return b"".join(pieces)
+    return rows.translate(None, b"\0")
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:

@@ -20,7 +20,9 @@ tests in this package are written against it, and the choice is recorded in
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -71,32 +73,33 @@ class GellMannBasis:
         return self.matrices[self.dim * (self.dim - 1) + l - 1]
 
 
-def gell_mann(dim: int) -> GellMannBasis:
-    """Generalized Gell-Mann basis of dimension ``dim`` (at least 2)."""
-    dim = _check_int("dim", dim, 2)
-    symmetric = []
-    antisymmetric = []
-    for j in range(dim - 1):
-        for k in range(j + 1, dim):
-            s = np.zeros((dim, dim), dtype=np.complex128)
-            s[j, k] = 1.0
-            s[k, j] = 1.0
-            symmetric.append(s)
-            a = np.zeros((dim, dim), dtype=np.complex128)
-            a[j, k] = -1.0j
-            a[k, j] = 1.0j
-            if dim == 3 and (j, k) == (0, 2):
-                a = -a
-            antisymmetric.append(a)
-    diagonals = []
+def _matrices(dim: int) -> Iterator[np.ndarray]:
+    """The matrices of ``gell_mann(dim)``, in its order, built one at a time."""
+    pairs = [(j, k) for j in range(dim - 1) for k in range(j + 1, dim)]
+    for j, k in pairs:
+        s = np.zeros((dim, dim), dtype=np.complex128)
+        s[j, k] = 1.0
+        s[k, j] = 1.0
+        yield s
+    for j, k in pairs:
+        a = np.zeros((dim, dim), dtype=np.complex128)
+        a[j, k] = -1.0j
+        a[k, j] = 1.0j
+        yield -a if dim == 3 and (j, k) == (0, 2) else a
     for l in range(1, dim):
         entries = np.zeros(dim, dtype=np.complex128)
         entries[:l] = 1.0
         entries[l] = -l
-        diagonals.append(np.sqrt(2.0 / (l * (l + 1))) * np.diag(entries))
-    matrices = tuple(Observable._wrap(m) for m in symmetric + antisymmetric + diagonals)
+        yield np.sqrt(2.0 / (l * (l + 1))) * np.diag(entries)
+
+
+def gell_mann(dim: int) -> GellMannBasis:
+    """Generalized Gell-Mann basis of dimension ``dim`` (at least 2)."""
+    dim = _check_int("dim", dim, 2)
     return GellMannBasis(
-        dim=dim, matrices=matrices, note=_D3_NOTE if dim == 3 else _GENERIC_NOTE
+        dim=dim,
+        matrices=tuple(map(Observable._wrap, _matrices(dim))),
+        note=_D3_NOTE if dim == 3 else _GENERIC_NOTE,
     )
 
 
@@ -113,7 +116,7 @@ def su3_lambda(k: int) -> Observable:
     """
     if _check_int("lambda index k", k, 1) > 8:
         raise ValidationError(f"lambda index k must be 1..8, got {k}")
-    return gell_mann(3).matrices[_SU3_ORDER[k - 1]]
+    return Observable._wrap(next(itertools.islice(_matrices(3), _SU3_ORDER[k - 1], None)))
 
 
 def two_level_state(a: complex, b: complex) -> StateVector:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -474,10 +475,53 @@ class TestScan:
         # and the formatter's working set stays small (0.10.0 peaked at ~1.2 MB)
         assert peaks[1] <= 1.6e6, peaks
 
+    @pytest.mark.parametrize("dim", [3, 64])
+    def test_one_formatter_call_per_block(self, tmp_path, rng, monkeypatch, dim):
+        rows, calls = 4096 // dim, []
+        real = cli.write_reprs
+
+        def counted(values, out):
+            calls.append(values.shape)
+            real(values, out)
+
+        monkeypatch.setattr(cli, "write_reprs", counted)
+        samples = 2 * rows + 5  # three blocks, the last of 5 rows
+        assert main(["scan", *_random_pair(tmp_path, rng, dim), "--samples", str(samples),
+                     "--out", str(tmp_path / "scan.csv")]) == 0
+        assert calls == [(rows, 2 * dim + 3), (rows, 2 * dim + 3), (5, 2 * dim + 3)]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap trimming")
+    def test_a_repeated_scan_does_not_refault_each_block(self, tmp_path, rng):
+        # each block frees its formatter scratch, one allocation of ~0.6 MB at
+        # d = 64, which raises glibc's trim threshold (mallopt(3)) above what a
+        # block leaves free on the heap, so the blocks of a call reuse it
+        # (before: ~3300 faults per call).  What remains, ~330, is the JSON
+        # input and one regrowth after the heap is trimmed as a call ends.
+        script = (
+            "import resource, sys\n"
+            "from uncertainty_lab.cli import main\n"
+            "argv = ['scan', *sys.argv[1:3], '--samples', '1000', '--out', sys.argv[3]]\n"
+            "faults = []\n"
+            "for seed in ('1', '2'):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    assert main(argv + ['--seed', seed]) == 0\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+            "print(faults[1])\n"
+        )
+        env = {**_module_env(), "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *_random_pair(tmp_path, rng, 64),
+             str(tmp_path / "scan.csv")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 500, proc.stdout
+
     @pytest.mark.parametrize(
         "dim, scale, samples, start, eps_spread",
         [
             (2, 1.0, 300, 0, None),
+            (2, 1.0, 2100, 0, None),  # a full 2048-row block, the largest call, and more
             (3, 1.0, 300, 0, None),
             (8, 1.0, 600, 0, None),  # two blocks of 512 rows
             (64, 1.0, 100, 0, None),  # two blocks of 64 rows

@@ -15,6 +15,8 @@ decimal exponent), the ends of the positional range, and every binade (the
 fallback to ``repr``).
 """
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -22,11 +24,11 @@ from uncertainty_lab._floatrepr import WIDTH, WORD, write_reprs
 
 
 def _formatted(values: np.ndarray) -> bytes:
-    """The formatter's output for ``values``, one per line, NULs removed."""
+    """The formatter's output for ``values`` from one call, one per line, NULs
+    removed."""
     slots = np.zeros((len(values), 4), WORD)
     slots[:, 3] = ord("\n")
-    for first in range(0, len(values), 4096):
-        write_reprs(values[first : first + 4096], slots[first : first + 4096, :3])
+    write_reprs(values, slots[:, :3])
     text = slots.view(np.uint8)
     return text[text != 0].tobytes()
 
@@ -99,3 +101,20 @@ def test_writes_into_a_strided_view():
     assert [row[row != 0].tobytes() for row in text] == [
         repr(v).encode() for v in values.ravel().tolist()
     ]
+
+
+def test_working_set_is_at_most_80_bytes_per_value():
+    # the most values one scan block holds: d = 2, 2048 rows of 7 numbers,
+    # each in the last word of its 32-byte slot as the CLI stages them
+    slots = np.zeros((2048, 7, 4), WORD)
+    values = slots[..., 3].view(np.float64)
+    values[...] = np.random.default_rng(29).standard_normal((2048, 7)) / 8
+    write_reprs(values, slots[..., :3])
+    tracemalloc.start()
+    try:
+        write_reprs(values, slots[..., :3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.size == 14336
+    assert peak <= 80 * values.size, peak / values.size

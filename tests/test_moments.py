@@ -349,10 +349,10 @@ class TestFloatRange:
         ul.classify(a, b, phi2)
         assert len(sized) == 2 and sized[0] is a.matrix and sized[1] is b.matrix
         l8 = ul.validate_observable(ul.su3_lambda(8).matrix)
-        assert len(sized) == 2 + 8 + 1  # su3_lambda builds all 8 Gell-Mann matrices
+        assert len(sized) == 2 + 1 + 1  # su3_lambda builds and sizes lambda_8 alone
         with pytest.raises(ul.CommutingPair):
             ul.classify(a, l8, phi2)
-        assert len(sized) == 11
+        assert len(sized) == 4
 
     def test_each_observable_is_sized_once_in_its_lifetime(self, l3, l4, monkeypatch):
         sized = self.sizings(monkeypatch)

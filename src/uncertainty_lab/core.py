@@ -162,17 +162,15 @@ class Observable:
     def _hold(self, matrix: np.ndarray) -> None:
         """Freeze ``matrix`` as F and set ``_sized`` to ``(F 2^-k, ||F 2^-k||_F, k)``,
         with None for F 2^-k when k = 0: ``k = 0`` when ``||F||_F`` lies in
-        (1e-60, 1e60), else the power of two that brings F's largest |Re| or |Im|
-        entry into [1/2, 1) (0 for a zero matrix).  The scaling is exact, and the
-        squares of the scaled entries and size neither under- nor overflow."""
+        (1e-60, 1e60), else ``_binade``'s exponent.  The squares of the scaled
+        entries and size neither under- nor overflow."""
         frozen = _freeze(matrix)
         object.__setattr__(self, "_matrix", frozen)
         scaled, size, exponent = None, _norm(frozen), 0
         if not 1e-60 < size < 1e60:
-            parts = frozen.view(np.float64)
-            exponent = int(np.frexp(np.abs(parts).max())[1])
+            binade, exponent = _binade(frozen)
             if exponent:  # a zero matrix keeps k = 0: its copy would be itself
-                scaled = Observable._wrap(np.ldexp(parts, -exponent).view(np.complex128))
+                scaled = Observable._wrap(binade)
                 size = scaled._sized[1]
         object.__setattr__(self, "_sized", (scaled, size, exponent))
 
@@ -247,15 +245,10 @@ class StateVector:
     def normalized(cls, raw: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> "StateVector":
         """Normalize a nonzero raw vector and wrap it, with the constructor's checks."""
         arr = _as_complex_array(raw, 1)
-        # Outside this range of the largest |Re| or |Im| the sum of squares
-        # would overflow or underflow, so rescale by it first, on the real
-        # view (a complex division by a subnormal overflows).
-        parts = np.ascontiguousarray(arr).view(np.float64)
-        peak = float(np.abs(parts).max(initial=0.0))
-        if peak == 0.0:
+        if not arr.any():
             raise ValidationError("cannot normalize the zero vector")
-        if not 1e-75 < peak < 1e75:
-            arr = (parts / peak).view(np.complex128)
+        # scaled exactly first, so that the sum of squares neither over- nor underflows
+        arr = _binade(arr)[0]
         amps = arr / float(np.linalg.norm(arr))
         _check_unit(amps, tol)
         return cls._wrap(amps)
@@ -276,6 +269,15 @@ class StateVector:
 
     def __repr__(self) -> str:
         return f"StateVector(dim={self.dim})"
+
+
+def _binade(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(arr 2^-k, k)`` for a complex array: k = 0 when arr is zero, else the power
+    of two that brings its largest |Re| or |Im| into [1/2, 1).  The scaling is exact
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 2)."""
+    parts = np.ascontiguousarray(arr).view(np.float64)
+    exponent = int(np.frexp(np.abs(parts).max())[1])
+    return np.ldexp(parts, -exponent).view(np.complex128), exponent
 
 
 def _norm(v: np.ndarray) -> float:

@@ -5,12 +5,18 @@ vector ``(F - <F> I)|phi>``; it must agree with the moment form
 ``sqrt(<F^2> - <F>^2)``, and both routes are computed here so drift in
 either one is caught immediately.
 
+Every function here forms F|phi> and F^dag|phi> from an ``Observable`` in
+one helper, ``_applied``: F's range check, the dimension check, then F|phi>
+and F^dag|phi> = (F^T conj(phi))^*, which copies no matrix.  One observable
+in phi is one ``_Spread`` (<F>, the deviation vector, its norm and <F^2> =
+<F^dag phi|F phi>), in the record, in the scan block and in the functions of
+one observable alike.
+
 The moment algebra of a pair is written once, in ``_Moments``: from phi,
-A|phi>, B|phi>, A^dag|phi> and B^dag|phi> it forms the means, deviation
-vectors and spreads, <F^2> = <F^dag phi|F phi>, <AB> = <A^dag phi|B phi> and
-<BA>, C in both forms, |<[A,B]>| / 2, the Schrodinger bound and the pair scale
-||A phi|| ||B phi||, and it holds the variance, C-forms, commutator and
-Pearson checks.
+A|phi>, B|phi>, A^dag|phi> and B^dag|phi> it forms the ``_Spread`` of A and
+of B, <AB> = <A^dag phi|B phi> and <BA>, C in both forms, |<[A,B]>| / 2, the
+Schrodinger bound and the pair scale ||A phi|| ||B phi||, and it holds the
+variance, C-forms, commutator and Pearson checks.
 It runs on one state (``_shared``) and on a block of states (the scans of
 ``state_sets``), a state per column of (d, n) arrays, where a per-state
 number broadcasts as a Python float does against a (d,) vector.  Only four
@@ -33,17 +39,15 @@ A call asserts its own identities, whatever came before.
 ``_shared`` keeps the record of the last triple, keyed on the identities of A,
 B and phi (no ``__eq__``, read-only arrays; the slot keeps them alive, so no id
 is reused) and not on ``tol``, on which no number depends.  It forms no d x d
-array: F^dag|phi> is formed as (F^T conj(phi))^*, which copies no matrix, and
-the moments of A + B come from A|phi> + B|phi> and A^dag|phi> + B^dag|phi>.
+array: the moments of A + B come from A|phi> + B|phi> and A^dag|phi> + B^dag|phi>.
 Each ``Observable`` sizes itself once, when it is built (``Observable._sized``).
 On those sizes every new record refuses a pair whose moments can leave the
 float range (``_refuse_past_range``, an OverflowError), and ``classify``'s
 commuting guard ``_refuse_commuting`` forms the pair's one product, [A,B], on
 the scaled A and B, so its verdict is scale-free.
 ``find`` and the scans run both checks, the guard first, as
-``_require_pair``; functions of one observable check F's range.
-``deviation_vector`` and ``orthogonal_unit`` form F|phi> alone; ``std_dev``
-forms F^dag|phi> and <F^2> too.
+``_require_pair``; the record and the functions of one observable check the
+range of each observable in ``_applied``, before its products are formed.
 
 Every verdict is made by one of three tests: ``_is_eigen`` (a spread at or
 below eps_spread counts as zero), ``_is_zero`` (|x| at or below tol_zero) and
@@ -181,26 +185,14 @@ _STATE = _Primitives(lambda x, y: complex(np.vdot(x, y)), _norm, math.hypot)
 
 
 class _Spread:
-    """One observable F in phi, from F|phi>: <F>, the deviation vector
-    (F - <F> I)|phi> and its norm."""
-
-    def __init__(self, f_phi: np.ndarray, amps: np.ndarray, ops: _Primitives = _STATE):
-        self.mean = ops.inner(amps, f_phi).real
-        self.vec = f_phi - self.mean * amps
-        self.norm = ops.norm(self.vec)
-
-    @classmethod
-    def of(cls, matrix: np.ndarray, amps: np.ndarray) -> _Spread:
-        _check_same_dim(matrix.shape[0], amps.shape[0])
-        return cls(matrix @ amps, amps)
-
-
-class _Variance(_Spread):
-    """A ``_Spread`` with <F^2>, read from F|phi> and F^dag|phi>, for the variance check."""
+    """One observable F in phi, from F|phi> and F^dag|phi>: <F>, the deviation
+    vector (F - <F> I)|phi>, its norm and <F^2>."""
 
     def __init__(self, f_phi: np.ndarray, adj_phi: np.ndarray, amps: np.ndarray,
                  ops: _Primitives = _STATE):
-        _Spread.__init__(self, f_phi, amps, ops)
+        self.mean = ops.inner(amps, f_phi).real
+        self.vec = f_phi - self.mean * amps
+        self.norm = ops.norm(self.vec)
         self.m2 = ops.inner(adj_phi, f_phi).real  # <F^2> = <F^dag phi|F phi>
 
     def spread(self, check: Callable) -> float:
@@ -217,7 +209,7 @@ class _Moments:
 
     def __init__(self, amps: np.ndarray, a_phi: np.ndarray, b_phi: np.ndarray,
                  adj_a: np.ndarray, adj_b: np.ndarray, ops: _Primitives = _STATE):
-        self.a, self.b = _Variance(a_phi, adj_a, amps, ops), _Variance(b_phi, adj_b, amps, ops)
+        self.a, self.b = _Spread(a_phi, adj_a, amps, ops), _Spread(b_phi, adj_b, amps, ops)
         mean_ab = self.a.mean * self.b.mean
         # ||A phi|| ||B phi||, as ||F phi||^2 = <F>^2 + dF^2 (see the module docstring)
         self.scale = ops.hypot(self.a.mean, self.a.norm) * ops.hypot(self.b.mean, self.b.norm)
@@ -249,11 +241,18 @@ class _Moments:
         return r
 
 
+def _applied(f: Observable, phi: StateVector, name: str = "F") -> tuple[np.ndarray, np.ndarray]:
+    """(F|phi>, F^dag|phi>), after F's range check (calling F ``name``) and the
+    dimension check; F^dag|phi> is formed as (F^T conj(phi))^*, which copies no matrix."""
+    _refuse_past_range(f, name)
+    _check_same_dim(f.dim, phi.dim)
+    amps = phi.amps
+    return f.matrix @ amps, (f.matrix.T @ amps.conj()).conj()
+
+
 def expectation(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Expectation value <phi|F|phi>, guaranteed real for a valid observable."""
-    _check_same_dim(f.dim, phi.dim)
-    _refuse_past_range(f, "F")
-    f_phi = f.matrix @ phi.amps
+    f_phi = _applied(f, phi)[0]
     val = complex(np.vdot(phi.amps, f_phi))
     size = _norm(f_phi)  # bounds |<F>|, so its roundoff scales with it
     _check("expectation is real", abs(val.imag), size, tol.tol_zero, ValidationError)
@@ -262,18 +261,14 @@ def expectation(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLER
 
 def deviation_vector(f: Observable, phi: StateVector) -> DeviationVector:
     """(F - <F> I)|phi>.  Always orthogonal to |phi> up to roundoff."""
-    _refuse_past_range(f, "F")
-    step = _Spread.of(f.matrix, phi.amps)
+    step = _Spread(*_applied(f, phi), phi.amps)
     return DeviationVector(vec=_freeze(step.vec), norm=step.norm)
 
 
 def std_dev(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Standard deviation of F in phi, computed as the deviation-vector norm
     and cross-checked against the moment form sqrt(<F^2> - <F>^2)."""
-    _refuse_past_range(f, "F")
-    _check_same_dim(f.dim, phi.dim)
-    amps = phi.amps
-    return _Variance(f.matrix @ amps, (f.matrix.T @ amps.conj()).conj(), amps).spread(_check)
+    return _Spread(*_applied(f, phi), phi.amps).spread(_check)
 
 
 def orthogonal_unit(
@@ -285,8 +280,7 @@ def orthogonal_unit(
     raw deviation vector; every consumer uses moduli of inner products, which
     are phase-invariant.
     """
-    _refuse_past_range(f, "F")
-    step = _Spread.of(f.matrix, phi.amps)
+    step = _Spread(*_applied(f, phi), phi.amps)
     if _is_eigen(step.norm, tol):
         return None
     return _freeze(step.vec / step.norm)
@@ -340,14 +334,9 @@ def _require_pair(a: Observable, b: Observable, tol: Tolerances) -> None:
 def _shared(a: Observable, b: Observable, phi: StateVector) -> _Moments:
     """The record of the last triple asked for (see the module docstring)."""
     _check_same_dim(a.dim, b.dim)
-    _refuse_past_range(a, "A")
-    _refuse_past_range(b, "B")
-    _check_same_dim(a.dim, phi.dim)
-    amps, conj = phi.amps, phi.amps.conj()
-    a_phi, b_phi = a.matrix @ amps, b.matrix @ amps
-    adj_a, adj_b = (a.matrix.T @ conj).conj(), (b.matrix.T @ conj).conj()
-    n = _Moments(amps, a_phi, b_phi, adj_a, adj_b)
-    n.sum = _Variance(a_phi + b_phi, adj_a + adj_b, amps)  # the spread of A + B, for sum_relations
+    (a_phi, adj_a), (b_phi, adj_b) = _applied(a, phi, "A"), _applied(b, phi, "B")
+    n = _Moments(phi.amps, a_phi, b_phi, adj_a, adj_b)
+    n.sum = _Spread(a_phi + b_phi, adj_a + adj_b, phi.amps)  # the spread of A + B
     return n
 
 

@@ -212,11 +212,24 @@ class TestStateVector:
             ul.StateVector.normalized([1.0, 1.0], ul.Tolerances(tol_norm=1e-300))
 
     def test_normalized_ordinary_input_divides_by_the_norm(self, rng):
-        # the rescaling never touches ordinary inputs, so their digits do not move
+        # the rescaling is by a power of two, so the digits of ordinary inputs do not move
         for scale in (1e-70, 1e-3, 1.0, 1e3, 1e70):
             raw = scale * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
             expected = raw / np.linalg.norm(raw)
             assert ul.StateVector.normalized(raw).amps.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", [-600, -300, -260, 0, 260, 300, 600])
+    def test_normalized_is_exact_under_power_of_two_scalings(self, k):
+        # dividing by the inexact peak moved the last bits outside (1e-75, 1e75)
+        rng = np.random.default_rng(2030)
+        for _ in range(200):
+            x = rng.standard_normal(8)
+            scaled = np.ldexp(x, k).view(np.complex128)
+            expected = ul.StateVector.normalized(x.view(np.complex128)).amps
+            assert ul.StateVector.normalized(scaled).amps.tobytes() == expected.tobytes()
+        # the zero vector is refused whatever its scaling
+        with pytest.raises(ul.ValidationError, match="^cannot normalize the zero vector$"):
+            ul.StateVector.normalized(np.ldexp(np.zeros(4), k))
 
     def test_nan_rejected(self):
         with pytest.raises(ul.ValidationError):

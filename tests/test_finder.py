@@ -75,6 +75,17 @@ class TestObjective:
                     fn(l3, l4, np.zeros(3, dtype=complex))
 
     @pytest.mark.parametrize("fn", [ul.objective, ul.gradient])
+    @pytest.mark.parametrize("huge", ["A", "B", "AB"])
+    def test_pair_past_the_float_range_refused_by_name(self, l3, l4, fn, huge):
+        # before the check: a matmul overflow warning, then a bare OverflowError
+        a = 1e155 * l3 if "A" in huge else l3
+        b = 1e155 * l4 if "B" in huge else l4
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=rf"^\|\|{huge[0]}\|\|_F\^2 ~ 10\^310"):
+                fn(a, b, np.ones(3, dtype=complex))
+
+    @pytest.mark.parametrize("fn", [ul.objective, ul.gradient])
     def test_malformed_point_rejected(self, l3, l4, fn):
         with pytest.raises(ul.DimensionMismatch):
             fn(l3, l4, np.ones(4, dtype=complex))

@@ -1,4 +1,5 @@
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -197,6 +198,36 @@ class TestSharedRecord:
         assert moments._shared.cache_info()[:2] == (2, 3)
 
 
+    def test_threads_share_the_record_read_only(self, rng):
+        # four threads on two alternating triples, which take the one slot in
+        # turn, get every result of a single thread bit for bit
+        triples = [(rand_hermitian(rng, d), rand_hermitian(rng, d), rand_state(rng, d))
+                   for d in (3, 5)]
+        calls = (ul.evaluate, ul.correlation_record, ul.classify, ul.sum_relations)
+
+        def run(rounds):
+            return [repr(call(*triples[i % 2])) for i in range(rounds) for call in calls]
+
+        expected = run(200)
+        results = [None] * 4
+
+        def worker(slot):
+            results[slot] = run(200)
+
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 4
+
+
 class TestOneAlgebra:
     def test_a_fault_in_the_algebra_fires_in_classify_and_in_a_scan(
         self, l3, l4, phi2, monkeypatch
@@ -227,7 +258,7 @@ class TestSpreadNorm:
         for d in range(2, 65):
             for _ in range(20):
                 f, phi = rand_hermitian(rng, d), rand_state(rng, d)
-                step = moments._Spread.of(f.matrix, phi.amps)
+                step = ul.deviation_vector(f, phi)
                 assert step.norm == pytest.approx(np.linalg.norm(step.vec), rel=1e-15, abs=0)
 
 
@@ -368,6 +399,17 @@ class TestFloatRange:
         scaled, size, exponent = tiny._sized
         assert len(sized) == 4 and sized[3] is scaled.matrix and exponent == -699
         assert scaled._sized == (None, size, 0) and a._sized == (None, 2.0 * size, 0)
+
+    def test_one_guard_order_range_then_dimension(self, l3):
+        # a 3-dim F past the range and a 2-dim phi: expectation alone checked
+        # the dimension first
+        huge, phi = 1e155 * l3, ul.StateVector([1.0, 0.0])
+        for call in (ul.expectation, ul.std_dev, ul.deviation_vector, ul.orthogonal_unit,
+                     ul.is_eigenstate):
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                with pytest.raises(OverflowError, match=r"^\|\|F\|\|_F\^2 ~ 10\^310"):
+                    call(huge, phi)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_every_function_of_one_observable_refuses_such_an_observable(self, dim):

@@ -43,11 +43,17 @@ array: the moments of A + B come from A|phi> + B|phi> and A^dag|phi> + B^dag|phi
 Each ``Observable`` sizes itself once, when it is built (``Observable._sized``).
 On those sizes every new record refuses a pair whose moments can leave the
 float range (``_refuse_past_range``, an OverflowError), and ``classify``'s
-commuting guard ``_refuse_commuting`` forms the pair's one product, [A,B], on
-the scaled A and B, so its verdict is scale-free.
-``find`` and the scans run both checks, the guard first, as
-``_require_pair``; the record and the functions of one observable check the
-range of each observable in ``_applied``, before its products are formed.
+commuting guard ``_refuse_commuting`` judges ||[A,B]||_F on the scaled A and
+B, so its verdict is scale-free.  ``classify`` first hands it the record's
+|<[A,B]>| = 2 ``hr`` and phi: since |<phi|[A,B]|phi>| <= ||[A,B]||_F <phi|phi>,
+a commutator expectation clearly above the threshold proves the pair
+non-commuting, and [A,B] (two d x d products, the only O(d^3) step of a
+state) is formed only when that certificate fails.  Its rounding margin and
+its range conditions make every verdict the one the products give.
+``find`` and the scans run both checks, the guard first and without a
+certificate, as ``_require_pair``; the record and the functions of one
+observable check the range of each observable in ``_applied``, before its
+products are formed.
 
 Every verdict is made by one of three tests: ``_is_eigen`` (a spread at or
 below eps_spread counts as zero), ``_is_zero`` (|x| at or below tol_zero) and
@@ -267,7 +273,9 @@ def deviation_vector(f: Observable, phi: StateVector) -> DeviationVector:
 
 def std_dev(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Standard deviation of F in phi, computed as the deviation-vector norm
-    and cross-checked against the moment form sqrt(<F^2> - <F>^2)."""
+    and cross-checked against the moment form sqrt(<F^2> - <F>^2).
+
+    ``tol`` is accepted for symmetry with ``expectation``; no check reads it."""
     return _Spread(*_applied(f, phi), phi.amps).spread(_check)
 
 
@@ -288,13 +296,40 @@ def orthogonal_unit(
 
 def is_eigenstate(f: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """True when the spread of F in phi is numerically zero (eps_spread)."""
-    return _is_eigen(std_dev(f, phi, tol), tol)
+    return _is_eigen(std_dev(f, phi), tol)
 
 
-def _refuse_commuting(a: Observable, b: Observable, tol: Tolerances) -> None:
+def _refuse_commuting(
+    a: Observable, b: Observable, tol: Tolerances, h: float = 0.0, phi: StateVector | None = None
+) -> None:
     """Raise CommutingPair when ||[A,B]||_F <= tol_zero ||A||_F ||B||_F, on
-    A and B as ``Observable._sized`` scales them (scale-free)."""
-    (scaled_a, size_a, _), (scaled_b, size_b, _) = a._sized, b._sized
+    A and B as ``Observable._sized`` scales them (scale-free).
+
+    ``h`` is |<phi|[A,B]|phi>| as a record holds it, at ``phi``: when it proves
+    the norm above the threshold, [A,B] is not formed.  The verdict, and so the
+    message, is the same with or without it."""
+    (scaled_a, size_a, k_a), (scaled_b, size_b, k_b) = a._sized, b._sized
+    # The certificate.  For any A and B (a smuggled non-Hermitian one too),
+    # <A^dag phi|B phi> - <B^dag phi|A phi> = <phi|[A,B]|phi>, and |<phi|M|phi>| <=
+    # ||M||_2 <phi|phi> <= ||M||_F <phi|phi>, so H = 2^-(k_A + k_B) h / <phi|phi> bounds
+    # the guard's norm on the scaled pair from below.  Rounding (Higham, ch. 3; u = 2^-53)
+    # moves H and the guard's two products by at most ~24 (d + 2) u size_A size_B, and
+    # the three sums of d^2 squares (the guard's norm, both sizes) move the comparison by
+    # at most ~3 (d^2 + 2) u size_A size_B (no tol_zero above 2 is ever certified, as
+    # ||[A,B]||_F <= 2 ||A||_F ||B||_F); the margin 2^-46 d^2 = 128 d^2 u covers both at
+    # every d.  These bounds hold off the ends of the float range: ||A||_F and ||B||_F
+    # >= 2^-900 (k > -900), <phi|phi> >= 2^-100 and h >= 2^-900 keep what underflow
+    # loses below d^1.5 2^-120 ||A||_F ||B||_F <phi|phi>, and a finite h means that the
+    # record did not overflow (with a loose tol_norm it can: an inf in A|phi>, B|phi>,
+    # their adjoints, <AB> or <BA> leaves h inf or NaN).  The record exists only past the
+    # range checks (||F||_F <= 2^511), so H cannot overflow either.
+    if min(k_a, k_b) > -900 and 2.0**-900 <= h < math.inf:
+        amps = phi.amps
+        norm2 = float(np.vdot(amps, amps).real)
+        if norm2 >= 2.0**-100 and math.ldexp(h / norm2, -(k_a + k_b)) > (
+            (tol.tol_zero + 2.0**-46 * len(amps) ** 2) * size_a * size_b
+        ):
+            return
     # Both products: P - P^dag (P = AB) is [A,B] only for Hermitian A and B
     norm = _norm(commutator(scaled_a or a, scaled_b or b))
     if norm <= tol.tol_zero * size_a * size_b:

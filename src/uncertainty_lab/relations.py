@@ -156,15 +156,17 @@ def sum_relations(
 def sum_relation_n(
     observables: Sequence[Observable], phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> tuple[float, float]:
-    """n-observable triangle relation: (sum of spreads, spread of the sum)."""
+    """n-observable triangle relation: (sum of spreads, spread of the sum).
+
+    ``tol`` is accepted for symmetry with the functions of a pair; no check reads it."""
     if len(observables) < 2:
         raise ValueError("sum_relation_n needs at least two observables")
     total = observables[0]
-    lhs = std_dev(observables[0], phi, tol)
+    lhs = std_dev(observables[0], phi)
     for obs in observables[1:]:
         total = total + obs
-        lhs += std_dev(obs, phi, tol)
-    rhs = std_dev(total, phi, tol)
+        lhs += std_dev(obs, phi)
+    rhs = std_dev(total, phi)
     moments._check("n-term triangle inequality", rhs - lhs, lhs)
     return lhs, rhs
 

@@ -15,7 +15,9 @@ are excluded from all three sets by definition.
 
 ``classify`` judges one state from the shared ``moments`` record, reading the
 checked spreads, C and Pearson coefficient that several functions share, and
-asserts the commutator identity, all through ``moments._check``.  A scan
+asserts the commutator identity, all through ``moments._check``; the record's
+|<[A,B]>| is its commuting guard's certificate, so [A,B] is formed only at
+states where that expectation does not prove the pair non-commuting.  A scan
 (``membership_scan`` and the CLI ``scan``) judges a block of Haar-random
 states at a time, and runs the same moment algebra (``moments._Moments``) as
 the record: one matrix product gives A|phi>, B|phi>, A^dag|phi> and
@@ -100,7 +102,7 @@ def classify(
     s_ab => s_comm and s_anti hold structurally even at tolerance boundaries.
     """
     n = _shared(a, b, phi)
-    _refuse_commuting(a, b, tol)
+    _refuse_commuting(a, b, tol, 2.0 * n.hr, phi)
     spreads, c = _spreads(n), _c(n)
     n.commutator(moments._check, c)
     return ClassificationResult(*_flags(*spreads, c, tol), _pearson(n, spreads, c, tol), tol)

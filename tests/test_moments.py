@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import uncertainty_lab as ul
 from uncertainty_lab import core, moments
@@ -105,6 +106,15 @@ class TestStdDev:
             c = float(rng.uniform(-5, 5))
             shifted = f + c * ul.identity(d)
             assert abs(ul.std_dev(shifted, phi) - ul.std_dev(f, phi)) <= 1e-12
+
+    def test_tolerances_move_no_bit(self, rng):
+        # tol is accepted for symmetry with expectation; no check reads it
+        huge = ul.Tolerances(tol_herm=1e300, tol_norm=1e300, tol_zero=1e300, eps_spread=1e300)
+        tiny = ul.Tolerances(tol_herm=5e-324, tol_norm=5e-324, tol_zero=5e-324, eps_spread=5e-324)
+        for d in (2, 3, 8, 64):
+            f, phi = rand_hermitian(rng, d), rand_state(rng, d)
+            spread = ul.std_dev(f, phi).hex()
+            assert ul.std_dev(f, phi, huge).hex() == spread == ul.std_dev(f, phi, tiny).hex()
 
     def test_zero_spread_iff_eigenvector(self, rng):
         eps = ul.DEFAULT_TOLERANCES.eps_spread
@@ -285,6 +295,117 @@ class TestCommutingGuard:
     def test_no_square_under_or_overflows(self, s, l3, l4):
         with np.errstate(all="raise"):
             moments._refuse_commuting(s * l3, s * l4, ul.DEFAULT_TOLERANCES)
+
+
+def _guard_message(a, b, tol):
+    """The guard's verdict without a certificate: its message, or None."""
+    try:
+        moments._refuse_commuting(a, b, tol)
+    except ul.CommutingPair as error:
+        return str(error)
+    return None
+
+
+def _binary_scaled(f, k):
+    return ul.Observable._wrap(np.ldexp(f.matrix.view(float), k).view(complex))
+
+
+@st.composite
+def _guarded_triples(draw):
+    """(A, B, phi, tol) around the guard's threshold: random, near-commuting
+    (B = A^2 + eps R, eps putting ||[A,B]|| / (||A|| ||B||) within a decade of
+    tol_zero), commuting and smuggled non-Hermitian pairs, each scaled by
+    2^k_A and 2^k_B, at unit states and at states of norm 0.5 to 1.4."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # 5e-324 stands for 0, which Tolerances refuses
+    tol_zero = draw(st.sampled_from([5e-324, 1e-12, 1e-10, 1e-8, 0.5]))
+    kind = draw(st.sampled_from(["random", "near", "commuting", "smuggled"]))
+    dim = 3 if kind == "smuggled" else draw(st.integers(2, 6))
+    a = rand_hermitian(rng, dim)
+    if kind == "random":
+        b = rand_hermitian(rng, dim)
+    elif kind == "near":
+        r, square = rand_hermitian(rng, dim).matrix, a.matrix @ a.matrix
+        comm = np.linalg.norm(a.matrix @ r - r @ a.matrix)
+        eps = tol_zero * np.linalg.norm(a.matrix) * np.linalg.norm(square) / comm
+        b = square + eps * 10.0 ** rng.uniform(-1.0, 1.0) * r
+        b = ul.validate_observable((b + b.conj().T) / 2.0)
+    elif kind == "commuting":
+        b = ul.Observable._wrap(a.matrix @ a.matrix - 2.0 * a.matrix)
+    else:  # E_12 and lambda_4, in either order
+        e12 = ul.Observable._wrap(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex))
+        a, b = (e12, ul.su3_lambda(4))[:: draw(st.sampled_from([1, -1]))]
+    k_a, k_b = draw(st.integers(-600, 600)), draw(st.integers(-600, 600))
+    raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    if draw(st.booleans()):
+        tol = ul.Tolerances(tol_zero=tol_zero, tol_norm=0.5)
+        phi = ul.StateVector(raw * (rng.uniform(0.5, 1.4) / np.linalg.norm(raw)), tol)
+    else:
+        tol = ul.Tolerances(tol_zero=tol_zero)
+        phi = ul.StateVector.normalized(raw)
+    return _binary_scaled(a, k_a), _binary_scaled(b, k_b), phi, tol
+
+
+class TestCommutingCertificate:
+    """``classify`` skips [A,B] when its record proves the pair non-commuting."""
+
+    @given(_guarded_triples())
+    @settings(max_examples=400, deadline=None)
+    def test_classify_refuses_exactly_what_the_guard_refuses(self, triple):
+        a, b, phi, tol = triple
+        got = None
+        try:
+            ul.classify(a, b, phi, tol)
+        except ul.CommutingPair as error:
+            got = str(error)
+        except OverflowError:
+            return  # the range check refuses the pair before the guard is asked
+        except ArithmeticError:
+            pass  # a smuggled pair fails a check after the guard
+        assert got == _guard_message(a, b, tol)
+
+    def test_forms_the_commutator_only_when_the_certificate_fails(self, l3, l4, monkeypatch):
+        formed = []
+        commutator = moments.commutator
+        monkeypatch.setattr(moments, "commutator", lambda a, b: formed.append(1) or commutator(a, b))
+        rng = np.random.default_rng(3131)
+        for _ in range(500):
+            d = int(rng.integers(2, 65))
+            ul.classify(rand_hermitian(rng, d), rand_hermitian(rng, d), rand_state(rng, d))
+        assert formed == []
+        # <[lambda3, lambda4]> = 0 at these two states: nothing is certified
+        for phi in (ul.uniform_superposition(3), ul.two_level_state(1, 1)):
+            ul.classify(l3, l4, phi)
+            assert len(formed) == 1
+            formed.clear()
+        with pytest.raises(ul.CommutingPair):
+            ul.classify(l3, ul.su3_lambda(8), ul.uniform_superposition(3))
+        assert len(formed) == 1
+
+    def test_an_observable_near_the_underflow_is_not_certified(self):
+        # A|phi> underflows, so the record's |<[A,B]>| (~1e-174) is all roundoff of
+        # a commuting pair; a floor on h alone would certify it
+        a = ul.validate_observable(np.diag([2.0**-1074, 2.0**-1073]).astype(complex))
+        b = ul.validate_observable(np.diag([2.0**500, -(2.0**500)]).astype(complex))
+        phi = ul.StateVector.normalized([0.3 + 0.9j, 0.7 - 0.2j])
+        assert moments._shared(a, b, phi).hr > 2.0**-900
+        with pytest.raises(ul.CommutingPair, match=r"= 0\.000e\+00 <= tol_zero"):
+            ul.classify(a, b, phi)
+
+    def test_an_overflowed_record_is_not_certified(self):
+        # a loose tol_norm admits a state so large that <AB> overflows: the record's
+        # |<[A,B]>| reads inf for this commuting pair, A = 2^505 M, B = 2^500 (M^2 + M / 2)
+        m = rand_hermitian(np.random.default_rng(5), 3).matrix
+        a = _binary_scaled(ul.Observable._wrap(m), 505)
+        b = _binary_scaled(ul.Observable._wrap(m @ m + 0.5 * m), 500)
+        amps = ul.uniform_superposition(3).amps
+        size = abs(np.vdot(a.matrix @ amps, b.matrix @ amps))
+        loose = ul.Tolerances(tol_norm=1e300)
+        phi = ul.StateVector(amps * np.sqrt(sys.float_info.max / size), loose)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert moments._shared(a, b, phi).hr == np.inf
+            with pytest.raises(ul.CommutingPair):
+                ul.classify(a, b, phi, loose)
 
 
 class TestFloatRange:

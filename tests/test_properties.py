@@ -1,6 +1,7 @@
 """Property-based checks of the algebraic identities behind the bounds."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import uncertainty_lab as ul
@@ -136,6 +137,21 @@ def test_internal_checks_do_not_depend_on_units(abs_, s, t):
     unit = ul.correlation_record(a, b, phi).pearson
     if scaled is not None and unit is not None:
         assert abs(scaled - unit) <= 1e-8
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="C's moment form <AB> - <A><B> cancels ~10 digits at dA = 5e-6, <A> = 1; "
+    "computing C on the centred observables (ROADMAP item 2) mends it",
+)
+@pytest.mark.parametrize("t", [10.0, 1e3])
+def test_pearson_does_not_depend_on_units_near_a_large_mean(t):
+    # found by test_internal_checks_do_not_depend_on_units: r = 0.99999653 at
+    # t = 10 and 0.9999985 at t = 1e3, against 1.0 at unit scale
+    a = ul.validate_observable(np.array([[0.0, -5e-6j], [5e-6j, 1.0]]))
+    phi = ul.StateVector([0.0, 1j])
+    unit = ul.correlation_record(a, a, phi).pearson
+    assert abs(ul.correlation_record(a, t * a, phi).pearson - unit) <= 1e-8
 
 
 def _haar_unitary(dim, seed):

@@ -172,6 +172,18 @@ class TestDecomposition:
             r = ul.pearson(a, b, phi)
             assert abs(cov_term + imag_term - r * r) <= 1e-9
 
+    def test_terms_and_pearson_agree_near_a_large_mean(self, rng):
+        # C's moment form cancels ~8 digits at <A>, <B> ~ 1e4: the terms and r
+        # must come from the same form, so their sum check stays a rounding check
+        for _ in range(50):
+            a, b = rand_hermitian(rng, 3), rand_hermitian(rng, 3)
+            shift = 1e4 * np.eye(3)
+            a, b = ul.validate_observable(a.matrix + shift), ul.validate_observable(b.matrix + shift)
+            phi = rand_state(rng, 3)
+            cov_term, imag_term = ul.decomposition(a, b, phi)
+            r = ul.pearson(a, b, phi)
+            assert abs(cov_term + imag_term - r * r) <= 1e-9
+
     def test_degenerate_spread_raises(self, l3, l4):
         with pytest.raises(ul.DegenerateSpread):
             ul.decomposition(l3, l4, ul.StateVector([0.0, 0.0, 1.0]))

@@ -7,123 +7,51 @@ triangle-inequality sum relations; classify states by which parts of the
 correlation function vanish; and numerically find states whose deviation
 vectors are orthogonal, i.e. for which the lower bound on the product of
 spreads is exactly zero.
+
+``import uncertainty_lab`` loads no submodule: each public name, and each
+submodule as an attribute (``uncertainty_lab.relations``), is imported on
+first use and then kept as an ordinary attribute of the package (PEP 562).
 """
+
+from importlib import import_module
 
 __version__ = "0.10.2"
 
-from .core import (
-    CommutingPair,
-    DEFAULT_TOLERANCES,
-    DegenerateSpread,
-    DimensionMismatch,
-    DimensionTooSmall,
-    Observable,
-    StateVector,
-    Tolerances,
-    ValidationError,
-    commutator,
-    complex_from_pair,
-    complex_to_pair,
-    haar_state,
-    identity,
-    inner,
-    observable_from_json_dict,
-    observable_to_json_dict,
-    state_from_json_dict,
-    state_to_json_dict,
-    validate_observable,
-)
-from .correlations import (
-    CorrelationRecord,
-    correlation,
-    correlation_properties_check,
-    correlation_record,
-    decomposition,
-    pearson,
-)
-from .finder import FinderConfig, FinderResult, find, gradient, objective, verify_candidate
-from .gellmann import (
-    GellMannBasis,
-    gell_mann,
-    su3_lambda,
-    two_level_state,
-    uniform_superposition,
-)
-from .moments import (
-    DeviationVector,
-    deviation_vector,
-    expectation,
-    is_eigenstate,
-    orthogonal_unit,
-    std_dev,
-)
-from .relations import (
-    Degeneracy,
-    SumRelationReport,
-    UncertaintyReport,
-    evaluate,
-    hr_bound,
-    schrodinger_bound,
-    sum_relation_n,
-    sum_relations,
-)
-from .state_sets import ClassificationResult, ScanConfig, classify, membership_scan
+# Each public name once, under the submodule that defines it ("" for a submodule with none).
+_NAMES = {
+    "core": "CommutingPair DEFAULT_TOLERANCES DegenerateSpread DimensionMismatch "
+            "DimensionTooSmall Observable StateVector Tolerances ValidationError commutator "
+            "complex_from_pair complex_to_pair haar_state identity inner "
+            "observable_from_json_dict observable_to_json_dict state_from_json_dict "
+            "state_to_json_dict validate_observable",
+    "correlations": "CorrelationRecord correlation correlation_properties_check "
+                    "correlation_record decomposition pearson",
+    "finder": "FinderConfig FinderResult find gradient objective verify_candidate",
+    "gellmann": "GellMannBasis gell_mann su3_lambda two_level_state uniform_superposition",
+    "moments": "DeviationVector deviation_vector expectation is_eigenstate orthogonal_unit "
+               "std_dev",
+    "relations": "Degeneracy SumRelationReport UncertaintyReport evaluate hr_bound "
+                 "schrodinger_bound sum_relation_n sum_relations",
+    "state_sets": "ClassificationResult ScanConfig classify membership_scan",
+    "cli": "",
+    "_floatrepr": "",
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names.split()}
 
-__all__ = [
-    "ClassificationResult",
-    "CommutingPair",
-    "CorrelationRecord",
-    "DEFAULT_TOLERANCES",
-    "Degeneracy",
-    "DegenerateSpread",
-    "DeviationVector",
-    "DimensionMismatch",
-    "DimensionTooSmall",
-    "FinderConfig",
-    "FinderResult",
-    "GellMannBasis",
-    "Observable",
-    "ScanConfig",
-    "StateVector",
-    "SumRelationReport",
-    "Tolerances",
-    "UncertaintyReport",
-    "ValidationError",
-    "__version__",
-    "classify",
-    "commutator",
-    "complex_from_pair",
-    "complex_to_pair",
-    "correlation",
-    "correlation_properties_check",
-    "correlation_record",
-    "decomposition",
-    "deviation_vector",
-    "evaluate",
-    "expectation",
-    "find",
-    "gell_mann",
-    "gradient",
-    "haar_state",
-    "hr_bound",
-    "identity",
-    "inner",
-    "is_eigenstate",
-    "membership_scan",
-    "objective",
-    "observable_from_json_dict",
-    "observable_to_json_dict",
-    "orthogonal_unit",
-    "pearson",
-    "schrodinger_bound",
-    "state_from_json_dict",
-    "state_to_json_dict",
-    "std_dev",
-    "su3_lambda",
-    "sum_relation_n",
-    "sum_relations",
-    "two_level_state",
-    "uniform_superposition",
-    "validate_observable",
-    "verify_candidate",
-]
+__all__ = sorted([*_MODULE_OF, "__version__"])
+
+
+def __getattr__(name: str):
+    """Import a public name's submodule, or a submodule, on first use and keep it."""
+    if name in _NAMES:
+        value = import_module(f"{__name__}.{name}")
+    elif name in _MODULE_OF:
+        value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later reads find it without this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_NAMES})

@@ -24,6 +24,13 @@ on the first call (``_parser``), and each call parses its own flags.  A call
 that exits 5 on a failed write drops what stdout did not take and leaves
 stdout as it found it, so the next call writes (or fails) on its own.
 
+A call loads only the modules its command runs.  ``import uncertainty_lab.cli``
+loads ``core`` and ``moments``; the parser adds ``finder`` (the ``find`` flags
+are ``FinderConfig``'s fields); ``eval`` adds ``correlations``, ``relations``
+and ``state_sets``, ``scan`` adds ``state_sets``, ``_floatrepr`` and
+``hashlib``, ``basis`` adds ``gellmann``, and ``demo`` adds ``gellmann`` and
+the modules of ``eval``.
+
 Each number of a scan's CSV is Python's shortest round-trip ``repr`` of the
 computed double, so ``float(field)`` gives that double back exactly; the
 vectorized formatter ``_floatrepr.write_reprs`` produces those same bytes for
@@ -41,19 +48,18 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import itertools
 import json
 import os
 import sys
 from dataclasses import fields
 from datetime import datetime, timezone
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import __version__
-from ._floatrepr import WORD, write_reprs
 from .core import (
     DEFAULT_TOLERANCES,
     CommutingPair,
@@ -63,12 +69,44 @@ from .core import (
     observable_to_json_dict,
     state_from_json_dict,
 )
-from .correlations import correlation, correlation_record
-from .finder import FinderConfig, find
-from .gellmann import gell_mann, su3_lambda, two_level_state, uniform_superposition
 from .moments import _is_eigen
-from .relations import REPORT_CSV_HEADER, evaluate, report_csv_row
-from .state_sets import ScanConfig, _rng_scheme, _ScanBlock, _scan_blocks, classify
+
+if TYPE_CHECKING:
+    from .state_sets import _ScanBlock
+
+# The names taken from the modules that not every command runs, by module.  A
+# command's first call imports its modules (``_bind``) and binds their names as
+# globals here, where its bare names read them.
+_LAZY = {
+    ".correlations": "correlation correlation_record",
+    ".finder": "FinderConfig find",
+    ".gellmann": "gell_mann su3_lambda two_level_state uniform_superposition",
+    ".relations": "REPORT_CSV_HEADER evaluate report_csv_row",
+    ".state_sets": "ScanConfig _rng_scheme _scan_blocks classify",
+    "._floatrepr": "WORD write_reprs",
+    "hashlib": "sha256",
+}
+
+
+def _bind(modules: str) -> None:
+    """Import ``modules`` (keys of ``_LAZY``) and bind their names as globals; a
+    name already bound (by an earlier call, or patched in) is kept."""
+    scope = globals()
+    for module in modules.split():
+        names = [name for name in _LAZY[module].split() if name not in scope]
+        if names:
+            source = import_module(module, __package__)
+            scope.update((name, getattr(source, name)) for name in names)
+
+
+def __getattr__(name: str) -> Any:
+    """``cli.<name>`` for a name of ``_LAZY`` that no call has bound yet: its
+    module's object, read afresh (PEP 562)."""
+    for module, names in _LAZY.items():
+        if name in names.split():
+            return getattr(import_module(module, __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 SEED_ENV_VAR = "UNCERTAINTY_LAB_SEED"
 
@@ -131,18 +169,25 @@ def _write(out_path: str, chunks: Iterable[bytes]) -> None:
     created as ``open(out_path, "w")`` creates a file (mode 0o666 less the
     umask), which ``os.replace`` moves onto the target after the last chunk.
     On any exception, ``KeyboardInterrupt`` included, the temporary file is
-    removed, and the target keeps its old bytes or stays absent.  A target
+    removed, and the target keeps its old bytes or stays absent.  A name
+    that is taken (a file a killed run left, whose process id recurs) is
+    skipped for the next one, and that file is never opened.  A target
     that exists but is no regular file (``/dev/null``, a pipe) cannot be
     replaced and is written directly.
     """
     target = os.path.realpath(out_path)
     direct = os.path.exists(target) and not os.path.isfile(target)
     head, tail = os.path.split(target)
-    path = target if direct else os.path.join(
-        head, f".{tail}.{os.getpid()}.{next(_TEMP_IDS)}.tmp"
-    )
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | (os.O_TRUNC if direct else os.O_EXCL), 0o666)
+        while True:
+            path = target if direct else os.path.join(
+                head, f".{tail}.{os.getpid()}.{next(_TEMP_IDS)}.tmp"
+            )
+            # only O_EXCL raises FileExistsError: the name is taken, so try the next
+            with contextlib.suppress(FileExistsError):
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT | (os.O_TRUNC if direct else os.O_EXCL),
+                             0o666)
+                break
         try:
             with open(fd, "wb") as fh:
                 fh.writelines(chunks)
@@ -268,7 +313,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         raise CliError(f"--samples must be at least 1, got {args.samples}")
     config = ScanConfig(samples=args.samples, seed=args.seed, tolerances=tol, start=args.start)
     blocks = _scan_blocks(a, b, config)  # the guards raise here, before any output
-    digest, counts = hashlib.sha256(), np.zeros(len(_FLAG_COLUMNS), dtype=np.int64)
+    digest, counts = sha256(), np.zeros(len(_FLAG_COLUMNS), dtype=np.int64)
 
     def hashed(data: bytes) -> bytes:
         digest.update(data)
@@ -411,6 +456,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_find = sub.add_parser("find", help="search for a zero-correlation state")
     p_find.add_argument("observable_a")
     p_find.add_argument("observable_b")
+    _bind(".finder")  # the find flags and their defaults are FinderConfig's fields
     for f in fields(FinderConfig):
         if f.name != "seed":  # --seed comes with the common flags
             p_find.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
@@ -435,12 +481,12 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "eval": _cmd_eval,
-    "find": _cmd_find,
-    "scan": _cmd_scan,
-    "demo": _cmd_demo,
-    "basis": _cmd_basis,
+_DISPATCH = {  # command -> its function and the modules of ``_LAZY`` it runs
+    "eval": (_cmd_eval, ".correlations .relations .state_sets"),
+    "find": (_cmd_find, ".finder"),
+    "scan": (_cmd_scan, ".state_sets ._floatrepr hashlib"),
+    "demo": (_cmd_demo, ".correlations .gellmann .relations .state_sets"),
+    "basis": (_cmd_basis, ".gellmann"),
 }
 
 
@@ -459,7 +505,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.seed = _default_seed()
         if args.command == "scan" and args.out is None:
             raise CliError("scan requires --out for the CSV body")
-        code = _DISPATCH[args.command](args)
+        command, modules = _DISPATCH[args.command]
+        _bind(modules)
+        code = command(args)
         sys.stdout.flush()  # a closed pipe or a failed write surfaces here, not at exit
         return code
     except OSError as exc:

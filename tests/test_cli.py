@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import os
 import platform
@@ -682,6 +683,16 @@ class TestWrite:
         assert link.is_symlink()
         assert json.loads(target.read_text())["dim"] == 3
 
+    def test_a_stale_temporary_file_is_skipped_and_kept(self, tmp_path, monkeypatch):
+        # a killed run left the next temporary name, and this process has its id
+        monkeypatch.setattr(cli, "_TEMP_IDS", itertools.count())
+        out, stale = tmp_path / "x.json", tmp_path / f".x.json.{os.getpid()}.0.tmp"
+        stale.write_bytes(b"left by a killed run")
+        assert main(["basis", "--dim", "2", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["dim"] == 2
+        assert stale.read_bytes() == b"left by a killed run"
+        assert _temp_files(tmp_path) == [stale.name]
+
     def test_a_pipe_is_written_directly(self, files, tmp_path):
         # a pipe (like /dev/null or /dev/stdout) cannot be replaced by a file
         pipe = tmp_path / "pipe"
@@ -696,6 +707,79 @@ class TestWrite:
         assert code == 0
         assert json.loads(received[0])["manifest"]["command"] == "eval"
         assert pipe.is_fifo()
+
+
+_STARTUP_PROBE = """
+import json, sys
+{code}
+print(json.dumps(sorted(sys.modules)))
+"""
+# Entry path -> (the code it runs, the package's submodules it loads, other modules it
+# must not load).  Each loads only the modules it runs.
+_ENTRY_PATHS = {
+    "import": ("import uncertainty_lab", "", "hashlib numpy.random"),
+    "import-cli": ("import uncertainty_lab.cli", "cli core moments", "hashlib numpy.random"),
+    "find": (
+        "import uncertainty_lab as ul\n"
+        "assert ul.find(ul.su3_lambda(3), ul.su3_lambda(4)).converged",
+        "core finder gellmann moments", "",
+    ),
+    "cli-find": (
+        "from uncertainty_lab.cli import main\n"
+        "assert main(['find', {l3!r}, {l4!r}, '--out', {out!r}]) == 0",
+        "cli core finder moments", "",
+    ),
+    "report": (
+        "import uncertainty_lab.cli\n"
+        "import uncertainty_lab as ul\n"
+        "a, b, phi = ul.su3_lambda(3), ul.su3_lambda(4), ul.uniform_superposition(3)\n"
+        "ul.evaluate(a, b, phi); ul.correlation_record(a, b, phi)\n"
+        "ul.classify(a, b, phi); ul.sum_relations(a, b, phi)",
+        "cli core correlations gellmann moments relations state_sets", "hashlib numpy.random",
+    ),
+    "cli-eval": (
+        "from uncertainty_lab.cli import main\n"
+        "assert main(['eval', {l3!r}, {l4!r}, {phi2!r}, '--out', {out!r}]) == 0",
+        "cli core correlations finder moments relations state_sets", "hashlib numpy.random",
+    ),
+    "cli-scan": (
+        "from uncertainty_lab.cli import main\n"
+        "assert main(['scan', {l3!r}, {l4!r}, '--samples', '10', '--out', {out!r}]) == 0",
+        "_floatrepr cli core finder moments state_sets", "",
+    ),
+}
+
+
+class TestStartUp:
+    """A call loads only the modules its command runs, each path in a fresh interpreter."""
+
+    @pytest.mark.parametrize("path", sorted(_ENTRY_PATHS))
+    def test_an_entry_path_loads_only_its_modules(self, files, tmp_path, path):
+        code, loaded, absent = _ENTRY_PATHS[path]
+        code = code.format(l3=files["l3"], l4=files["l4"], phi2=files["phi2"],
+                           out=str(tmp_path / "out"))
+        proc = subprocess.run(
+            [sys.executable, "-c", _STARTUP_PROBE.format(code=code)],
+            capture_output=True, text=True, env=_module_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        modules = set(json.loads(proc.stdout.splitlines()[-1]))
+        package = {m.removeprefix("uncertainty_lab.") for m in modules
+                   if m.startswith("uncertainty_lab.")}
+        assert "uncertainty_lab" in modules and package == set(loaded.split())
+        assert modules.isdisjoint(absent.split())
+
+    @pytest.mark.parametrize("name", ["evaluate", "classify", "write_reprs", "_scan_blocks",
+                                      "gell_mann", "FinderConfig"])
+    def test_a_command_name_resolves_before_any_call_binds_it(self, monkeypatch, name):
+        monkeypatch.delitem(vars(cli), name, raising=False)
+        value = getattr(cli, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+        assert name not in vars(cli)  # read afresh, so it never holds a stale object
+
+    def test_an_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cli.no_such_name
 
 
 class TestDemo:

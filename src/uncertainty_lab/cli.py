@@ -29,7 +29,11 @@ loads ``core`` and ``moments``; the parser adds ``finder`` (the ``find`` flags
 are ``FinderConfig``'s fields); ``eval`` adds ``correlations``, ``relations``
 and ``state_sets``, ``scan`` adds ``state_sets``, ``_floatrepr`` and
 ``hashlib``, ``basis`` adds ``gellmann``, and ``demo`` adds ``gellmann`` and
-the modules of ``eval``.
+the modules of ``eval``.  A command reads the names of those modules through
+the package (``ul.evaluate``, ``ul.state_sets._scan_blocks``), whose namespace
+imports a module on its first read (PEP 562), so the package's table is the
+one place that says where a name lives.  ``cli.<name>`` for a public name of
+the package is the package's object.
 
 Each number of a scan's CSV is Python's shortest round-trip ``repr`` of the
 computed double, so ``float(field)`` gives that double back exactly; the
@@ -54,12 +58,11 @@ import os
 import sys
 from dataclasses import fields
 from datetime import datetime, timezone
-from importlib import import_module
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import __version__
+import uncertainty_lab as ul
 from .core import (
     DEFAULT_TOLERANCES,
     CommutingPair,
@@ -71,40 +74,15 @@ from .core import (
 )
 from .moments import _is_eigen
 
-if TYPE_CHECKING:
-    from .state_sets import _ScanBlock
-
-# The names taken from the modules that not every command runs, by module.  A
-# command's first call imports its modules (``_bind``) and binds their names as
-# globals here, where its bare names read them.
-_LAZY = {
-    ".correlations": "correlation correlation_record",
-    ".finder": "FinderConfig find",
-    ".gellmann": "gell_mann su3_lambda two_level_state uniform_superposition",
-    ".relations": "REPORT_CSV_HEADER evaluate report_csv_row",
-    ".state_sets": "ScanConfig _rng_scheme _scan_blocks classify",
-    "._floatrepr": "WORD write_reprs",
-    "hashlib": "sha256",
-}
-
-
-def _bind(modules: str) -> None:
-    """Import ``modules`` (keys of ``_LAZY``) and bind their names as globals; a
-    name already bound (by an earlier call, or patched in) is kept."""
-    scope = globals()
-    for module in modules.split():
-        names = [name for name in _LAZY[module].split() if name not in scope]
-        if names:
-            source = import_module(module, __package__)
-            scope.update((name, getattr(source, name)) for name in names)
-
 
 def __getattr__(name: str) -> Any:
-    """``cli.<name>`` for a name of ``_LAZY`` that no call has bound yet: its
-    module's object, read afresh (PEP 562)."""
-    for module, names in _LAZY.items():
-        if name in names.split():
-            return getattr(import_module(module, __package__), name)
+    """``cli.<name>`` for a public name of the package: the package's object (PEP 562).
+
+    Any other name raises: forwarded, the package's ``__path__`` would make ``cli``
+    look like a package, and its ``__all__`` would make ``from uncertainty_lab.cli
+    import *`` bind the package's names in place of ``main``."""
+    if name in ul.__all__:
+        return getattr(ul, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -154,7 +132,7 @@ def _manifest(command: str, input_paths: Sequence[str], seed: int, tol: Toleranc
         "input_paths": list(input_paths),
         "seed": seed,
         "tolerances": tol.to_json_dict(),
-        "tool_version": __version__,
+        "tool_version": ul.__version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 
@@ -223,18 +201,18 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     a = _load(args.observable_a, observable_from_json_dict, tol)
     b = _load(args.observable_b, observable_from_json_dict, tol)
     phi = _load(args.state, state_from_json_dict, tol)
-    report = evaluate(a, b, phi, tol)
-    record = correlation_record(a, b, phi, tol)
+    report = ul.evaluate(a, b, phi, tol)
+    record = ul.correlation_record(a, b, phi, tol)
     try:
-        cls = classify(a, b, phi, tol)
+        cls = ul.classify(a, b, phi, tol)
         flags = (cls.eigen_a, cls.eigen_b, cls.in_s_ab, cls.in_s_comm, cls.in_s_anti)
     except CommutingPair:  # a pair without sets, whose eigen flags follow the spread test
         cls = None
         flags = (_is_eigen(report.delta_a, tol), _is_eigen(report.delta_b, tol)) + (False,) * 3
     manifest = _manifest("eval", [args.observable_a, args.observable_b, args.state], args.seed, tol)
     if args.format == "csv":
-        row = report_csv_row(a.dim, args.seed, report, record.pearson, flags)
-        _emit(REPORT_CSV_HEADER + "\n" + row, args.out)
+        row = ul.relations.report_csv_row(a.dim, args.seed, report, record.pearson, flags)
+        _emit(ul.relations.REPORT_CSV_HEADER + "\n" + row, args.out)
         if args.out is not None:
             _emit(json.dumps(manifest, indent=2), args.out + ".manifest.json")
     else:
@@ -252,8 +230,8 @@ def _cmd_find(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     a = _load(args.observable_a, observable_from_json_dict, tol)
     b = _load(args.observable_b, observable_from_json_dict, tol)
-    cfg = FinderConfig(**{f.name: getattr(args, f.name) for f in fields(FinderConfig)})
-    result = find(a, b, cfg, tol)
+    cfg = ul.FinderConfig(**{f.name: getattr(args, f.name) for f in fields(ul.FinderConfig)})
+    result = ul.find(a, b, cfg, tol)
     payload = {
         "result": result.to_json_dict(),
         "config": cfg.to_json_dict(),
@@ -271,7 +249,7 @@ def _scan_header(dim: int) -> str:
     return ",".join(["index", *amp_cols, "re_c", "im_c", "pearson", *_FLAG_COLUMNS])
 
 
-def _scan_csv(block: _ScanBlock) -> bytearray:
+def _scan_csv(block: ul.state_sets._ScanBlock) -> bytearray:
     """The CSV rows of a scan block.
 
     A row buffer holds the block's rows, NUL-padded: the index and a comma,
@@ -290,12 +268,13 @@ def _scan_csv(block: _ScanBlock) -> bytearray:
     index = [str(i) for i in range(block.start, block.start + n)]
     buf[:, :digits] = np.array(index, dtype=f"S{digits}").view(np.uint8).reshape(n, -1)
     buf[:, index_width - 1] = ord(",")
-    slots = buf[:, index_width : index_width + 32 * cols].view(WORD).reshape(n, cols, 4)
+    slots = buf[:, index_width : index_width + 32 * cols].view(ul._floatrepr.WORD)
+    slots = slots.reshape(n, cols, 4)
     numbers = slots[..., 3].view(np.float64)
     numbers[:, :-3] = block.phis.view(float)
     numbers[:, -3:-1] = block.c.view(float).reshape(n, 2)
     numbers[:, -1] = block.pearson
-    write_reprs(numbers, slots[..., :3])
+    ul._floatrepr.write_reprs(numbers, slots[..., :3])
     slots[..., 3] = ord(",")
     slots[block.flags[:, :2].any(axis=1), -1, :3] = 0  # no pearson (NaN) on eigen rows
     tail = buf[:, -16:-6]
@@ -306,14 +285,20 @@ def _scan_csv(block: _ScanBlock) -> bytearray:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    import hashlib
+
+    # the formatter loads here, before the inputs and the first block: loaded by the
+    # first ``_scan_csv`` call, its compile buffers would land above that block's
+    # arrays on the heap and raise the peak
+    ul._floatrepr
     tol = _tolerances(args)
     a = _load(args.observable_a, observable_from_json_dict, tol)
     b = _load(args.observable_b, observable_from_json_dict, tol)
     if args.samples < 1:
         raise CliError(f"--samples must be at least 1, got {args.samples}")
-    config = ScanConfig(samples=args.samples, seed=args.seed, tolerances=tol, start=args.start)
-    blocks = _scan_blocks(a, b, config)  # the guards raise here, before any output
-    digest, counts = sha256(), np.zeros(len(_FLAG_COLUMNS), dtype=np.int64)
+    config = ul.ScanConfig(samples=args.samples, seed=args.seed, tolerances=tol, start=args.start)
+    blocks = ul.state_sets._scan_blocks(a, b, config)  # the guards raise here, before any output
+    digest, counts = hashlib.sha256(), np.zeros(len(_FLAG_COLUMNS), dtype=np.int64)
 
     def hashed(data: bytes) -> bytes:
         digest.update(data)
@@ -330,7 +315,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     manifest = _manifest("scan", [args.observable_a, args.observable_b], args.seed, tol)
     manifest["start"] = args.start
     manifest["samples"] = args.samples
-    manifest["rng"] = _rng_scheme(a.dim)
+    manifest["rng"] = ul.state_sets._rng_scheme(a.dim)
     manifest["output"] = args.out
     manifest["class_counts"] = dict(zip(_FLAG_COLUMNS, counts.tolist()))
     manifest["body_sha256"] = digest.hexdigest()
@@ -339,7 +324,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_basis(args: argparse.Namespace) -> int:
-    basis = gell_mann(args.dim)
+    basis = ul.gell_mann(args.dim)
     payload = {
         "dim": basis.dim,
         "note": basis.note,
@@ -352,8 +337,8 @@ def _cmd_basis(args: argparse.Namespace) -> int:
 
 def _cmd_demo(_args: argparse.Namespace) -> int:
     tol = Tolerances()
-    l3, l4 = su3_lambda(3), su3_lambda(4)
-    phi2 = uniform_superposition(3)
+    l3, l4 = ul.su3_lambda(3), ul.su3_lambda(4)
+    phi2 = ul.uniform_superposition(3)
     failures: list[str] = []
 
     def check(name: str, ok: bool, line: str) -> None:
@@ -369,9 +354,9 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
     spreads_ok = True
     for a_val in values:
         for b_val in values:
-            phi1 = two_level_state(a_val, b_val)
-            worst = max(worst, abs(correlation(l3, l4, phi1)))
-            rec = correlation_record(l3, l4, phi1, tol)
+            phi1 = ul.two_level_state(a_val, b_val)
+            worst = max(worst, abs(ul.correlation(l3, l4, phi1)))
+            rec = ul.correlation_record(l3, l4, phi1, tol)
             spreads_ok = spreads_ok and rec.pearson is not None
     check(
         "zero-correlation family",
@@ -379,10 +364,10 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
         f"max |C(l3,l4)| over 6x6 grid of nonzero (a, b) = {_fmt(worst)} with positive spreads",
     )
 
-    c2 = correlation(l3, l4, phi2)
+    c2 = ul.correlation(l3, l4, phi2)
     check("C(phi2)", abs(c2 - 1.0 / 3.0) <= 1e-12, f"C(phi2) = {_fmt(c2.real)} (expected 1/3)")
 
-    report = evaluate(l3, l4, phi2, tol)
+    report = ul.evaluate(l3, l4, phi2, tol)
     check("HR bound(phi2)", report.hr_bound <= 1e-12, f"HR bound(phi2) = {_fmt(report.hr_bound)}")
     check(
         "Schrodinger bound(phi2)",
@@ -396,8 +381,8 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
         f"product(phi2) = {_fmt(report.product)} >= 1/3",
     )
 
-    cls1 = classify(l3, l4, two_level_state(1.0, 1.0), tol)
-    cls2 = classify(l3, l4, phi2, tol)
+    cls1 = ul.classify(l3, l4, ul.two_level_state(1.0, 1.0), tol)
+    cls2 = ul.classify(l3, l4, phi2, tol)
     check(
         "classification",
         cls1.in_s_ab and cls2.in_s_comm and not cls2.in_s_ab,
@@ -407,9 +392,9 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
     print()
     print(f"{'state':<12}{'delta_l3':>16}{'delta_l4':>16}{'product':>16}"
           f"{'hr_bound':>16}{'|C|':>16}{'pearson':>16}")
-    for label, phi in (("phi1(1,1)", two_level_state(1.0, 1.0)), ("phi2", phi2)):
-        rep = evaluate(l3, l4, phi, tol)
-        rec = correlation_record(l3, l4, phi, tol)
+    for label, phi in (("phi1(1,1)", ul.two_level_state(1.0, 1.0)), ("phi2", phi2)):
+        rep = ul.evaluate(l3, l4, phi, tol)
+        rec = ul.correlation_record(l3, l4, phi, tol)
         print(
             f"{label:<12}{_fmt(rep.delta_a):>16}{_fmt(rep.delta_b):>16}"
             f"{_fmt(rep.product):>16}{_fmt(rep.hr_bound):>16}"
@@ -456,8 +441,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_find = sub.add_parser("find", help="search for a zero-correlation state")
     p_find.add_argument("observable_a")
     p_find.add_argument("observable_b")
-    _bind(".finder")  # the find flags and their defaults are FinderConfig's fields
-    for f in fields(FinderConfig):
+    for f in fields(ul.FinderConfig):  # the find flags and their defaults are its fields
         if f.name != "seed":  # --seed comes with the common flags
             p_find.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
                                 default=f.default)
@@ -481,13 +465,8 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {  # command -> its function and the modules of ``_LAZY`` it runs
-    "eval": (_cmd_eval, ".correlations .relations .state_sets"),
-    "find": (_cmd_find, ".finder"),
-    "scan": (_cmd_scan, ".state_sets ._floatrepr hashlib"),
-    "demo": (_cmd_demo, ".correlations .gellmann .relations .state_sets"),
-    "basis": (_cmd_basis, ".gellmann"),
-}
+_DISPATCH = {"eval": _cmd_eval, "find": _cmd_find, "scan": _cmd_scan, "demo": _cmd_demo,
+             "basis": _cmd_basis}
 
 
 @functools.cache
@@ -505,9 +484,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.seed = _default_seed()
         if args.command == "scan" and args.out is None:
             raise CliError("scan requires --out for the CSV body")
-        command, modules = _DISPATCH[args.command]
-        _bind(modules)
-        code = command(args)
+        code = _DISPATCH[args.command](args)
         sys.stdout.flush()  # a closed pipe or a failed write surfaces here, not at exit
         return code
     except OSError as exc:

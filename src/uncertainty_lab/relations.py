@@ -96,7 +96,9 @@ def schrodinger_bound(a: Observable, b: Observable, phi: StateVector) -> float:
 def evaluate(
     a: Observable, b: Observable, phi: StateVector, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> UncertaintyReport:
-    """Evaluate every bound for (A, B, phi) and assert the chain between them."""
+    """Evaluate every bound for (A, B, phi) and assert the chain between them.
+
+    ``tol`` is accepted for symmetry with the other functions of a pair; no check reads it."""
     n = _shared(a, b, phi)
     delta_a, delta_b = _spreads(n)
     product = delta_a * delta_b

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import uncertainty_lab as ul
-from uncertainty_lab import cli, state_sets
+from uncertainty_lab import _floatrepr, cli, state_sets
 from uncertainty_lab.cli import main, make_parser
 from helpers import pauli_pair, rand_hermitian, scan_csv_rows
 
@@ -173,7 +173,7 @@ class TestEval:
         def broken(*args, **kwargs):
             raise ArithmeticError("correlation: moment form = deviation form fails")
 
-        monkeypatch.setattr("uncertainty_lab.cli.evaluate", broken)
+        monkeypatch.setattr(ul, "evaluate", broken)
         assert main(["eval", files["l3"], files["l4"], files["phi2"]]) == 4
         err = capsys.readouterr().err
         assert "moment form = deviation form" in err
@@ -479,13 +479,13 @@ class TestScan:
     @pytest.mark.parametrize("dim", [3, 64])
     def test_one_formatter_call_per_block(self, tmp_path, rng, monkeypatch, dim):
         rows, calls = 4096 // dim, []
-        real = cli.write_reprs
+        real = _floatrepr.write_reprs
 
         def counted(values, out):
             calls.append(values.shape)
             real(values, out)
 
-        monkeypatch.setattr(cli, "write_reprs", counted)
+        monkeypatch.setattr(_floatrepr, "write_reprs", counted)
         samples = 2 * rows + 5  # three blocks, the last of 5 rows
         assert main(["scan", *_random_pair(tmp_path, rng, dim), "--samples", str(samples),
                      "--out", str(tmp_path / "scan.csv")]) == 0
@@ -616,14 +616,14 @@ class TestScan:
         assert sorted(os.listdir(tmp_path)) == sorted(before)
 
     def test_interrupt_leaves_no_temp_file(self, files, tmp_path, monkeypatch):
-        real_blocks = cli._scan_blocks
+        real_blocks = state_sets._scan_blocks
 
         def interrupted(*args):
             blocks = real_blocks(*args)
             yield next(blocks)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "_scan_blocks", interrupted)
+        monkeypatch.setattr(state_sets, "_scan_blocks", interrupted)
         out = tmp_path / "scan.csv"
         with pytest.raises(KeyboardInterrupt):
             main(["scan", files["l3"], files["l4"], "--samples", "3000", "--out", str(out)])
@@ -747,6 +747,17 @@ _ENTRY_PATHS = {
         "assert main(['scan', {l3!r}, {l4!r}, '--samples', '10', '--out', {out!r}]) == 0",
         "_floatrepr cli core finder moments state_sets", "",
     ),
+    "cli-basis": (
+        "from uncertainty_lab.cli import main\n"
+        "assert main(['basis', '--dim', '3', '--out', {out!r}]) == 0",
+        "cli core finder gellmann moments", "hashlib numpy.random",
+    ),
+    "cli-demo": (
+        "from uncertainty_lab.cli import main\n"
+        "assert main(['demo']) == 0",
+        "cli core correlations finder gellmann moments relations state_sets",
+        "hashlib numpy.random",
+    ),
 }
 
 
@@ -769,17 +780,41 @@ class TestStartUp:
         assert "uncertainty_lab" in modules and package == set(loaded.split())
         assert modules.isdisjoint(absent.split())
 
-    @pytest.mark.parametrize("name", ["evaluate", "classify", "write_reprs", "_scan_blocks",
-                                      "gell_mann", "FinderConfig"])
-    def test_a_command_name_resolves_before_any_call_binds_it(self, monkeypatch, name):
-        monkeypatch.delitem(vars(cli), name, raising=False)
+    def test_a_scan_loads_the_formatter_before_its_first_block(self, files, tmp_path):
+        # loaded by the first block's formatting, its compile buffers would land above
+        # that block's arrays on the heap and raise the peak
+        code = (
+            "import sys\n"
+            "from uncertainty_lab import cli, state_sets\n"
+            "real, seen = state_sets._gaussian_rows, []\n"
+            "def rows(*args):\n"
+            "    seen.append('uncertainty_lab._floatrepr' in sys.modules)\n"
+            "    return real(*args)\n"
+            "state_sets._gaussian_rows = rows\n"
+            f"argv = ['scan', {files['l3']!r}, {files['l4']!r}, '--samples', '10', "
+            f"'--out', {str(tmp_path / 'scan.csv')!r}]\n"
+            "assert cli.main(argv) == 0\n"
+            "assert seen == [True], seen\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_module_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("name", ["evaluate", "classify", "gell_mann", "FinderConfig"])
+    def test_a_command_name_resolves_before_any_call_binds_it(self, name):
         value = getattr(cli, name)
         assert getattr(sys.modules[value.__module__], name) is value
-        assert name not in vars(cli)  # read afresh, so it never holds a stale object
+        assert name not in vars(cli)  # read through the package, never held as a stale copy
+
+    def test_every_public_name_of_the_package_is_its_object_on_cli(self):
+        # the benchmark's tracer reads ``uncertainty_lab.cli.classify``
+        for name in ul.__all__:
+            assert getattr(cli, name) is getattr(ul, name), name
 
     def test_an_unknown_name_raises_attribute_error(self):
-        with pytest.raises(AttributeError, match="no_such_name"):
+        with pytest.raises(AttributeError, match="'uncertainty_lab.cli' has no attribute"):
             cli.no_such_name
+        assert not hasattr(cli, "__path__")  # the package's names only, not its module attributes
 
 
 class TestDemo:
@@ -890,7 +925,7 @@ class TestOutOfMemory:
         def refused(dim):
             raise MemoryError(f"Unable to allocate 149. GiB for the basis of dimension {dim}")
 
-        monkeypatch.setattr(cli, "gell_mann", refused)
+        monkeypatch.setattr(ul, "gell_mann", refused)
         out = tmp_path / "basis.json"
         assert main(["basis", "--dim", "100000", "--out", str(out)]) == 2
         err = capsys.readouterr().err

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,19 @@ class TestEvaluate:
             assert abs(c.imag) <= ul.DEFAULT_TOLERANCES.tol_zero
             rep = ul.evaluate(a, b, phi)
             assert rep.general_bound == pytest.approx(abs(c.real), abs=1e-10)
+
+    def test_tolerances_move_no_bit(self, rng):
+        # tol is accepted for symmetry with the other functions of a pair; no check reads it
+        huge = ul.Tolerances(tol_herm=1e300, tol_norm=1e300, tol_zero=1e300, eps_spread=1e300)
+        tiny = ul.Tolerances(tol_herm=5e-324, tol_norm=5e-324, tol_zero=5e-324, eps_spread=5e-324)
+        for d in (2, 3, 8, 64):
+            a, b, phi = rand_hermitian(rng, d), rand_hermitian(rng, d), rand_state(rng, d)
+            bits = [
+                [v.hex() if isinstance(v, float) else v
+                 for v in dataclasses.astuple(ul.evaluate(a, b, phi, *tol))]
+                for tol in ((), (huge,), (tiny,))
+            ]
+            assert bits[0] == bits[1] == bits[2]
 
 
 class TestSumRelations:
